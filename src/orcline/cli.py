@@ -81,17 +81,7 @@ def _load_program(path: str):
     return program
 
 
-def _load_fm(path: str):
-    try:
-        return orc_parser.parse_feature_model(_read(path))
-    except orc_parser.ParseError as exc:
-        for d in exc.diagnostics:
-            _diag(orc_parser.format_diagnostic(d, path))
-        raise _CliError(EXIT_INPUT, f"{path}: parsing failed")
-
-
-def _load_ts(path: str, kind: str):
-    parse = orc_parser.parse_mts if kind == "mts" else orc_parser.parse_lts
+def _load(path: str, parse):
     try:
         return parse(_read(path))
     except orc_parser.ParseError as exc:
@@ -201,7 +191,7 @@ def _selection(arg: str) -> list:
 
 
 def _cmd_fm_validate(args) -> int:
-    model = _load_fm(args.file)
+    model = _load(args.file, orc_parser.parse_feature_model)
     try:
         violations = fm_mod.validate(model, _selection(args.select))
     except fm_mod.UnknownFeature as exc:
@@ -227,7 +217,7 @@ def _sorted_products(products) -> list:
 
 
 def _cmd_fm_products(args) -> int:
-    model = _load_fm(args.file)
+    model = _load(args.file, orc_parser.parse_feature_model)
     try:
         products = _sorted_products(fm_mod.enumerate_products(model))
     except BoundExceeded as exc:
@@ -243,7 +233,7 @@ def _cmd_fm_products(args) -> int:
 
 
 def _cmd_fm_count(args) -> int:
-    model = _load_fm(args.file)
+    model = _load(args.file, orc_parser.parse_feature_model)
     try:
         _emit(f"{fm_mod.product_count(model)}\n", args.out)
     except BoundExceeded as exc:
@@ -256,8 +246,8 @@ def _cmd_fm_count(args) -> int:
 # mts
 
 def _cmd_mts_check(args) -> int:
-    family = _load_ts(args.family, "mts")
-    product = _load_ts(args.product, "lts")
+    family = _load(args.family, orc_parser.parse_mts)
+    product = _load(args.product, orc_parser.parse_lts)
     try:
         check = mts_mod.is_product(product, family)
     except mts_mod.ActionMismatch as exc:
@@ -295,7 +285,7 @@ def _cmd_mts_check(args) -> int:
 
 
 def _cmd_mts_products(args) -> int:
-    family = _load_ts(args.file, "mts")
+    family = _load(args.file, orc_parser.parse_mts)
     try:
         products = mts_mod.derive_products(family)
     except BoundExceeded as exc:
@@ -316,7 +306,8 @@ def _cmd_mts_products(args) -> int:
 
 def _cmd_mts_dot(args) -> int:
     kind = "lts" if args.file.endswith(".lts") else "mts"
-    system = _load_ts(args.file, kind)
+    system = _load(args.file, orc_parser.parse_lts if kind == "lts"
+                   else orc_parser.parse_mts)
     _emit(mts_mod.export_dot(system, name=kind), args.out)
     return EXIT_OK
 
@@ -325,7 +316,7 @@ def _cmd_mts_dot(args) -> int:
 # encode / fixtures
 
 def _cmd_encode(args) -> int:
-    model = _load_fm(args.file)
+    model = _load(args.file, orc_parser.parse_feature_model)
     plan = None
     if args.plan:
         try:

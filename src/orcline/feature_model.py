@@ -157,59 +157,61 @@ def _constraints_hold(fm: FeatureModel, selected: frozenset) -> bool:
     return True
 
 
-def validate(fm: FeatureModel, selection) -> list:
-    """All rule violations of ``selection``, empty when it is a product.
-
-    Raises UnknownFeature if the selection mentions a name outside the
-    model (that is an input error, not a configuration defect).
-    """
+def _violations(fm: FeatureModel, selection):
+    """Yield the rule violations of ``selection`` one at a time, so a
+    caller that only needs the first stops the walk there."""
     selected = frozenset(selection)
     for name in selected:
         if name not in fm.features:
             raise UnknownFeature(name)
 
-    out = []
     if fm.root not in selected:
-        out.append(Violation("root", (fm.root,),
-                             f"root feature {fm.root!r} must be selected"))
+        yield Violation("root", (fm.root,),
+                        f"root feature {fm.root!r} must be selected")
     for name in sorted(selected):
         f = fm.features[name]
         if f.parent is not None and f.parent not in selected:
-            out.append(Violation(
+            yield Violation(
                 "orphan", (name, f.parent),
-                f"{name!r} is selected but its parent {f.parent!r} is not"))
+                f"{name!r} is selected but its parent {f.parent!r} is not")
     for name in sorted(selected):
         for child in fm.features[name].children:
             if fm.features[child].kind == "mandatory" and child not in selected:
-                out.append(Violation(
+                yield Violation(
                     "mandatory", (name, child),
-                    f"{child!r} is mandatory under selected {name!r}"))
+                    f"{child!r} is mandatory under selected {name!r}")
     for g in fm.groups:
         if g.parent not in selected:
             continue
         chosen = [m for m in g.members if m in selected]
         if len(chosen) != 1:
             what = "none" if not chosen else ", ".join(repr(m) for m in chosen)
-            out.append(Violation(
+            yield Violation(
                 "alternative", (g.parent,) + g.members,
                 f"exactly one of {g.members} required under "
-                f"{g.parent!r}, got {what}"))
+                f"{g.parent!r}, got {what}")
     for c in fm.constraints:
         if isinstance(c, Requires):
             if c.a in selected and c.b not in selected:
-                out.append(Violation(
-                    "requires", (c.a, c.b),
-                    f"{c.a!r} requires {c.b!r}"))
+                yield Violation("requires", (c.a, c.b),
+                                f"{c.a!r} requires {c.b!r}")
         else:
             if c.a in selected and c.b in selected:
-                out.append(Violation(
-                    "excludes", (c.a, c.b),
-                    f"{c.a!r} excludes {c.b!r}"))
-    return out
+                yield Violation("excludes", (c.a, c.b),
+                                f"{c.a!r} excludes {c.b!r}")
+
+
+def validate(fm: FeatureModel, selection) -> list:
+    """All rule violations of ``selection``, empty when it is a product.
+
+    Raises UnknownFeature if the selection mentions a name outside the
+    model (that is an input error, not a configuration defect).
+    """
+    return list(_violations(fm, selection))
 
 
 def is_valid(fm: FeatureModel, selection) -> bool:
-    return not validate(fm, selection)
+    return next(_violations(fm, selection), None) is None
 
 
 def _subtree_options(fm: FeatureModel, name: str) -> list:
@@ -271,8 +273,8 @@ def enumerate_products(fm: FeatureModel,
 def product_count(fm: FeatureModel,
                   max_features: int = MAX_ENUMERATION_FEATURES) -> int:
     """Number of products.  Counts multiplicatively when there are no
-    cross-tree constraints, otherwise streams the enumeration."""
-    _check_size(fm, max_features)
+    cross-tree constraints, otherwise streams the enumeration, which
+    ``max_features`` bounds."""
     if not fm.constraints:
         def count(name):
             n = 1
@@ -283,4 +285,5 @@ def product_count(fm: FeatureModel,
                 n *= sum(count(m) for m in g.members)
             return n
         return count(fm.root)
+    _check_size(fm, max_features)
     return sum(1 for _ in _iter_products(fm))

@@ -30,6 +30,7 @@ The stepping rules:
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -563,7 +564,7 @@ class ExploredLts:
     ``outcomes`` holds, per maximal path that genuinely ends (halts),
     the multiset of published values as a sorted tuple;
     ``truncated_outcomes`` collects the publication prefixes of paths
-    cut off by the depth bound, the state bound, or a cycle.
+    cut off by the depth bound or the state bound.
     """
 
     states: list                  # ExecState per id; 0 is initial
@@ -575,47 +576,78 @@ class ExploredLts:
     truncated: bool               # state bound was hit
 
 
-def _fold_paths(n_states: int, edges: list, halted_states, truncated_states,
-                extract) -> frozenset:
-    """All (item-sequence, truncated?) pairs over maximal paths from
-    state 0, where ``extract(event)`` picks which events contribute.
-    Cycles contribute a truncated marker instead of unrolling."""
-    succ: dict = {i: [] for i in range(n_states)}
-    for (i, ev, j) in edges:
+def _successors(explored: ExploredLts) -> list:
+    """Per state id, its outgoing (event, target id) pairs in edge order."""
+    succ: list = [[] for _ in explored.states]
+    for (i, ev, j) in explored.edges:
         succ[i].append((ev, j))
-    color = [0] * n_states   # 0 unvisited, 1 on stack, 2 done
-    memo: list = [None] * n_states
+    return succ
+
+
+_OPEN = object()
+
+
+def _fold_paths(explored: ExploredLts, extract, add, empty) -> tuple:
+    """Fold every maximal path from state 0, last event first.
+
+    ``add(extract(event), acc)`` puts each event's item in front of the
+    accumulator, which starts as ``empty``; an event whose item is None
+    adds nothing.  Returns two frozensets: the accumulators of paths
+    that halt and of paths that end truncated.
+
+    One post-order pass suffices because the graph is acyclic.  Every
+    rule strictly raises (clock, sum of def_depth, -mu(expr)): Tick
+    raises the clock, Expand raises def_depth, and every other rule
+    keeps both and lowers mu.  mu weighs SiteCall 3, Pending 2, Emit 1,
+    Stop and DefCall 0; ``|``, ``<x<`` and ``;`` cost 1 plus their
+    parts; mu(A >x> B) = 1 + mu(A) + pi(A) * (mu(B) + 1), where pi(A)
+    bounds A's remaining publications: 1 for SiteCall, Pending and
+    Emit, 0 for Stop and DefCall, additive over ``|`` and ``;``, with
+    pi(A <x< B) = pi(A) and pi(A >x> B) = pi(A) * pi(B).  Only Expand
+    raises pi, so the spawn rule, which turns an Emit of A into Stop
+    and adds a copy of B, still lowers mu.  canonical_key encodes the
+    clock, def_depth and the term's shape, so no canonical state recurs.
+    """
+    succ = _successors(explored)
+    memo: list = [None] * len(succ)
+    memo[0] = _OPEN
     stack = [(0, 0)]
-    color[0] = 1
     while stack:
         node, idx = stack[-1]
         if idx < len(succ[node]):
             stack[-1] = (node, idx + 1)
-            (_, nxt) = succ[node][idx]
-            if color[nxt] == 0:
-                color[nxt] = 1
+            nxt = succ[node][idx][1]
+            if memo[nxt] is None:
+                memo[nxt] = _OPEN
                 stack.append((nxt, 0))
+            elif memo[nxt] is _OPEN:
+                raise RuntimeError(f"state {nxt} is reachable from itself")
             continue
         stack.pop()
         entries = set()
-        if node in halted_states:
-            entries.add(((), False))
-        if node in truncated_states:
-            entries.add(((), True))
+        if node in explored.halted_states:
+            entries.add((empty, False))
+        if node in explored.truncated_states:
+            entries.add((empty, True))
         for (ev, nxt) in succ[node]:
-            child = memo[nxt] if color[nxt] == 2 \
-                else frozenset([((), True)])   # back edge: cycle
             item = extract(ev)
-            for (seq, flag) in child:
-                entries.add(((item,) + seq if item is not None else seq,
-                             flag))
-        color[node] = 2
+            if item is None:
+                entries.update(memo[nxt])
+            else:
+                entries.update((add(item, acc), cut)
+                               for (acc, cut) in memo[nxt])
         memo[node] = frozenset(entries)
-    return memo[0]
+    return (frozenset(acc for (acc, cut) in memo[0] if not cut),
+            frozenset(acc for (acc, cut) in memo[0] if cut))
 
 
 def _publish_value(event):
     return event.value if isinstance(event, Publish) else None
+
+
+def _insert_sorted(value, multiset: tuple) -> tuple:
+    i = bisect_left(multiset, value_sort_key(value), key=value_sort_key)
+    return multiset[:i] + (value,) + multiset[i:]
 
 
 def explore(program: Program, bounds: Bounds = Bounds()) -> ExploredLts:
@@ -655,15 +687,11 @@ def explore(program: Program, bounds: Bounds = Bounds()) -> ExploredLts:
                 queue.append(j)
             edges.append((i, t.event, j))
 
-    raw = _fold_paths(len(states), edges, frozenset(halted),
-                      frozenset(truncated), _publish_value)
-    outcomes = frozenset(tuple(sorted(seq, key=value_sort_key))
-                         for (seq, flag) in raw if not flag)
-    cut = frozenset(tuple(sorted(seq, key=value_sort_key))
-                    for (seq, flag) in raw if flag)
     result = ExploredLts(states, edges, frozenset(halted),
-                         frozenset(truncated), outcomes, cut,
+                         frozenset(truncated), frozenset(), frozenset(),
                          hit_state_bound)
+    result.outcomes, result.truncated_outcomes = _fold_paths(
+        result, _publish_value, _insert_sorted, ())
     if hit_state_bound:
         raise BoundExceeded(
             f"exploration stopped at {bounds.max_states} states",
@@ -678,43 +706,34 @@ def publications(program: Program, bounds: Bounds = Bounds()) -> frozenset:
 
 def publication_sequences(explored: ExploredLts) -> frozenset:
     """Ordered publication tuples of every completed maximal path."""
-    raw = _fold_paths(len(explored.states), explored.edges,
-                      explored.halted_states, explored.truncated_states,
-                      _publish_value)
-    return frozenset(seq for (seq, flag) in raw if not flag)
+    return _fold_paths(explored, _publish_value,
+                       lambda value, seq: (value,) + seq, ())[0]
 
 
 def path_call_site_sets(explored: ExploredLts) -> frozenset:
     """Per completed maximal path, the set of site names called."""
-    raw = _fold_paths(len(explored.states), explored.edges,
-                      explored.halted_states, explored.truncated_states,
-                      lambda ev: ev.site if isinstance(ev, Call) else None)
-    return frozenset(frozenset(seq) for (seq, flag) in raw if not flag)
+    return _fold_paths(explored,
+                       lambda ev: ev.site if isinstance(ev, Call) else None,
+                       lambda site, sites: sites | {site}, frozenset())[0]
 
 
-def path_call_multisets(explored: ExploredLts) -> frozenset:
-    """Per completed maximal path, the sorted tuple of sites called."""
-    raw = _fold_paths(len(explored.states), explored.edges,
-                      explored.halted_states, explored.truncated_states,
-                      lambda ev: ev.site if isinstance(ev, Call) else None)
-    return frozenset(tuple(sorted(seq)) for (seq, flag) in raw if not flag)
+def _reachable(succ: list, start: int, follow) -> set:
+    """State ids reachable from ``start`` along edges whose events all
+    satisfy ``follow``."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for (ev, j) in succ[frontier.pop()]:
+            if follow(ev) and j not in seen:
+                seen.add(j)
+                frontier.append(j)
+    return seen
 
 
 def reachable_without(explored: ExploredLts, pred) -> set:
     """State ids reachable from the start along edges whose events all
     fail ``pred`` — e.g. everything reachable before a given Return."""
-    seen = {0}
-    frontier = [0]
-    succ: dict = {}
-    for (i, ev, j) in explored.edges:
-        succ.setdefault(i, []).append((ev, j))
-    while frontier:
-        i = frontier.pop()
-        for (ev, j) in succ.get(i, []):
-            if not pred(ev) and j not in seen:
-                seen.add(j)
-                frontier.append(j)
-    return seen
+    return _reachable(_successors(explored), 0, lambda ev: not pred(ev))
 
 
 def lts_view(explored: ExploredLts, collapse_internal: bool = False) -> Lts:
@@ -732,26 +751,12 @@ def lts_view(explored: ExploredLts, collapse_internal: bool = False) -> Lts:
         states = frozenset(name(i) for i in range(len(explored.states)))
         return Lts(states, frozenset(), name(0), trans)
 
-    succ: dict = {}
-    for (i, ev, j) in explored.edges:
-        succ.setdefault(i, []).append((ev, j))
-
-    def tau_closure(start):
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for (ev, v) in succ.get(u, []):
-                if isinstance(ev, Internal) and v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return seen
-
+    succ = _successors(explored)
     trans = set()
     kept = {0}
     for i in range(len(explored.states)):
-        for u in tau_closure(i):
-            for (ev, v) in succ.get(u, []):
+        for u in _reachable(succ, i, lambda ev: isinstance(ev, Internal)):
+            for (ev, v) in succ[u]:
                 if not isinstance(ev, Internal):
                     trans.add((name(i), event_label(ev), name(v)))
                     kept.add(i)

@@ -181,7 +181,7 @@ class _Encoder:
     def subtree(self, name: str):
         """(expr, covered feature names) for the subtree at ``name``."""
         model = self.model
-        units = [(set([name]), self.site(name))]
+        units = []
         mandatory = [c for c in model.plain_children(name)
                      if model.features[c].kind == "mandatory"]
         optional = [c for c in model.plain_children(name)
@@ -196,6 +196,10 @@ class _Encoder:
             for m in g.members:
                 covered |= self.covered(m)
             units.append((covered, self.group_expr(g)))
+        if name != model.root or not units:
+            # The family's own site anchors the goal only when nothing
+            # else composes under the root.
+            units.insert(0, (set([name]), self.site(name)))
         units = self.fuse_constraints(units)
         expr = units[0][1]
         for (_, right) in units[1:]:
@@ -216,37 +220,6 @@ class _Encoder:
             out |= self.covered(child)
         return out
 
-    def root_expr(self) -> Expr:
-        model = self.model
-        root = model.root
-        units = []
-        for child in model.plain_children(root):
-            if model.features[child].kind == "mandatory":
-                expr, covered = self.subtree(child)
-                units.append((covered, expr))
-                self.plan.notes.append(
-                    f"mandatory {child} under {root}: parallel composition")
-        for g in model.groups_of(root):
-            covered = set()
-            for m in g.members:
-                covered |= self.covered(m)
-            units.append((covered, self.group_expr(g)))
-        if not units:
-            # Nothing but the family itself: its site anchors the goal.
-            units = [(set([root]), self.site(root))]
-        units = self.fuse_constraints(units)
-        expr = units[0][1]
-        for (_, right) in units[1:]:
-            expr = Parallel(expr, right)
-        for child in model.plain_children(root):
-            if model.features[child].kind == "optional":
-                child_expr, _ = self.subtree(child)
-                expr = Asymmetric(expr, self.fresh(), child_expr)
-                self.plan.notes.append(
-                    f"optional {child} under {root}: asymmetric "
-                    f"composition, published value ignored")
-        return expr
-
 
 def encode(model: FeatureModel, plan: EncodingPlan = None) -> Program:
     """Compile the whole feature tree into a goal expression.
@@ -259,7 +232,7 @@ def encode(model: FeatureModel, plan: EncodingPlan = None) -> Program:
         plan = default_plan(model)
     _check_plan(model, plan)
     encoder = _Encoder(model, plan)
-    goal = encoder.root_expr()
+    goal, _ = encoder.subtree(model.root)
     unapplied = [c for c in model.constraints if c not in encoder.applied]
     if unapplied:
         raise PlanMismatch(

@@ -116,11 +116,13 @@ def random_lts(rng: random.Random, max_states: int = 5) -> Lts:
                frozenset(triples[:rng.randrange(0, 3 * n)]))
 
 
-def maximal_paths(explored, limit: int = 200000):
-    """Every maximal event path through an explored (acyclic) graph.
+def ended_paths(explored, limit: int = 200000):
+    """Every event path from the start that ends where the explorer
+    ends one, by brute force over an explored (acyclic) graph.
 
-    Yields lists of events; paths ending in a truncated state are
-    skipped, since they are not maximal executions."""
+    Yields (events, cut) pairs: cut is False for a path ending in a
+    halted state and True for one ending in a truncated state, which
+    may still have successors when the state bound cut it off."""
     succ = {}
     for (i, ev, j) in explored.edges:
         succ.setdefault(i, []).append((ev, j))
@@ -131,9 +133,17 @@ def maximal_paths(explored, limit: int = 200000):
         seen += 1
         if seen > limit:
             raise AssertionError("path enumeration exploded")
-        if not succ.get(node):
-            if node in explored.halted_states:
-                yield path
-            continue
-        for (ev, nxt) in succ[node]:
+        if node in explored.halted_states:
+            yield path, False
+        if node in explored.truncated_states:
+            yield path, True
+        for (ev, nxt) in succ.get(node, ()):
             stack.append((nxt, path + [ev]))
+
+
+def maximal_paths(explored, limit: int = 200000):
+    """Every maximal event path through an explored (acyclic) graph.
+
+    Yields lists of events; paths ending in a truncated state are
+    skipped, since they are not maximal executions."""
+    return (path for (path, cut) in ended_paths(explored, limit) if not cut)

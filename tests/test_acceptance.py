@@ -11,11 +11,13 @@ are right.
 """
 
 import contextlib
+import pathlib
 import random
 import subprocess
 import sys
 import time
 
+import orcline
 from orcline import (
     Bounds, cli, corpus, derive_products, enumerate_products, explore,
     is_product, modality, parse_expr, parse_lts, parse_mts,
@@ -212,7 +214,10 @@ def test_criterion_10_seeded_replay_determinism():
     with criterion(10, "seeded-replay-determinism", 1.0):
         argv = [sys.executable, "-m", "orcline", "orc", "run",
                 str(corpus.fixture_path("mutex.orc")), "--seed", "7"]
-        first = subprocess.run(argv, capture_output=True)
-        second = subprocess.run(argv, capture_output=True)
+        # Run the orcline under test, installed or not: ``-m`` searches
+        # the working directory first.
+        package_root = pathlib.Path(orcline.__file__).parents[1]
+        first = subprocess.run(argv, capture_output=True, cwd=package_root)
+        second = subprocess.run(argv, capture_output=True, cwd=package_root)
         assert first.returncode == 0 and second.returncode == 0
         assert first.stdout and first.stdout == second.stdout

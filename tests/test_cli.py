@@ -145,6 +145,16 @@ def test_fm_count(capsys):
                    fx("no_renewables.fm"))[1] == "1\n"
 
 
+def test_fm_count_needs_no_enumeration_bound_without_constraints(
+        capsys, tmp_path):
+    model = tmp_path / "wide.fm"
+    model.write_text("family R {\n"
+                     + "".join(f"  optional O{i}\n" for i in range(30))
+                     + "}\n")
+    assert run_cli(capsys, "fm", "count", str(model)) == \
+        (0, "1073741824\n", "")
+
+
 def test_fm_validate_valid(capsys):
     selection = ("NoRenewables,DemandResponse,FlexibleTariffs,"
                  "TwoWayPricing,ExceptionPricing,GridMonitoring")

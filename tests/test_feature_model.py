@@ -140,7 +140,7 @@ def test_count_uses_multiplication_without_constraints():
         b.optional("R", f"O{i}")
     m = b.build()
     # far beyond the enumeration bound, but countable in closed form
-    assert product_count(m, max_features=40) == 2 ** 30
+    assert product_count(m) == 2 ** 30
 
 
 def test_enumeration_bound_is_enforced():
@@ -149,6 +149,9 @@ def test_enumeration_bound_is_enforced():
         b.optional("R", f"O{i}")
     with pytest.raises(BoundExceeded):
         enumerate_products(b.build())
+    b.requires("O0", "O1")
+    with pytest.raises(BoundExceeded):
+        product_count(b.build())
 
 
 def test_every_enumerated_product_is_valid():
