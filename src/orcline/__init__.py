@@ -27,8 +27,8 @@ from .orc_parser import (
 )
 from .orc_semantics import (
     Bounds, Call, Deterministic, ExecState, ExploredLts, Internal,
-    PendingCall, Publish, Return, SeededRandom, Tick, Trace, event_label,
-    explore, initial_state, is_halted, lts_view, publication_sequences,
+    Publish, Return, SeededRandom, Tick, Trace, event_label, explore,
+    initial_state, is_halted, lts_view, publication_sequences,
     publications, run, step,
 )
 from .variability_encoding import (

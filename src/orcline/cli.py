@@ -13,9 +13,10 @@ Subcommands::
     orcline encode FILE         compile a feature model to Orc
     orcline fixtures ...        list/show/export the bundled corpus
 
-Exit codes: 0 success, 1 unreadable or unparseable input, 2 a bound
-cut the computation short, 3 well-formed input with a negative verdict
-(invalid configuration, not a product, unencodable model).
+Exit codes: 0 success, 1 unreadable, unparseable or too deeply nested
+input, 2 a bound cut the computation short, 3 well-formed input with a
+negative verdict (invalid configuration, not a product, unencodable
+model).
 """
 
 from __future__ import annotations
@@ -462,6 +463,13 @@ def main(argv=None) -> int:
     except _CliError as exc:
         _diag(f"error: {exc}")
         return exc.code
+    except RecursionError:
+        # The parser and every tree walker recurse, so a term nested
+        # (or, through its left-nested | spine, spread) too far
+        # overflows the interpreter stack.
+        _diag("error: input is too deeply nested to process (Python "
+              f"recursion limit {sys.getrecursionlimit()})")
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

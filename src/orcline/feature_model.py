@@ -160,10 +160,10 @@ def _constraints_hold(fm: FeatureModel, selected: frozenset) -> bool:
 def _violations(fm: FeatureModel, selection):
     """Yield the rule violations of ``selection`` one at a time, so a
     caller that only needs the first stops the walk there."""
-    selected = frozenset(selection)
-    for name in selected:
+    for name in selection:   # in input order: the first unknown name
         if name not in fm.features:
             raise UnknownFeature(name)
+    selected = frozenset(selection)
 
     if fm.root not in selected:
         yield Violation("root", (fm.root,),
@@ -204,8 +204,9 @@ def _violations(fm: FeatureModel, selection):
 def validate(fm: FeatureModel, selection) -> list:
     """All rule violations of ``selection``, empty when it is a product.
 
-    Raises UnknownFeature if the selection mentions a name outside the
-    model (that is an input error, not a configuration defect).
+    Raises UnknownFeature for the first name of the selection, in its
+    iteration order, that is outside the model (that is an input error,
+    not a configuration defect).
     """
     return list(_violations(fm, selection))
 

@@ -118,9 +118,17 @@ class Otherwise:
 
 @dataclass(frozen=True)
 class Pending:
-    """A registered site call identified by its fresh handle."""
+    """An outstanding call to ``site``, identified by its fresh handle.
+
+    ``due`` (the clock tick of the response, or None if the call never
+    responds) and ``value`` (the response) are fixed when the call is
+    made.  The call lives only here: discarding the node abandons it.
+    """
 
     handle: int
+    site: str
+    due: "int | None"
+    value: "Value | None"
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,21 @@
 """Small-step semantics for Orc: single runs and exhaustive exploration.
 
-Execution proceeds over an ``ExecState`` (expression + pending site
-calls + virtual clock).  Four observable event kinds mirror the
-calculus — ``Publish`` (!v), ``Internal`` (tau), ``Call`` (M_k(v)) and
-``Return`` (k?v) — plus ``Tick``, the virtual-time extension that
-gives Rtimer meaning: the clock advances only when nothing else can
-move, and then exactly to the earliest due response (maximal
-progress).
+Execution proceeds over an ``ExecState`` (expression + virtual clock
++ counters).  Each outstanding site call is a ``Pending`` node of the
+expression, so a call vanishes with the branch that made it.  Four
+observable event kinds mirror the calculus — ``Publish`` (!v),
+``Internal`` (tau), ``Call`` (M_k(v)) and ``Return`` (k?v) — plus
+``Tick``, the virtual-time extension that gives Rtimer meaning: the
+clock advances only when nothing else can move, and then exactly to
+the earliest due response (maximal progress).
 
 The stepping rules:
 
-* a SiteCall whose arguments are all values registers a fresh-handle
-  pending entry and becomes ``Pending(k)``; calls with an unbound
-  variable argument cannot move;
-* a due responsive pending entry returns, leaving ``Emit(v)`` which
-  then offers ``Publish(v)``;
+* a SiteCall whose arguments are all values becomes ``Pending`` with a
+  fresh handle k and its response (due tick and value) fixed; calls
+  with an unbound variable argument cannot move;
+* a due responsive ``Pending`` returns, leaving ``Emit(v)`` which then
+  offers ``Publish(v)``;
 * Parallel interleaves both sides and lets publications through;
 * ``A >x> B`` hides a publication of A as Internal and spawns
   ``[v/x]B`` in parallel;
@@ -137,17 +138,8 @@ def event_to_json(clock: int, event) -> dict:
 # Execution state
 
 @dataclass(frozen=True)
-class PendingCall:
-    site: str
-    args: tuple
-    due: "int | None"       # None: the call never responds
-    value: "Value | None"   # response value, fixed at call time
-
-
-@dataclass(frozen=True)
 class ExecState:
     expr: Expr
-    pending: dict            # handle -> PendingCall
     clock: int = 0
     next_handle: int = 0
     def_depth: dict = field(default_factory=dict)   # name -> expansions
@@ -187,7 +179,7 @@ class Trace:
 
 
 def initial_state(program: Program) -> ExecState:
-    return ExecState(program.goal, {})
+    return ExecState(program.goal)
 
 
 # Rule numbers; the deterministic policy picks the smallest.
@@ -207,8 +199,6 @@ class _Step:
     position: tuple
     event: object
     expr: Expr
-    add: object = None        # (handle, PendingCall) registered by a Call
-    remove: object = None     # handle consumed by a Return
     def_name: object = None   # definition expanded
     cycle_site: object = None  # multi-response site called
 
@@ -265,7 +255,7 @@ def _resolve_call(site: str, args: tuple, clock: int, program: Program,
     return clock + spec.delay, value, cycled
 
 
-def _halted(e: Expr, pending: dict) -> bool:
+def _halted(e: Expr) -> bool:
     """Can this subterm never transition or publish again?
 
     Conservative where variables are involved: a call blocked on an
@@ -275,11 +265,11 @@ def _halted(e: Expr, pending: dict) -> bool:
     if isinstance(e, Stop):
         return True
     if isinstance(e, Pending):
-        return pending[e.handle].due is None
+        return e.due is None
     if isinstance(e, (Parallel, Asymmetric)):
-        return _halted(e.left, pending) and _halted(e.right, pending)
+        return _halted(e.left) and _halted(e.right)
     if isinstance(e, Sequential):
-        return _halted(e.left, pending)
+        return _halted(e.left)
     # SiteCall, DefCall, Emit, Otherwise all still have (potential) moves.
     return False
 
@@ -292,17 +282,15 @@ def _expr_steps(e: Expr, path: tuple, state: ExecState, program: Program,
         due, value, cycled = _resolve_call(e.site, e.args, state.clock,
                                            program, state.cycles)
         handle = state.next_handle
-        pc = PendingCall(e.site, e.args, due, value)
         return [_Step(_PRIO_CALL, path, Call(e.site, handle, e.args),
-                      Pending(handle), add=(handle, pc),
+                      Pending(handle, e.site, due, value),
                       cycle_site=cycled)]
 
     if isinstance(e, Pending):
-        pc = state.pending[e.handle]
-        if pc.due is not None and pc.due <= state.clock:
+        if e.due is not None and e.due <= state.clock:
             return [_Step(_PRIO_RETURN, path,
-                          Return(pc.site, e.handle, pc.value),
-                          Emit(pc.value), remove=e.handle)]
+                          Return(e.site, e.handle, e.value),
+                          Emit(e.value))]
         return []
 
     if isinstance(e, Emit):
@@ -369,35 +357,17 @@ def _expr_steps(e: Expr, path: tuple, state: ExecState, program: Program,
                 out.append(s)
             else:
                 out.append(replace(s, expr=Otherwise(s.expr, e.right)))
-        if not left_steps and _halted(e.left, state.pending):
+        if not left_steps and _halted(e.left):
             out.append(_Step(_PRIO_FALLBACK, path, INTERNAL, e.right))
         return out
 
     return []  # Stop
 
 
-def _live_handles(e: Expr, acc: set):
-    if isinstance(e, Pending):
-        acc.add(e.handle)
-    elif isinstance(e, (Parallel, Sequential, Asymmetric, Otherwise)):
-        _live_handles(e.left, acc)
-        _live_handles(e.right, acc)
-
-
 def _apply(state: ExecState, s: _Step) -> ExecState:
-    pending = dict(state.pending)
     next_handle = state.next_handle
-    if s.remove is not None:
-        del pending[s.remove]
-    if s.add is not None:
-        handle, pc = s.add
-        pending[handle] = pc
-        next_handle = handle + 1
-    live: set = set()
-    _live_handles(s.expr, live)
-    if len(live) != len(pending):
-        # Terminated branches abandon their outstanding calls.
-        pending = {h: pc for h, pc in pending.items() if h in live}
+    if isinstance(s.event, Call):
+        next_handle += 1
     def_depth = state.def_depth
     if s.def_name is not None:
         def_depth = dict(def_depth)
@@ -406,8 +376,19 @@ def _apply(state: ExecState, s: _Step) -> ExecState:
     if s.cycle_site is not None:
         cycles = dict(cycles)
         cycles[s.cycle_site] = cycles.get(s.cycle_site, 0) + 1
-    return ExecState(s.expr, pending, state.clock, next_handle, def_depth,
-                     cycles)
+    return ExecState(s.expr, state.clock, next_handle, def_depth, cycles)
+
+
+def _next_due(e: Expr, clock: int):
+    """The earliest response due after ``clock``, or None.  Only calls
+    still in the term count: a terminated branch took its calls along."""
+    if isinstance(e, Pending):
+        return e.due if e.due is not None and e.due > clock else None
+    if isinstance(e, (Parallel, Sequential, Asymmetric, Otherwise)):
+        dues = [d for d in (_next_due(e.left, clock),
+                            _next_due(e.right, clock)) if d is not None]
+        return min(dues, default=None)
+    return None
 
 
 def step(state: ExecState, program: Program,
@@ -415,7 +396,7 @@ def step(state: ExecState, program: Program,
     """All enabled transitions, sorted by (rule, position).
 
     An empty result means the state is quiescent.  The Tick transition
-    appears only when nothing else is enabled and some pending response
+    appears only when nothing else is enabled and some Pending response
     lies in the future; it advances the clock exactly to the earliest
     due tick.
     """
@@ -425,37 +406,28 @@ def step(state: ExecState, program: Program,
         return [Transition(s.event, _apply(state, s), s.priority,
                            s.position)
                 for s in steps]
-    future = [pc.due for pc in state.pending.values()
-              if pc.due is not None and pc.due > state.clock]
-    if future:
-        target = min(future)
+    target = _next_due(state.expr, state.clock)
+    if target is not None:
         return [Transition(Tick(target), replace(state, clock=target),
                            _PRIO_TICK, ())]
     return []
 
 
-def _subexpr(e: Expr, path: tuple) -> Expr:
-    for i in path:
-        e = (e.left, e.right)[i]
-    return e
+def is_halted(state: ExecState) -> bool:
+    """True iff the state's expression can never move or publish again."""
+    return _halted(state.expr)
 
 
-def is_halted(state: ExecState, path: tuple = ()) -> bool:
-    """True iff the subterm at ``path`` can never move or publish again."""
-    return _halted(_subexpr(state.expr, path), state.pending)
-
-
-def _depth_blocked(e: Expr, state: ExecState, program: Program,
-                   bounds: Bounds) -> bool:
+def _depth_blocked(e: Expr, state: ExecState, bounds: Bounds) -> bool:
     """Is some *active* definition call stuck at the depth bound?"""
     if isinstance(e, DefCall):
         return (not any(isinstance(a, Var) for a in e.args)
                 and state.def_depth.get(e.name, 0) >= bounds.max_depth)
     if isinstance(e, (Parallel, Asymmetric)):
-        return (_depth_blocked(e.left, state, program, bounds)
-                or _depth_blocked(e.right, state, program, bounds))
+        return (_depth_blocked(e.left, state, bounds)
+                or _depth_blocked(e.right, state, bounds))
     if isinstance(e, (Sequential, Otherwise)):
-        return _depth_blocked(e.left, state, program, bounds)
+        return _depth_blocked(e.left, state, bounds)
     return False
 
 
@@ -477,7 +449,7 @@ def run(program: Program, policy=None, bounds: Bounds = Bounds()) -> Trace:
     while True:
         transitions = step(state, program, bounds)
         if not transitions:
-            blocked = _depth_blocked(state.expr, state, program, bounds)
+            blocked = _depth_blocked(state.expr, state, bounds)
             return Trace(events, publications, halted=not blocked,
                          truncated=blocked)
         if taken >= bounds.max_steps:
@@ -508,7 +480,8 @@ def _canon_expr(e: Expr, parts: list, handles: dict):
         parts.append(f"D{e.name}({','.join(_canon_value(a) for a in e.args)})")
     elif isinstance(e, Pending):
         handles.setdefault(e.handle, len(handles))
-        parts.append(f"?{handles[e.handle]}")
+        value = "-" if e.value is None else render_value(e.value)
+        parts.append(f"?{handles[e.handle]}:{e.site}:{e.due}:{value}")
     elif isinstance(e, Emit):
         parts.append(f"!{render_value(e.value)}")
     elif isinstance(e, Stop):
@@ -540,15 +513,11 @@ def _canon_expr(e: Expr, parts: list, handles: dict):
 
 
 def canonical_key(state: ExecState) -> str:
-    """Stable state identity: handles renumbered in first-use order,
-    pending entries listed in that order, plus clock and counters."""
+    """Stable state identity: the expression with handles renumbered in
+    first-use order and each outstanding call's site, due tick and
+    response written at its node, plus clock and counters."""
     parts: list = []
-    handles: dict = {}
-    _canon_expr(state.expr, parts, handles)
-    for old in sorted(handles, key=handles.get):
-        pc = state.pending[old]
-        parts.append(f"P{handles[old]}:{pc.site}:{pc.due}:"
-                     f"{'-' if pc.value is None else render_value(pc.value)}")
+    _canon_expr(state.expr, parts, {})
     parts.append(f"@{state.clock}")
     for name in sorted(state.def_depth):
         parts.append(f"d{name}={state.def_depth[name]}")
@@ -668,7 +637,7 @@ def explore(program: Program, bounds: Bounds = Bounds()) -> ExploredLts:
         i = queue.popleft()
         transitions = step(states[i], program, bounds)
         if not transitions:
-            if _depth_blocked(states[i].expr, states[i], program, bounds):
+            if _depth_blocked(states[i].expr, states[i], bounds):
                 truncated.add(i)
             else:
                 halted.add(i)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .feature_model import Excludes, FeatureModel, Requires
+from .feature_model import FeatureModel, Requires
 from .orc_ast import (
     Asymmetric, Expr, Otherwise, Parallel, Program, Sequential, SiteCall,
     SiteSpec, Var,

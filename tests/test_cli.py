@@ -6,7 +6,14 @@ stdout, notes and summaries to stderr.
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import pytest
+
+import orcline
 from orcline import cli, corpus, orc_parser
 
 
@@ -117,6 +124,22 @@ def test_parse_error_exits_one(tmp_path, capsys):
     assert "bad.orc" in err
 
 
+@pytest.mark.parametrize("command", ["run", "explore"])
+@pytest.mark.parametrize("source", [
+    "(" * 3000 + "let(1)" + ")" * 3000,    # deep
+    " | ".join(["let(1)"] * 1200),          # wide
+], ids=["deep", "wide"])
+def test_input_beyond_the_recursion_limit_exits_one(tmp_path, capsys,
+                                                    command, source):
+    path = tmp_path / "big.orc"
+    path.write_text(source + "\n")
+    code, out, err = run_cli(capsys, "orc", command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # fm
 
@@ -187,6 +210,19 @@ def test_fm_validate_unknown_feature_exits_one(capsys):
                              "--select", "Bogus")
     assert code == 1
     assert "unknown feature" in err
+
+
+def test_fm_validate_names_the_first_unknown_feature_under_any_hash_seed():
+    argv = [sys.executable, "-m", "orcline", "fm", "validate",
+            fx("smartgrid.fm"), "--select", "SmartGrid,Zed,Alpha,Mid"]
+    # The orcline under test, installed or not: -m searches the cwd first.
+    package_root = pathlib.Path(orcline.__file__).parents[1]
+    for seed in ("0", "1", "2", "3", "17"):
+        done = subprocess.run(argv, capture_output=True, text=True,
+                              cwd=package_root,
+                              env=dict(os.environ, PYTHONHASHSEED=seed))
+        assert done.returncode == 1
+        assert done.stderr == "error: unknown feature: Zed\n"
 
 
 # ---------------------------------------------------------------------------

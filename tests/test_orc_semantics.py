@@ -44,8 +44,7 @@ def test_site_call_registers_a_pending_entry():
     [t] = step(initial_state(p), p)
     assert isinstance(t.event, Call)
     assert t.event.site == "Signal" and t.event.handle == 0
-    assert isinstance(t.state.expr, Pending)
-    assert 0 in t.state.pending
+    assert t.state.expr == Pending(0, "Signal", 0, SIGNAL)
 
 
 def test_signal_call_return_publish():
@@ -61,7 +60,7 @@ def test_zero_site_blocks_forever():
     p = program("0()")
     events, state = drive(p)
     assert [type(e) for e in events] == [Call]
-    assert state.pending[0].due is None
+    assert state.expr == Pending(0, "0", None, None)
     assert is_halted(state)
 
 
@@ -158,6 +157,14 @@ def test_tick_advances_to_earliest_due_only_when_quiescent():
             break
         assert not any(isinstance(t.event, Tick) for t in transitions)
         s = transitions[0].state
+
+
+def test_terminated_donor_timer_never_ticks():
+    # let(1) wins the race; the Rtimer call dies with the right side of
+    # <x<, so its due tick must never become a Tick target.
+    ex = explore(program("let(x) <x< (Rtimer(5) | let(1))"))
+    assert not any(isinstance(ev, Tick) for (_, ev, _) in ex.edges)
+    assert ex.outcomes == {(1,)}
 
 
 def test_timer_race_orders_publications():
@@ -466,6 +473,26 @@ def test_every_edge_climbs_the_acyclicity_order():
         ex = explore_partial(p, bounds)
         for (i, _, j) in ex.edges:
             assert order(ex.states[i]) < order(ex.states[j])
+
+
+def _handles(e) -> list:
+    if isinstance(e, Pending):
+        return [e.handle]
+    if isinstance(e, (Parallel, Sequential, Asymmetric, Otherwise)):
+        return _handles(e.left) + _handles(e.right)
+    return []
+
+
+def test_each_handle_occurs_once_and_below_next_handle():
+    # Each outstanding call lives only in its Pending node: >x> copies
+    # only its unstarted right side and substitute leaves Pending alone.
+    fixtures = [(program(corpus.fixture_text(name)), Bounds())
+                for name in corpus.fixture_names() if name.endswith(".orc")]
+    for p, bounds in list(fold_inputs()) + fixtures:
+        for state in explore_partial(p, bounds).states:
+            handles = _handles(state.expr)
+            assert len(handles) == len(set(handles))
+            assert all(h < state.next_handle for h in handles)
 
 
 def test_fold_rejects_a_state_reached_from_itself():
