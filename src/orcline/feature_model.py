@@ -15,6 +15,7 @@ explains every way a configuration fails; ``enumerate_products`` and
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -215,46 +216,35 @@ def is_valid(fm: FeatureModel, selection) -> bool:
     return next(_violations(fm, selection), None) is None
 
 
-def _subtree_options(fm: FeatureModel, name: str) -> list:
-    """All ways of configuring the subtree rooted at ``name``, given
-    that ``name`` itself is selected.  Tree rules only; cross-tree
+def _slots(fm: FeatureModel, name: str) -> list:
+    """One list of choices per slot under a selected ``name``: each
+    mandatory or optional child (an optional one may also be left out)
+    and each alternative group.  Tree rules only; cross-tree
     constraints are filtered at the top."""
     slots = []
     for child in fm.plain_children(name):
-        sub = _subtree_options(fm, child)
+        sub = list(_configurations(fm, child))
         if fm.features[child].kind == "optional":
             sub = [frozenset()] + sub
         slots.append(sub)
     for g in fm.groups_of(name):
-        merged = []
-        for m in g.members:
-            merged.extend(_subtree_options(fm, m))
-        slots.append(merged)
-    base = frozenset((name,))
-    return [base.union(*combo) if combo else base
-            for combo in itertools.product(*slots)]
+        slots.append([option for m in g.members
+                      for option in _configurations(fm, m)])
+    return slots
+
+
+def _configurations(fm: FeatureModel, name: str):
+    """Lazily, every way of configuring the subtree rooted at ``name``,
+    given that ``name`` itself is selected."""
+    return itertools.starmap(frozenset((name,)).union,
+                             itertools.product(*_slots(fm, name)))
 
 
 def _iter_products(fm: FeatureModel):
-    # Like _subtree_options(root) but lazy at the top level, so the
-    # constraint filter streams instead of materialising the full
+    # Streams, so the constraint filter never materialises the full
     # cartesian product.
-    slots = []
-    for child in fm.plain_children(fm.root):
-        sub = _subtree_options(fm, child)
-        if fm.features[child].kind == "optional":
-            sub = [frozenset()] + sub
-        slots.append(sub)
-    for g in fm.groups_of(fm.root):
-        merged = []
-        for m in g.members:
-            merged.extend(_subtree_options(fm, m))
-        slots.append(merged)
-    base = frozenset((fm.root,))
-    for combo in itertools.product(*slots):
-        candidate = base.union(*combo) if combo else base
-        if _constraints_hold(fm, candidate):
-            yield candidate
+    return filter(functools.partial(_constraints_hold, fm),
+                  _configurations(fm, fm.root))
 
 
 def _check_size(fm: FeatureModel, max_features: int):

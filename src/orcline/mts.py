@@ -15,14 +15,14 @@ every (s, t) in R:
 * (ii) every transition of s is allowed by a may-transition of t with
        targets again related.
 
-``is_product`` decides this by deleting failing pairs from the full
-relation until fixpoint; ``derive_products`` enumerates all products
+``is_product`` decides this with a worklist over the state pairs
+reachable from the initial pair, keeping a count of live matches per
+clause obligation; ``derive_products`` enumerates all products
 obtainable by switching optional (may-only) transitions on or off.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import BoundExceeded
@@ -96,7 +96,11 @@ def modality(m: Mts, src, action, dst) -> str:
 
 @dataclass(frozen=True)
 class ClauseFailure:
-    """Why a state pair was deleted during the product check."""
+    """A clause that fails for a state pair.
+
+    ``is_product`` reports the first pair, in sorted product × family
+    order, that fails while every pair is still related: the pair a
+    deletion fixpoint over the full relation would delete first."""
 
     clause: str              # "must-unmatched" | "may-unmatched"
     product_state: str
@@ -119,18 +123,31 @@ class ProductCheck:
     holds: bool
     witness: "frozenset | None"   # (product_state, family_state) pairs
     failure: "ClauseFailure | None"
-    rounds: int                   # deletion rounds until fixpoint
+    rounds: int                   # deletion layers + the final empty one
 
 
-def _outgoing(trans):
+def _by_action(trans):
+    """src -> action -> targets."""
     out = {}
     for (src, action, dst) in trans:
-        out.setdefault(src, []).append((action, dst))
+        out.setdefault(src, {}).setdefault(action, []).append(dst)
     return out
 
 
 def is_product(product: Lts, family: Mts) -> ProductCheck:
     """Decide the product relation, with a witness or a root cause.
+
+    Works on the pairs reachable from the initial pair through
+    synchronised moves: a product edge p --a--> p2 beside a family
+    may-edge q --a--> q2 leads from (p, q) to (p2, q2).  Both clauses
+    only ever ask about such successors, so the greatest relation on
+    the reachable pairs is the greatest relation on all of P × Q
+    restricted to them.  Every obligation of a pair (a must-edge of q,
+    an edge of p) counts its moves whose target pair is still alive; a
+    pair dies when one count reaches 0, and its death lowers only the
+    counts of its predecessors (the simulation algorithm of Henzinger,
+    Henzinger and Kopke, FOCS 1995).  A pair that dies at once is not
+    expanded: nothing behind it can save a live pair.
 
     Raises ActionMismatch when the product uses an action the family
     has never heard of (that is a modelling error, not a refusal).
@@ -140,70 +157,135 @@ def is_product(product: Lts, family: Mts) -> ProductCheck:
         raise ActionMismatch(
             f"product actions not in the family alphabet: {sorted(extra)}")
 
-    p_out = _outgoing(product.trans)
-    f_must = _outgoing(family.must)
-    f_may = _outgoing(family.may)
+    p_out = _by_action(product.trans)
+    f_must = _by_action(family.must)
+    f_may = _by_action(family.may)
 
-    relation = set(itertools.product(sorted(product.states),
-                                     sorted(family.states)))
-    first_failure = None
-    rounds = 0
-    while True:
-        rounds += 1
-        doomed = []
-        for (p, q) in sorted(relation):
-            fail = None
-            for (action, q2) in sorted(f_must.get(q, [])):
-                if not any((action2 == action and (p2, q2) in relation)
-                           for (action2, p2) in p_out.get(p, [])):
-                    fail = ClauseFailure("must-unmatched", p, q, action, q2)
-                    break
-            if fail is None:
-                for (action, p2) in sorted(p_out.get(p, [])):
-                    if not any((action2 == action and (p2, q2) in relation)
-                               for (action2, q2) in f_may.get(q, [])):
-                        fail = ClauseFailure("may-unmatched", p, q, action, p2)
-                        break
-            if fail is not None:
-                doomed.append((p, q))
-                if first_failure is None:
-                    first_failure = fail
-        if not doomed:
-            break
-        relation.difference_update(doomed)
+    def moves(p, q):
+        may = f_may.get(q, {})
+        for action, p_targets in p_out.get(p, {}).items():
+            for q2 in may.get(action, ()):
+                for p2 in p_targets:
+                    yield action, (p2, q2)
 
     initial = (product.init, family.init)
-    if initial not in relation:
-        return ProductCheck(False, None, first_failure, rounds)
+    preds = {initial: []}       # pair -> (p, q, action) of each move into it
+    must_left = {}              # (p, q, action, q2) -> live matching moves
+    move_left = {}              # (p, q, action, p2) -> live matching moves
+    layer = []                  # pairs that die now
+    stack = [initial]
+    while stack:
+        (p, q) = stack.pop()
+        p_moves = p_out.get(p, {})
+        q_must = f_must.get(q, {})
+        q_may = f_may.get(q, {})
+        if not _actions_match(p_moves, q_must, q_may):
+            layer.append((p, q))
+            continue
+        for action, targets in q_must.items():
+            n = len(p_moves[action])
+            for q2 in targets:
+                must_left[p, q, action, q2] = n
+        for action, targets in p_moves.items():
+            n = len(q_may[action])
+            for p2 in targets:
+                move_left[p, q, action, p2] = n
+        for action, pair in moves(p, q):
+            if pair not in preds:
+                preds[pair] = []
+                stack.append(pair)
+            preds[pair].append((p, q, action))
 
-    # Restrict the fixpoint to pairs reachable through synchronised
-    # moves; the result is still closed under both clauses.
+    dead = set(layer)
+    rounds = 1
+    while layer:
+        rounds += 1
+        next_layer = []
+        for (p2, q2) in layer:
+            for (p, q, action) in preds[p2, q2]:
+                if (p, q) in dead:
+                    continue
+                move_left[p, q, action, p2] -= 1
+                dies = move_left[p, q, action, p2] == 0
+                if (q, action, q2) in family.must:
+                    must_left[p, q, action, q2] -= 1
+                    dies = dies or must_left[p, q, action, q2] == 0
+                if dies:
+                    dead.add((p, q))
+                    next_layer.append((p, q))
+        layer = next_layer
+
+    if initial in dead:
+        return ProductCheck(False, None,
+                            _first_failure(product, family, p_out, f_must,
+                                           f_may), rounds)
     seen = {initial}
     frontier = [initial]
     while frontier:
-        (p, q) = frontier.pop()
-        for (action, p2) in p_out.get(p, []):
-            for (action2, q2) in f_may.get(q, []):
-                if action2 == action and (p2, q2) in relation \
-                        and (p2, q2) not in seen:
-                    seen.add((p2, q2))
-                    frontier.append((p2, q2))
+        for _, pair in moves(*frontier.pop()):
+            if pair not in dead and pair not in seen:
+                seen.add(pair)
+                frontier.append(pair)
     return ProductCheck(True, frozenset(seen), None, rounds)
 
 
-def _canonical_reachable(init, trans) -> Lts:
-    """Restrict to the part reachable from ``init`` and rename states
-    to s0, s1, ... in breadth-first visit order (neighbours taken in
-    sorted label/target order, so the renaming is deterministic)."""
-    out = _outgoing(trans)
-    rename = {init: "s0"}
+def _actions_match(p_moves, q_must, q_may) -> bool:
+    """Whether a pair passes both clauses while every pair is related:
+    each required action of q has an edge from p, and each action of p
+    a may-edge from q."""
+    return q_must.keys() <= p_moves.keys() <= q_may.keys()
+
+
+def _first_failure(product, family, p_out, f_must, f_may) -> ClauseFailure:
+    """The failure a deletion fixpoint over all of P × Q reports: the
+    first pair, in sorted order, that fails a clause while every pair
+    is still related.  Product states with an action set already seen
+    to pass every family state are skipped.  Only called when the
+    check fails, so some pair fails."""
+    family_states = sorted(family.states)
+    passing = set()
+    for p in sorted(product.states):
+        p_moves = p_out.get(p, {})
+        actions = frozenset(p_moves)
+        if actions in passing:
+            continue
+        for q in family_states:
+            q_must = f_must.get(q, {})
+            q_may = f_may.get(q, {})
+            if _actions_match(p_moves, q_must, q_may):
+                continue
+            missing = [(a, q2) for a, targets in q_must.items()
+                       if a not in p_moves for q2 in targets]
+            if missing:
+                return ClauseFailure("must-unmatched", p, q, *min(missing))
+            stray = [(a, p2) for a, targets in p_moves.items()
+                     if a not in q_may for p2 in targets]
+            return ClauseFailure("may-unmatched", p, q, *min(stray))
+        passing.add(actions)
+
+
+def _visit_order(init, trans) -> dict:
+    """The states reachable from ``init``, each mapped to its position
+    in breadth-first visit order (neighbours taken in sorted
+    label/target order, so the order is deterministic)."""
+    out = {}
+    for (src, action, dst) in trans:
+        out.setdefault(src, []).append((action, dst))
+    order = {init: 0}
     queue = [init]
     while queue:
         src = queue.pop(0)
         for (_, dst) in sorted(out.get(src, [])):
-            if dst not in rename:
-                rename[dst] = f"s{len(rename)}"
+            if dst not in order:
+                order[dst] = len(order)
                 queue.append(dst)
+    return order
+
+
+def _canonical_reachable(init, trans) -> Lts:
+    """Restrict to the part reachable from ``init`` and rename states
+    to s0, s1, ... in breadth-first visit order."""
+    rename = {s: f"s{i}" for s, i in _visit_order(init, trans).items()}
     kept = frozenset((rename[src], action, rename[dst])
                      for (src, action, dst) in trans if src in rename)
     actions = frozenset(a for (_, a, _) in kept)
@@ -217,13 +299,18 @@ def derive_products(family: Mts, max_optional: int = 20) -> list:
     may-only ones, restricted to its reachable part and renamed to
     canonical form; duplicates collapse.  Every result is a product of
     ``family`` (the renaming relation restricted to reachable states
-    witnesses it).
+    witnesses it).  Only the may-only transitions whose source is
+    reachable from the initial state under may are toggled: no
+    candidate reaches the others, so they never change a product.
+    ``max_optional`` bounds the number of toggled transitions.
     """
-    optional = sorted(family.may - family.must)
+    reachable = _visit_order(family.init, family.may)
+    optional = sorted(t for t in family.may - family.must
+                      if t[0] in reachable)
     if len(optional) > max_optional:
         raise BoundExceeded(
-            f"{len(optional)} optional transitions, derivation bound "
-            f"is {max_optional}")
+            f"{len(optional)} optional transitions reachable from "
+            f"{family.init} under may, derivation bound is {max_optional}")
 
     seen = {}
     for mask in range(1 << len(optional)):

@@ -14,6 +14,15 @@ SITES = ("A", "B", "C", "D", "E")
 VALUES = (0, 1, 7, True, False, SIGNAL, "hi")
 
 
+def _bind(scope: tuple, binder) -> tuple:
+    """``scope`` with ``binder`` appended unless absent or already there;
+    the order never depends on string hashing, so one seed gives one
+    program in every process."""
+    if binder is None or binder in scope:
+        return scope
+    return scope + (binder,)
+
+
 def random_expr(rng: random.Random, depth: int = 4, scope=()):
     """A closed random expression: variables only come from enclosing
     binders, so every generated term parses back without warnings."""
@@ -31,12 +40,12 @@ def random_expr(rng: random.Random, depth: int = 4, scope=()):
                         random_expr(rng, depth - 1, scope))
     if kind == 1:
         binder = None if rng.random() < 0.3 else f"v{rng.randrange(4)}"
-        inner = scope if binder is None else tuple(set(scope) | {binder})
+        inner = _bind(scope, binder)
         return Sequential(random_expr(rng, depth - 1, scope), binder,
                           random_expr(rng, depth - 1, inner))
     if kind == 2:
         binder = None if rng.random() < 0.3 else f"v{rng.randrange(4)}"
-        inner = scope if binder is None else tuple(set(scope) | {binder})
+        inner = _bind(scope, binder)
         return Asymmetric(random_expr(rng, depth - 1, inner), binder,
                           random_expr(rng, depth - 1, scope))
     return Otherwise(random_expr(rng, depth - 1, scope),

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from orcline import (
-    ActionMismatch, Lts, Mts, derive_products, export_dot, is_product,
-    modality, parse_lts, parse_mts, underlying_lts,
+    ActionMismatch, BoundExceeded, ClauseFailure, Lts, Mts, derive_products,
+    export_dot, is_product, modality, parse_lts, parse_mts, underlying_lts,
 )
 from orcline.corpus import fixture_text
 
+import oracles
 from generators import random_lts, random_mts
 
 
@@ -187,9 +188,132 @@ def test_derivation_bound():
     may = frozenset({(f"q{i}", "a", f"q{j}")
                      for i in range(8) for j in range(8)})
     family = Mts(states, frozenset(), "q0", frozenset(), may)
-    from orcline import BoundExceeded
     with pytest.raises(BoundExceeded):
         derive_products(family, max_optional=10)
+
+
+def test_derivation_bound_counts_only_reachable_optional_transitions():
+    # 12 optional transitions among states nothing reaches, 2 reachable.
+    unreachable = {(f"u{i}", "a", f"u{(i + 1) % 12}") for i in range(12)}
+    family = Mts(frozenset({"q0", "q1"} | {f"u{i}" for i in range(12)}),
+                 frozenset(), "q0", frozenset({("q0", "a", "q1")}),
+                 frozenset({("q0", "b", "q0"), ("q1", "b", "q0")})
+                 | unreachable)
+    assert len(derive_products(family, max_optional=2)) == 4
+    with pytest.raises(BoundExceeded, match="2 optional transitions "
+                                            "reachable from q0 under may"):
+        derive_products(family, max_optional=1)
+
+
+# ---------------------------------------------------------------------------
+# against the deletion fixpoint and the full toggling (tests/oracles.py)
+
+def _same_check(product, family):
+    new, old = is_product(product, family), oracles.is_product(product,
+                                                               family)
+    assert (new.holds, new.witness, new.failure) == \
+        (old.holds, old.witness, old.failure)
+    return new
+
+
+def _variant(rng, product):
+    """``product`` with one transition dropped or one random one added."""
+    trans = sorted(product.trans)
+    states = sorted(product.states)
+    if trans and rng.random() < 0.5:
+        trans.pop(rng.randrange(len(trans)))
+    else:
+        trans.append((rng.choice(states), rng.choice("abc"),
+                      rng.choice(states)))
+    return Lts(product.states, frozenset(), product.init, frozenset(trans))
+
+
+def test_product_check_matches_the_deletion_fixpoint():
+    # Random products mostly fail; derived products and their one-edge
+    # variants give holding checks and failures deep inside the graph.
+    rng = random.Random(54)
+    verdicts = {}
+    for i in range(2400):
+        family = random_mts(rng, max_states=rng.choice((3, 6, 9)))
+        if i % 3:
+            product = random_lts(rng, max_states=rng.choice((3, 5, 8)))
+        else:
+            product = rng.choice(oracles.derive_products(family))
+            if i % 2:
+                product = _variant(rng, product)
+        check = _same_check(product, family)
+        kind = check.failure.clause if check.failure else "product"
+        verdicts[kind] = verdicts.get(kind, 0) + 1
+    assert min(verdicts.values()) > 400, verdicts
+
+
+def test_product_check_matches_the_deletion_fixpoint_on_fixtures():
+    family = chain_family()
+    product = chain_product()
+    candidates = [product] + oracles.derive_products(family)
+    for t in sorted(product.trans):
+        candidates.append(Lts(product.states, frozenset(), product.init,
+                              product.trans - {t}))
+        for action in sorted(family.actions):
+            candidates.append(Lts(product.states, frozenset(), product.init,
+                                  product.trans | {(t[0], action, t[2])}))
+    for candidate in candidates:
+        _same_check(candidate, family)
+    alien = Lts(frozenset({"s0"}), frozenset(), "s0",
+                frozenset({("s0", "Dance", "s0")}))
+    for check in (is_product, oracles.is_product):
+        with pytest.raises(ActionMismatch):
+            check(alien, family)
+
+
+def test_derived_products_match_full_toggling():
+    rng = random.Random(55)
+    for _ in range(300):
+        family = random_mts(rng)
+        assert derive_products(family) == oracles.derive_products(family)
+    assert derive_products(chain_family()) == \
+        oracles.derive_products(chain_family())
+
+
+def _chain(n):
+    """A family requiring n ``go`` steps (q0 -> ... -> qn) that allows
+    ``go`` back to q0 and an ``up`` loop at qn, and three candidates:
+    the chain of n steps, the chain without its last edge, and the
+    chain with an ``up`` loop at its start."""
+    family = Mts(frozenset(f"q{i}" for i in range(n + 1)), frozenset(), "q0",
+                 frozenset((f"q{i}", "go", f"q{i + 1}") for i in range(n)),
+                 frozenset({(f"q{n}", "go", "q0"), (f"q{n}", "up", f"q{n}")}))
+    chain = frozenset((f"p{i}", "go", f"p{i + 1}") for i in range(n))
+    states = frozenset(f"p{i}" for i in range(n + 1))
+    products = {
+        "full": chain,
+        "short": chain - {(f"p{n - 1}", "go", f"p{n}")},
+        "stray": chain | {("p0", "up", "p0")},
+    }
+    return family, {name: Lts(states, frozenset(), "p0", trans)
+                    for name, trans in products.items()}
+
+
+@pytest.mark.parametrize("n", [12, 1000])
+def test_chain_verdicts(n):
+    family, products = _chain(n)
+    full = is_product(products["full"], family)
+    assert full.holds and full.failure is None
+    assert full.witness == {(f"p{i}", f"q{i}") for i in range(n + 1)}
+    # The first failing pairs of sorted P × Q: the first of the two
+    # edgeless states p{n-1}, p{n} has no ``go`` for q0's required one,
+    # and p0's ``up`` has no counterpart at q0.
+    short = is_product(products["short"], family)
+    assert not short.holds and short.witness is None
+    assert short.failure == ClauseFailure(
+        "must-unmatched", min(f"p{n - 1}", f"p{n}"), "q0", "go", "q1")
+    stray = is_product(products["stray"], family)
+    assert not stray.holds
+    assert stray.failure == ClauseFailure("may-unmatched", "p0", "q0", "up",
+                                          "p0")
+    if n <= 12:
+        for product in products.values():
+            _same_check(product, family)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
+import orcline
 from orcline.orc_ast import (
     SIGNAL, STOP, Asymmetric, Otherwise, Parallel, Program, Sequential,
     Signal, SiteCall, SiteSpec, Stop, Var, free_vars, render_value,
@@ -76,6 +81,22 @@ def test_substituting_an_unused_name_is_identity():
     for _ in range(200):
         e = random_expr(rng)
         assert substitute(e, "nosuch", 1) == e
+
+
+def test_generated_expressions_do_not_depend_on_the_hash_seed():
+    program = ("import random\n"
+               "from generators import random_expr\n"
+               "from orcline import render_expr\n"
+               "for seed in range(200):\n"
+               "    print(render_expr(random_expr(random.Random(seed))))\n")
+    path = os.pathsep.join([str(pathlib.Path(__file__).parent),
+                            str(pathlib.Path(orcline.__file__).parents[1])])
+    outputs = {subprocess.run([sys.executable, "-c", program],
+                              capture_output=True, text=True, check=True,
+                              env=dict(os.environ, PYTHONPATH=path,
+                                       PYTHONHASHSEED=seed)).stdout
+               for seed in ("0", "1")}
+    assert len(outputs) == 1
 
 
 def test_program_copies_its_environments():

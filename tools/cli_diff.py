@@ -1,0 +1,112 @@
+"""Byte-compare orcline's command line between two checkouts.
+
+Usage, from the root of a checkout::
+
+    python3 tools/cli_diff.py OTHER_CHECKOUT [--seeds 1 2 3]
+        [--ignore-key rounds]
+
+Runs the same command lines once with this checkout's ``src/`` and once
+with OTHER_CHECKOUT's ``src/`` on ``PYTHONPATH``, and lists every
+command whose exit code, stdout or stderr differs.  The commands are
+the jobs of the benchmark's product-line workload for each seed (chain
+``mts check`` in three verdicts, ``mts products``, ``fm products``,
+``fm count``, ``fm validate``, ``encode``), every ``mts check`` again
+with ``--format json``, and ``mts check``/``products``/``dot`` and the
+``fm`` commands on the bundled fixtures and on broken variants of the
+fixture product.  ``--ignore-key K`` drops top-level key K from JSON
+stdout before comparing.  Exits 1 when anything differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FIXTURES = os.path.join(ROOT, "src", "orcline", "fixtures")
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+import workloads  # noqa: E402
+
+
+def fixture_commands(workdir: str) -> list:
+    def fx(name):
+        return os.path.join(FIXTURES, name)
+
+    with open(fx("drh_product.lts")) as handle:
+        chain = handle.read()
+    variants = {"missing_must": chain.replace("trans s2 Sell s3\n", ""),
+                "extra": chain + "trans s0 Sell s4\n",
+                "alien": chain + "trans s0 Dance s1\n"}
+    products = [fx("drh_product.lts")]
+    for name, text in variants.items():
+        products.append(os.path.join(workdir, f"{name}.lts"))
+        with open(products[-1], "w") as handle:
+            handle.write(text)
+    commands = [["mts", "check", fx("drh_family.mts"), p] for p in products]
+    commands += [["mts", "products", fx("drh_family.mts")],
+                 ["mts", "dot", fx("drh_family.mts")]]
+    for fm in ("smartgrid.fm", "no_renewables.fm"):
+        commands += [["fm", "products", fx(fm)], ["fm", "count", fx(fm)]]
+    commands.append(["fm", "validate", fx("smartgrid.fm"), "--select",
+                     "SmartGrid,DemandResponse"])
+    return commands
+
+
+def with_json(commands: list) -> list:
+    out = []
+    for argv in commands:
+        out.append(argv)
+        if argv[:2] in (["mts", "check"], ["mts", "products"],
+                        ["fm", "products"]):
+            out.append(argv + ["--format", "json"])
+    return out
+
+
+def run(checkout: str, argv: list, workdir: str, ignore: list) -> tuple:
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    done = subprocess.run([sys.executable, "-m", "orcline"] + argv,
+                          capture_output=True, text=True, cwd=workdir,
+                          env=env)
+    out = done.stdout
+    if ignore and out.startswith("{"):
+        data = json.loads(out)
+        for key in ignore:
+            data.pop(key, None)
+        out = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    return done.returncode, out, done.stderr
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1])
+    parser.add_argument("--ignore-key", action="append", default=[])
+    args = parser.parse_args()
+    other = os.path.abspath(args.other)
+    with tempfile.TemporaryDirectory() as workdir:
+        commands = fixture_commands(workdir)
+        for seed in args.seeds:
+            seed_dir = os.path.join(workdir, f"seed{seed}")
+            os.mkdir(seed_dir)
+            jobs = workloads.build("product-line", seed, seed_dir).jobs
+            for job in jobs:
+                if job.argv not in commands:
+                    commands.append(job.argv)
+        commands = with_json(commands)
+        differ = 0
+        for argv in commands:
+            if run(ROOT, argv, workdir, args.ignore_key) != \
+                    run(other, argv, workdir, args.ignore_key):
+                differ += 1
+                print("DIFFERS:", " ".join(argv))
+    print(f"{len(commands)} commands, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
