@@ -166,7 +166,10 @@ def _cmd_orc_explore(args) -> int:
     program = _load_program(args.file)
     code = EXIT_OK
     try:
-        explored = sem.explore(program, _bounds(args))
+        # text and json report outcomes, which the reduced graph keeps
+        # exactly; lts and dot show the full interleaving graph.
+        explored = sem.explore(program, _bounds(args),
+                               reduce=args.format in ("text", "json"))
     except BoundExceeded as exc:
         explored = exc.partial
         _diag(f"truncated: {exc}")
@@ -395,7 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = orc_sub.add_parser("explore", help="explore all interleavings")
     p.add_argument("file")
     p.add_argument("--format", choices=("text", "json", "dot", "lts"),
-                   default="text")
+                   default="text",
+                   help="text and json count a reduced graph with the "
+                        "same outcomes; dot and lts show every "
+                        "interleaving")
     _add_bounds(p)
     _add_out(p)
     p.set_defaults(func=_cmd_orc_explore)

@@ -33,7 +33,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import BoundExceeded
 from .mts import Lts
@@ -193,28 +194,18 @@ _PRIO_EXPAND = 7
 _PRIO_TICK = 8
 
 
-@dataclass(frozen=True)
-class _Step:
-    priority: int
-    position: tuple
-    event: object
-    expr: Expr
-    def_name: object = None   # definition expanded
-    cycle_site: object = None  # multi-response site called
-
-
 def _par(left: Expr, right: Expr) -> Expr:
     # A finished side disappears; Parallel(Stop, X) behaves as X.
-    if isinstance(left, Stop):
+    if type(left) is Stop:
         return right
-    if isinstance(right, Stop):
+    if type(right) is Stop:
         return left
     return Parallel(left, right)
 
 
 def _seq(left: Expr, binder, right: Expr) -> Expr:
     # Nothing on the left will ever publish, so B is unreachable.
-    if isinstance(left, Stop):
+    if type(left) is Stop:
         return STOP
     return Sequential(left, binder, right)
 
@@ -276,27 +267,34 @@ def _halted(e: Expr) -> bool:
 
 def _expr_steps(e: Expr, path: tuple, state: ExecState, program: Program,
                 bounds: Bounds) -> list:
-    if isinstance(e, SiteCall):
+    """The enabled steps of subterm ``e`` at ``path``, unsorted.
+
+    A step is a plain tuple ``(priority, position, event, expr,
+    def_name, cycle_site)``: ``expr`` replaces ``e``, ``def_name`` is
+    the definition expanded and ``cycle_site`` the multi-response site
+    called, or None.  Each enclosing node rebuilds only ``expr`` (and,
+    for a spawn or a bind, the first three fields).
+    """
+    kind = type(e)
+    if kind is SiteCall:
         if any(isinstance(a, Var) for a in e.args):
             return []  # blocked until every argument is a value
         due, value, cycled = _resolve_call(e.site, e.args, state.clock,
                                            program, state.cycles)
         handle = state.next_handle
-        return [_Step(_PRIO_CALL, path, Call(e.site, handle, e.args),
-                      Pending(handle, e.site, due, value),
-                      cycle_site=cycled)]
+        return [(_PRIO_CALL, path, Call(e.site, handle, e.args),
+                 Pending(handle, e.site, due, value), None, cycled)]
 
-    if isinstance(e, Pending):
+    if kind is Pending:
         if e.due is not None and e.due <= state.clock:
-            return [_Step(_PRIO_RETURN, path,
-                          Return(e.site, e.handle, e.value),
-                          Emit(e.value))]
+            return [(_PRIO_RETURN, path, Return(e.site, e.handle, e.value),
+                     Emit(e.value), None, None)]
         return []
 
-    if isinstance(e, Emit):
-        return [_Step(_PRIO_PUBLISH, path, Publish(e.value), STOP)]
+    if kind is Emit:
+        return [(_PRIO_PUBLISH, path, Publish(e.value), STOP, None, None)]
 
-    if isinstance(e, DefCall):
+    if kind is DefCall:
         if any(isinstance(a, Var) for a in e.args):
             return []
         d = program.definitions[e.name]
@@ -305,78 +303,61 @@ def _expr_steps(e: Expr, path: tuple, state: ExecState, program: Program,
         body = d.body
         for p, a in zip(d.params, e.args):
             body = substitute(body, p, a)
-        return [_Step(_PRIO_EXPAND, path, INTERNAL, body, def_name=e.name)]
+        return [(_PRIO_EXPAND, path, INTERNAL, body, e.name, None)]
 
-    if isinstance(e, Parallel):
-        out = []
-        for s in _expr_steps(e.left, path + (0,), state, program, bounds):
-            out.append(replace(s, expr=_par(s.expr, e.right)))
-        for s in _expr_steps(e.right, path + (1,), state, program, bounds):
-            out.append(replace(s, expr=_par(e.left, s.expr)))
+    if kind is Parallel:
+        left, right = e.left, e.right
+        out = [(prio, pos, ev, _par(x, right), dn, cs)
+               for (prio, pos, ev, x, dn, cs)
+               in _expr_steps(left, path + (0,), state, program, bounds)]
+        out += [(prio, pos, ev, _par(left, x), dn, cs)
+                for (prio, pos, ev, x, dn, cs)
+                in _expr_steps(right, path + (1,), state, program, bounds)]
         return out
 
-    if isinstance(e, Sequential):
+    if kind is Sequential:
         out = []
-        for s in _expr_steps(e.left, path + (0,), state, program, bounds):
-            if isinstance(s.event, Publish):
+        for (prio, pos, ev, x, dn, cs) in _expr_steps(
+                e.left, path + (0,), state, program, bounds):
+            rest = _seq(x, e.binder, e.right)
+            if type(ev) is Publish:
                 inst = e.right
                 if e.binder is not None:
-                    inst = substitute(e.right, e.binder, s.event.value)
-                out.append(replace(
-                    s, priority=_PRIO_SEQ_SPAWN, position=path,
-                    event=INTERNAL,
-                    expr=_par(_seq(s.expr, e.binder, e.right), inst)))
+                    inst = substitute(e.right, e.binder, ev.value)
+                out.append((_PRIO_SEQ_SPAWN, path, INTERNAL,
+                            _par(rest, inst), dn, cs))
             else:
-                out.append(replace(s, expr=_seq(s.expr, e.binder, e.right)))
+                out.append((prio, pos, ev, rest, dn, cs))
         return out
 
-    if isinstance(e, Asymmetric):
-        out = []
-        for s in _expr_steps(e.left, path + (0,), state, program, bounds):
-            out.append(replace(s, expr=Asymmetric(s.expr, e.binder,
-                                                  e.right)))
-        for s in _expr_steps(e.right, path + (1,), state, program, bounds):
-            if isinstance(s.event, Publish):
+    if kind is Asymmetric:
+        out = [(prio, pos, ev, Asymmetric(x, e.binder, e.right), dn, cs)
+               for (prio, pos, ev, x, dn, cs)
+               in _expr_steps(e.left, path + (0,), state, program, bounds)]
+        for (prio, pos, ev, x, dn, cs) in _expr_steps(
+                e.right, path + (1,), state, program, bounds):
+            if type(ev) is Publish:
                 bound = e.left
                 if e.binder is not None:
-                    bound = substitute(e.left, e.binder, s.event.value)
-                out.append(replace(s, priority=_PRIO_BIND, position=path,
-                                   event=INTERNAL, expr=bound))
+                    bound = substitute(e.left, e.binder, ev.value)
+                out.append((_PRIO_BIND, path, INTERNAL, bound, dn, cs))
             else:
-                out.append(replace(s, expr=Asymmetric(e.left, e.binder,
-                                                      s.expr)))
+                out.append((prio, pos, ev, Asymmetric(e.left, e.binder, x),
+                            dn, cs))
         return out
 
-    if isinstance(e, Otherwise):
-        out = []
+    if kind is Otherwise:
         left_steps = _expr_steps(e.left, path + (0,), state, program,
                                  bounds)
-        for s in left_steps:
-            if isinstance(s.event, Publish):
-                # A publication settles the choice: B is discarded.
-                out.append(s)
-            else:
-                out.append(replace(s, expr=Otherwise(s.expr, e.right)))
+        # A publication settles the choice: B is discarded.
+        out = [s if type(s[2]) is Publish
+               else s[:3] + (Otherwise(s[3], e.right),) + s[4:]
+               for s in left_steps]
         if not left_steps and _halted(e.left):
-            out.append(_Step(_PRIO_FALLBACK, path, INTERNAL, e.right))
+            out.append((_PRIO_FALLBACK, path, INTERNAL, e.right, None, None))
         return out
 
     return []  # Stop
-
-
-def _apply(state: ExecState, s: _Step) -> ExecState:
-    next_handle = state.next_handle
-    if isinstance(s.event, Call):
-        next_handle += 1
-    def_depth = state.def_depth
-    if s.def_name is not None:
-        def_depth = dict(def_depth)
-        def_depth[s.def_name] = def_depth.get(s.def_name, 0) + 1
-    cycles = state.cycles
-    if s.cycle_site is not None:
-        cycles = dict(cycles)
-        cycles[s.cycle_site] = cycles.get(s.cycle_site, 0) + 1
-    return ExecState(s.expr, state.clock, next_handle, def_depth, cycles)
 
 
 def _next_due(e: Expr, clock: int):
@@ -391,6 +372,38 @@ def _next_due(e: Expr, clock: int):
     return None
 
 
+def _enabled(state: ExecState, program: Program, bounds: Bounds) -> list:
+    """The state's steps sorted by (rule, position), stably; in a
+    quiescent state the one Tick step, if a response is still due."""
+    steps = _expr_steps(state.expr, (), state, program, bounds)
+    if steps:
+        steps.sort(key=itemgetter(0, 1))
+        return steps
+    target = _next_due(state.expr, state.clock)
+    if target is None:
+        return []
+    return [(_PRIO_TICK, (), Tick(target), state.expr, None, None)]
+
+
+def _apply(state: ExecState, s: tuple) -> ExecState:
+    """The successor state that step ``s`` leads to."""
+    priority, _, event, expr, def_name, cycle_site = s
+    clock, next_handle = state.clock, state.next_handle
+    if priority == _PRIO_CALL:
+        next_handle += 1
+    elif priority == _PRIO_TICK:
+        clock = event.clock
+    def_depth = state.def_depth
+    if def_name is not None:
+        def_depth = dict(def_depth)
+        def_depth[def_name] = def_depth.get(def_name, 0) + 1
+    cycles = state.cycles
+    if cycle_site is not None:
+        cycles = dict(cycles)
+        cycles[cycle_site] = cycles.get(cycle_site, 0) + 1
+    return ExecState(expr, clock, next_handle, def_depth, cycles)
+
+
 def step(state: ExecState, program: Program,
          bounds: Bounds = Bounds()) -> list:
     """All enabled transitions, sorted by (rule, position).
@@ -400,17 +413,8 @@ def step(state: ExecState, program: Program,
     lies in the future; it advances the clock exactly to the earliest
     due tick.
     """
-    steps = _expr_steps(state.expr, (), state, program, bounds)
-    if steps:
-        steps.sort(key=lambda s: (s.priority, s.position))
-        return [Transition(s.event, _apply(state, s), s.priority,
-                           s.position)
-                for s in steps]
-    target = _next_due(state.expr, state.clock)
-    if target is not None:
-        return [Transition(Tick(target), replace(state, clock=target),
-                           _PRIO_TICK, ())]
-    return []
+    return [Transition(s[2], _apply(state, s), s[0], s[1])
+            for s in _enabled(state, program, bounds)]
 
 
 def is_halted(state: ExecState) -> bool:
@@ -436,8 +440,9 @@ def run(program: Program, policy=None, bounds: Bounds = Bounds()) -> Trace:
 
     The Deterministic policy always takes the lowest-numbered rule at
     the leftmost position; SeededRandom draws uniformly from the
-    enabled set.  Raises BoundExceeded (with the partial trace
-    attached) when max_steps runs out.
+    enabled set.  Only the chosen step's successor state is built.
+    Raises BoundExceeded (with the partial trace attached) when
+    max_steps runs out.
     """
     rng = None
     if isinstance(policy, SeededRandom):
@@ -447,8 +452,8 @@ def run(program: Program, policy=None, bounds: Bounds = Bounds()) -> Trace:
     publications: list = []
     taken = 0
     while True:
-        transitions = step(state, program, bounds)
-        if not transitions:
+        steps = _enabled(state, program, bounds)
+        if not steps:
             blocked = _depth_blocked(state.expr, state, bounds)
             return Trace(events, publications, halted=not blocked,
                          truncated=blocked)
@@ -457,12 +462,13 @@ def run(program: Program, policy=None, bounds: Bounds = Bounds()) -> Trace:
                 f"no quiescence after {bounds.max_steps} steps",
                 partial=Trace(events, publications, halted=False,
                               truncated=True))
-        chosen = transitions[0] if rng is None else \
-            transitions[rng.randrange(len(transitions))]
-        events.append((state.clock, chosen.event))
-        if isinstance(chosen.event, Publish):
-            publications.append(chosen.event.value)
-        state = chosen.state
+        chosen = steps[0] if rng is None else \
+            steps[rng.randrange(len(steps))]
+        event = chosen[2]
+        events.append((state.clock, event))
+        if isinstance(event, Publish):
+            publications.append(event.value)
+        state = _apply(state, chosen)
         taken += 1
 
 
@@ -473,51 +479,44 @@ def _canon_value(v) -> str:
     return v.name if isinstance(v, Var) else render_value(v)
 
 
-def _canon_expr(e: Expr, parts: list, handles: dict):
-    if isinstance(e, SiteCall):
-        parts.append(f"C{e.site}({','.join(_canon_value(a) for a in e.args)})")
-    elif isinstance(e, DefCall):
-        parts.append(f"D{e.name}({','.join(_canon_value(a) for a in e.args)})")
-    elif isinstance(e, Pending):
-        handles.setdefault(e.handle, len(handles))
+def _canon_pair(e, op: str, parts: list):
+    parts.append("(")
+    _canon_expr(e.left, parts)
+    parts.append(op)
+    _canon_expr(e.right, parts)
+    parts.append(")")
+
+
+def _canon_expr(e: Expr, parts: list):
+    kind = type(e)
+    if kind is Parallel:
+        _canon_pair(e, "|", parts)
+    elif kind is Pending:
         value = "-" if e.value is None else render_value(e.value)
-        parts.append(f"?{handles[e.handle]}:{e.site}:{e.due}:{value}")
-    elif isinstance(e, Emit):
+        parts.append(f"?{e.site}:{e.due}:{value}")
+    elif kind is SiteCall:
+        parts.append(f"C{e.site}({','.join(_canon_value(a) for a in e.args)})")
+    elif kind is Sequential:
+        _canon_pair(e, f">{e.binder or ''}>", parts)
+    elif kind is Emit:
         parts.append(f"!{render_value(e.value)}")
-    elif isinstance(e, Stop):
+    elif kind is Stop:
         parts.append(".")
-    elif isinstance(e, Parallel):
-        parts.append("(")
-        _canon_expr(e.left, parts, handles)
-        parts.append("|")
-        _canon_expr(e.right, parts, handles)
-        parts.append(")")
-    elif isinstance(e, Sequential):
-        parts.append("(")
-        _canon_expr(e.left, parts, handles)
-        parts.append(f">{e.binder or ''}>")
-        _canon_expr(e.right, parts, handles)
-        parts.append(")")
-    elif isinstance(e, Asymmetric):
-        parts.append("(")
-        _canon_expr(e.left, parts, handles)
-        parts.append(f"<{e.binder or ''}<")
-        _canon_expr(e.right, parts, handles)
-        parts.append(")")
-    elif isinstance(e, Otherwise):
-        parts.append("(")
-        _canon_expr(e.left, parts, handles)
-        parts.append(";")
-        _canon_expr(e.right, parts, handles)
-        parts.append(")")
+    elif kind is Asymmetric:
+        _canon_pair(e, f"<{e.binder or ''}<", parts)
+    elif kind is Otherwise:
+        _canon_pair(e, ";", parts)
+    elif kind is DefCall:
+        parts.append(f"D{e.name}({','.join(_canon_value(a) for a in e.args)})")
 
 
 def canonical_key(state: ExecState) -> str:
-    """Stable state identity: the expression with handles renumbered in
-    first-use order and each outstanding call's site, due tick and
-    response written at its node, plus clock and counters."""
+    """Stable state identity: the expression with each outstanding
+    call's site, due tick and response written at its node, plus clock
+    and counters.  Handles are left out: each occurs once in the term,
+    so numbering them in walk order would give the k-th Pending k."""
     parts: list = []
-    _canon_expr(state.expr, parts, {})
+    _canon_expr(state.expr, parts)
     parts.append(f"@{state.clock}")
     for name in sorted(state.def_depth):
         parts.append(f"d{name}={state.def_depth[name]}")
@@ -619,11 +618,55 @@ def _insert_sorted(value, multiset: tuple) -> tuple:
     return multiset[:i] + (value,) + multiset[i:]
 
 
-def explore(program: Program, bounds: Bounds = Bounds()) -> ExploredLts:
+def _safe(event, program: Program) -> bool:
+    """Is this a safe step: a Return, or a Call to a site with at most
+    one response (every builtin, a single-response or silent site)?"""
+    if isinstance(event, Return):
+        return True
+    if not isinstance(event, Call):
+        return False
+    spec = program.site_env.get(event.site)
+    return (event.site in BUILTIN_SITES or spec is None
+            or not spec.responsive or len(spec.responses) <= 1)
+
+
+def explore(program: Program, bounds: Bounds = Bounds(),
+            reduce: bool = False) -> ExploredLts:
     """Breadth-first closure of step() with canonical deduplication.
 
     Raises BoundExceeded (with the partial ExploredLts attached) when
     max_states is hit; paths cut off that way are flagged, not lost.
+
+    With ``reduce``, a state whose transitions include a *safe* one
+    follows only the first safe one in (rule, position) order, and
+    otherwise all of them (a partial-order reduction with singleton
+    ample sets; Godefroid, LNCS 1032, 1996).  A safe step is a Return
+    or a Call to a site with at most one response.  A multi-response
+    call is not safe, since it reads and advances the shared ``cycles``
+    counter, nor is an Expand, which shares ``def_depth``.  The result
+    keeps ``outcomes``, the halted states, and the truncated outcomes
+    and states of the depth bound exact:
+
+    * a safe step reads only its own node, the clock, which is fixed
+      until Tick (and Tick waits for quiescence), and ``next_handle``,
+      which only names its fresh handle;
+    * it writes only its node and ``next_handle``, and canonical_key
+      ignores handles and ``next_handle``, so it commutes with every
+      other step up to canonical equality, and no other step disables
+      it;
+    * only the right operand of ``<x<`` can be discarded while it can
+      still step.  If a publication discards the safe step's branch,
+      taking the safe step first and then that publication reaches the
+      same canonical state; calls and returns publish nothing;
+    * so, by induction along the acyclicity order of ``_fold_paths``,
+      every maximal path of the full graph has a path in the reduced
+      graph that ends in the same terminal state with the same
+      publication multiset.
+
+    The reduced graph is a subgraph of the full one, so it never hits
+    ``max_states`` when the full one does not.  It drops interleavings,
+    so publication_sequences, path_call_site_sets, reachable_without
+    and lts_view need the full graph, the default.
     """
     init = initial_state(program)
     ids = {canonical_key(init): 0}
@@ -636,6 +679,9 @@ def explore(program: Program, bounds: Bounds = Bounds()) -> ExploredLts:
     while queue:
         i = queue.popleft()
         transitions = step(states[i], program, bounds)
+        if reduce:
+            transitions = next(([t] for t in transitions
+                                if _safe(t.event, program)), transitions)
         if not transitions:
             if _depth_blocked(states[i].expr, states[i], bounds):
                 truncated.add(i)
@@ -670,7 +716,7 @@ def explore(program: Program, bounds: Bounds = Bounds()) -> ExploredLts:
 
 def publications(program: Program, bounds: Bounds = Bounds()) -> frozenset:
     """Outcome summary: publication multisets of all halting paths."""
-    return explore(program, bounds).outcomes
+    return explore(program, bounds, reduce=True).outcomes
 
 
 def publication_sequences(explored: ExploredLts) -> frozenset:

@@ -23,9 +23,11 @@ def _bind(scope: tuple, binder) -> tuple:
     return scope + (binder,)
 
 
-def random_expr(rng: random.Random, depth: int = 4, scope=()):
-    """A closed random expression: variables only come from enclosing
-    binders, so every generated term parses back without warnings."""
+def random_expr(rng: random.Random, depth: int = 4, scope=(),
+                sites: tuple = SITES):
+    """A closed random expression calling ``sites``: variables only come
+    from enclosing binders, so every generated term parses back without
+    warnings."""
     if depth == 0 or rng.random() < 0.3:
         args = []
         for _ in range(rng.randrange(3)):
@@ -33,23 +35,23 @@ def random_expr(rng: random.Random, depth: int = 4, scope=()):
                 args.append(Var(rng.choice(scope)))
             else:
                 args.append(rng.choice(VALUES))
-        return SiteCall(rng.choice(SITES), tuple(args))
+        return SiteCall(rng.choice(sites), tuple(args))
     kind = rng.randrange(4)
     if kind == 0:
-        return Parallel(random_expr(rng, depth - 1, scope),
-                        random_expr(rng, depth - 1, scope))
+        return Parallel(random_expr(rng, depth - 1, scope, sites),
+                        random_expr(rng, depth - 1, scope, sites))
     if kind == 1:
         binder = None if rng.random() < 0.3 else f"v{rng.randrange(4)}"
         inner = _bind(scope, binder)
-        return Sequential(random_expr(rng, depth - 1, scope), binder,
-                          random_expr(rng, depth - 1, inner))
+        return Sequential(random_expr(rng, depth - 1, scope, sites), binder,
+                          random_expr(rng, depth - 1, inner, sites))
     if kind == 2:
         binder = None if rng.random() < 0.3 else f"v{rng.randrange(4)}"
         inner = _bind(scope, binder)
-        return Asymmetric(random_expr(rng, depth - 1, inner), binder,
-                          random_expr(rng, depth - 1, scope))
-    return Otherwise(random_expr(rng, depth - 1, scope),
-                     random_expr(rng, depth - 1, scope))
+        return Asymmetric(random_expr(rng, depth - 1, inner, sites), binder,
+                          random_expr(rng, depth - 1, scope, sites))
+    return Otherwise(random_expr(rng, depth - 1, scope, sites),
+                     random_expr(rng, depth - 1, scope, sites))
 
 
 def random_feature_model(rng: random.Random, max_features: int = 16,

@@ -72,7 +72,9 @@ def test_explore_text_lists_outcomes(capsys):
     code, out, err = run_cli(capsys, "orc", "explore", fx("par.orc"))
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "states 16"
+    # text and json count the reduced graph; lts keeps all 16 states
+    assert lines[0] == "states 8"
+    assert lines[1] == "edges 8"
     assert lines[2] == "outcomes 1"
     assert lines[3] == "  {1, 2}"
 
@@ -84,7 +86,21 @@ def test_explore_json_has_sorted_outcomes(capsys):
     payload = json.loads(out)
     assert payload["outcomes"] == [[1, 2]]
     assert payload["truncated"] is False
-    assert payload["states"] == 16
+    assert payload["states"] == 8
+    assert payload["edges"] == 8
+
+
+@pytest.mark.parametrize("name", [n for n in corpus.fixture_names()
+                                  if n.endswith(".orc")])
+def test_explore_json_has_the_outcomes_of_full_exploration(capsys, name):
+    full = orcline.explore(orcline.parse_program(corpus.fixture_text(name)))
+    code, out, err = run_cli(capsys, "orc", "explore", fx(name),
+                             "--format", "json")
+    assert code == 0
+    got, want = json.loads(out), json.loads(cli._explore_json(full))
+    assert got.pop("states") <= want.pop("states")
+    assert got.pop("edges") <= want.pop("edges")
+    assert got == want
 
 
 def test_explore_lts_round_trips(capsys):

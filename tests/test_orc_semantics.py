@@ -502,6 +502,83 @@ def test_fold_rejects_a_state_reached_from_itself():
         _fold_paths(looped, lambda ev: None, lambda item, acc: acc, ())
 
 
+# ---------------------------------------------------------------------------
+# Safe-step reduction against full exploration
+
+def reduction_inputs():
+    """Random terms with and without a site env (multi-response,
+    delayed, silent and single-response delayed sites), random terms
+    mixing in the builtins, the recursive definitions at several depth
+    bounds, and every fixture."""
+    rng = random.Random(35)
+    env = {"A": SiteSpec((1, 2, 3)), "B": SiteSpec((True, 0), True, 2),
+           "C": SiteSpec((7,), False), "D": SiteSpec((5,), True, 1)}
+    mixed = ("A", "D", "Rtimer", "if", "let", "0", "Signal")
+    bounds = Bounds(max_states=600)
+    for k in range(300):
+        depth = 2 + k % 3
+        yield Program(random_expr(rng, depth), {}, env if k % 2 else {}), \
+            bounds
+        yield Program(random_expr(rng, depth, sites=mixed), {}, env), bounds
+    for src in RECURSIVE:
+        for depth in (1, 3, 6):
+            yield program(src), Bounds(max_states=600, max_depth=depth)
+    # The two expansions compete for the one allowed by the depth bound.
+    yield program("def Pick(x) = let(x)\nPick(1) | Pick(2)\n"), \
+        Bounds(max_depth=1)
+    for name in corpus.fixture_names():
+        if name.endswith(".orc"):
+            yield program(corpus.fixture_text(name)), Bounds()
+
+
+def _keys(explored, ids) -> set:
+    return {canonical_key(explored.states[i]) for i in ids}
+
+
+def test_reduced_exploration_keeps_outcomes_and_end_states():
+    compared = smaller = 0
+    for p, bounds in reduction_inputs():
+        try:
+            full = explore(p, bounds)
+        except BoundExceeded:
+            continue
+        reduced = explore(p, bounds, reduce=True)
+        assert not reduced.truncated
+        assert reduced.outcomes == full.outcomes
+        assert reduced.truncated_outcomes == full.truncated_outcomes
+        assert _keys(reduced, range(len(reduced.states))) \
+            <= _keys(full, range(len(full.states)))
+        assert _keys(reduced, reduced.halted_states) \
+            == _keys(full, full.halted_states)
+        assert _keys(reduced, reduced.truncated_states) \
+            == _keys(full, full.truncated_states)
+        compared += 1
+        smaller += len(reduced.states) < len(full.states)
+    assert compared >= 500 and smaller >= 250
+
+
+def test_reduction_keeps_the_order_of_multi_response_calls():
+    # Both calls read and advance toggle's one response counter, so
+    # which goes first decides which branch gets 1.
+    p = program("site toggle responds 1, 2\n"
+                "toggle() | toggle() >x> let(x, 0)\n")
+    want = {tuple(sorted(o, key=value_sort_key))
+            for o in [(1, (2, 0)), (2, (1, 0))]}
+    assert explore(p).outcomes == want
+    assert explore(p, reduce=True).outcomes == want
+    assert publications(p) == want
+
+
+def test_reduction_follows_one_safe_step_per_state():
+    full = explore(program("let(1) | let(2)"))
+    reduced = explore(program("let(1) | let(2)"), reduce=True)
+    assert (len(full.states), len(full.edges)) == (16, 24)
+    assert (len(reduced.states), len(reduced.edges)) == (8, 8)
+    # only the two publications branch: they are not safe
+    assert [ev for (i, ev, j) in reduced.edges if i == 4] \
+        == [Publish(1), Publish(2)]
+
+
 @pytest.mark.xfail(strict=True, reason="1 == True in Python, so the "
                    "outcome tuples (1,) and (True,) merge in one set")
 def test_outcomes_keep_int_and_bool_apart():

@@ -8,13 +8,20 @@ Usage, from the root of a checkout::
 Runs the same command lines once with this checkout's ``src/`` and once
 with OTHER_CHECKOUT's ``src/`` on ``PYTHONPATH``, and lists every
 command whose exit code, stdout or stderr differs.  The commands are
-the jobs of the benchmark's product-line workload for each seed (chain
-``mts check`` in three verdicts, ``mts products``, ``fm products``,
-``fm count``, ``fm validate``, ``encode``), every ``mts check`` again
-with ``--format json``, and ``mts check``/``products``/``dot`` and the
-``fm`` commands on the bundled fixtures and on broken variants of the
-fixture product.  ``--ignore-key K`` drops top-level key K from JSON
-stdout before comparing.  Exits 1 when anything differs.
+the jobs of the benchmark's product-line and orc workloads for each
+seed (chain ``mts check`` in three verdicts, ``mts products``, ``fm
+products``, ``fm count``, ``fm validate``, ``encode``; ``orc explore``
+on let ladders, a timer race, the fixtures and the encoded pipeline,
+seeded ``orc run`` on fan-outs), every ``mts check`` again with
+``--format json``, ``mts check``/``products``/``dot`` and the ``fm``
+commands on the bundled fixtures and on broken variants of the
+fixture product, and ``orc explore`` in all four formats and ``orc
+run`` with and without ``--seed`` on every ``.orc`` fixture.  A job
+that writes a file another job reads (``encode`` for the orc workload)
+writes it once, with this checkout, before the comparison.
+``--ignore-key K`` drops top-level key K from JSON stdout, and every
+line ``K <number>`` from other stdout, before comparing.  Exits 1 when
+anything differs.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -54,6 +62,13 @@ def fixture_commands(workdir: str) -> list:
         commands += [["fm", "products", fx(fm)], ["fm", "count", fx(fm)]]
     commands.append(["fm", "validate", fx("smartgrid.fm"), "--select",
                      "SmartGrid,DemandResponse"])
+    for name in sorted(os.listdir(FIXTURES)):
+        if name.endswith(".orc"):
+            commands += [["orc", "explore", fx(name), "--format", fmt]
+                         for fmt in ("text", "json", "lts", "dot")]
+            commands.append(["orc", "run", fx(name)])
+            commands += [["orc", "run", fx(name), "--seed", str(seed)]
+                         for seed in (1, 4, 7)]
     return commands
 
 
@@ -73,11 +88,20 @@ def run(checkout: str, argv: list, workdir: str, ignore: list) -> tuple:
                           capture_output=True, text=True, cwd=workdir,
                           env=env)
     out = done.stdout
-    if ignore and out.startswith("{"):
-        data = json.loads(out)
-        for key in ignore:
-            data.pop(key, None)
-        out = json.dumps(data, sort_keys=True, indent=2) + "\n"
+    if ignore:
+        try:
+            data = json.loads(out)
+        except json.JSONDecodeError:   # text, or one JSON object per line
+            data = None
+        if isinstance(data, dict):
+            for key in ignore:
+                data.pop(key, None)
+            out = json.dumps(data, sort_keys=True, indent=2) + "\n"
+        else:
+            counts = re.compile(f"({'|'.join(map(re.escape, ignore))}) "
+                                r"\d+\n")
+            out = "".join(line for line in out.splitlines(keepends=True)
+                          if not counts.fullmatch(line))
     return done.returncode, out, done.stderr
 
 
@@ -91,12 +115,15 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         commands = fixture_commands(workdir)
         for seed in args.seeds:
-            seed_dir = os.path.join(workdir, f"seed{seed}")
-            os.mkdir(seed_dir)
-            jobs = workloads.build("product-line", seed, seed_dir).jobs
-            for job in jobs:
-                if job.argv not in commands:
-                    commands.append(job.argv)
+            for name in ("product-line", "orc"):
+                seed_dir = os.path.join(workdir, f"{name}{seed}")
+                os.mkdir(seed_dir)
+                for job in workloads.build(name, seed, seed_dir).jobs:
+                    if job.out is not None:
+                        run(ROOT, job.argv + ["--out", job.out], workdir,
+                            [])
+                    if job.argv not in commands:
+                        commands.append(job.argv)
         commands = with_json(commands)
         differ = 0
         for argv in commands:
