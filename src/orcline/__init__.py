@@ -17,13 +17,13 @@ from .mts import (
 from .orc_ast import (
     SIGNAL, STOP, Asymmetric, DefCall, Definition, Emit, Otherwise,
     Parallel, Pending, Program, Sequential, Signal, SiteCall, SiteSpec,
-    Stop, Var, free_vars, render_value, substitute,
+    Stop, Var, free_vars, render_expr, render_value, substitute,
 )
 from .orc_parser import (
     ParseDiagnostic, ParseError, SourceSpan, format_diagnostic,
     parse_expr, parse_feature_model, parse_lts, parse_mts,
-    parse_program, render_expr, render_feature_model, render_lts,
-    render_mts, render_program,
+    parse_program, render_feature_model, render_lts, render_mts,
+    render_program,
 )
 from .orc_semantics import (
     Bounds, Call, Deterministic, ExecState, ExploredLts, Internal,

@@ -13,10 +13,10 @@ Subcommands::
     orcline encode FILE         compile a feature model to Orc
     orcline fixtures ...        list/show/export the bundled corpus
 
-Exit codes: 0 success, 1 unreadable, unparseable or too deeply nested
-input, 2 a bound cut the computation short, 3 well-formed input with a
-negative verdict (invalid configuration, not a product, unencodable
-model).
+Exit codes: 0 success, 1 a usage error, unreadable, unparseable or too
+deeply nested input, or unwritable output, 2 a bound cut the
+computation short, 3 well-formed input with a negative verdict
+(invalid configuration, not a product, unencodable model).
 """
 
 from __future__ import annotations
@@ -56,14 +56,22 @@ def _read(path: str) -> str:
 
 def _emit(text: str, out):
     if out:
-        with open(out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise _CliError(EXIT_INPUT, f"cannot write {out}: {exc}")
     else:
         sys.stdout.write(text)
 
 
 def _diag(message: str):
     print(message, file=sys.stderr)
+
+
+def _depth_note(args) -> str:
+    return (f"truncated: a definition reached the expansion depth bound "
+            f"(--max-depth {args.max_depth})")
 
 
 def _bounds(args) -> sem.Bounds:
@@ -124,7 +132,7 @@ def _cmd_orc_run(args) -> int:
              for (clock, event) in trace.events]
     _emit("".join(line + "\n" for line in lines), args.out)
     if trace.truncated and code == EXIT_OK:
-        _diag("truncated: a definition reached the expansion depth bound")
+        _diag(_depth_note(args))
         code = EXIT_BOUND
     if code == EXIT_OK:
         shown = ", ".join(render_value(v) for v in trace.publications)
@@ -184,6 +192,9 @@ def _cmd_orc_explore(args) -> int:
     else:
         text = _explore_text(explored)
     _emit(text, args.out)
+    if explored.truncated_states and code == EXIT_OK:
+        _diag(_depth_note(args))
+        code = EXIT_BOUND
     return code
 
 
@@ -357,7 +368,10 @@ def _cmd_fixtures(args) -> int:
     if not args.name:
         raise _CliError(EXIT_INPUT,
                         "fixtures export needs a destination directory")
-    written = corpus.export_fixtures(args.name)
+    try:
+        written = corpus.export_fixtures(args.name)
+    except OSError as exc:
+        raise _CliError(EXIT_INPUT, f"cannot write {args.name}: {exc}")
     _emit("".join(path + "\n" for path in written), args.out)
     return EXIT_OK
 
@@ -365,12 +379,19 @@ def _cmd_fixtures(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+def _bound(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, found {text!r}")
+    return int(text)
+
+
 def _add_bounds(parser):
-    parser.add_argument("--max-steps", type=int, default=10000,
+    parser.add_argument("--max-steps", type=_bound, default=10000,
                         help="run-length bound (default 10000)")
-    parser.add_argument("--max-states", type=int, default=100000,
+    parser.add_argument("--max-states", type=_bound, default=100000,
                         help="exploration state bound (default 100000)")
-    parser.add_argument("--max-depth", type=int, default=16,
+    parser.add_argument("--max-depth", type=_bound, default=16,
                         help="definition expansion bound (default 16)")
 
 
@@ -463,7 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (0) or a usage error (2), and a
+        # usage error is bad input: 2 is for a bound hit.
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
     except _CliError as exc:

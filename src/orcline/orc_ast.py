@@ -266,3 +266,57 @@ def render_value(value: Value) -> str:
 def value_sort_key(value: Value) -> str:
     """A total order on values, used to normalise publication multisets."""
     return render_value(value)
+
+
+# How loosely each combinator binds (see the grammar in orc_parser);
+# every other node is a primary, level 5.  ``_render(e, floor)``
+# parenthesises a combinator that binds more loosely than ``floor``.
+_LEVEL = {Otherwise: 1, Asymmetric: 2, Parallel: 3, Sequential: 4}
+
+
+def _render_args(args: tuple) -> str:
+    return ", ".join(a.name if type(a) is Var else render_value(a)
+                     for a in args)
+
+
+def _render(e: Expr, floor: int) -> str:
+    kind = type(e)
+    if kind is Parallel:
+        text = f"{_render(e.left, 3)} | {_render(e.right, 4)}"
+    elif kind is Sequential:
+        text = (f"{_render(e.left, 5)} >{e.binder or ''}> "
+                f"{_render(e.right, 4)}")
+    elif kind is Asymmetric:
+        text = (f"{_render(e.left, 3)} <{e.binder or ''}< "
+                f"{_render(e.right, 2)}")
+    elif kind is Otherwise:
+        text = f"{_render(e.left, 1)} ; {_render(e.right, 2)}"
+    elif kind is SiteCall:
+        if e.site == "0" and not e.args:
+            return "0"
+        return f"{e.site}({_render_args(e.args)})"
+    elif kind is Pending:
+        due = "-" if e.due is None else e.due
+        value = "-" if e.value is None else render_value(e.value)
+        return f"?{e.site}:{due}:{value}"
+    elif kind is Emit:
+        return f"!{render_value(e.value)}"
+    elif kind is DefCall:
+        return f"{e.name}({_render_args(e.args)})"
+    elif kind is Stop:
+        return "stop"
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    return f"({text})" if _LEVEL[kind] < floor else text
+
+
+def render_expr(e: Expr) -> str:
+    """Concrete syntax for ``e``, parenthesised only where precedence
+    needs it; ``parse_expr(render_expr(e)) == e`` for source terms.
+
+    Runtime nodes print as primaries that no source term prints as:
+    ``Pending`` as ``?site:due:value`` (``-`` for a call that never
+    responds), without its handle, ``Emit`` as ``!value`` and ``Stop``
+    as ``stop``.
+    """
+    return _render(e, 1)

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from . import feature_model as fm
 from . import mts as mts_mod
 from .orc_ast import (
-    SIGNAL, Arg, Asymmetric, DefCall, Definition, Emit, Expr, Otherwise,
-    Parallel, Pending, Program, Sequential, SiteCall, SiteSpec, Stop, Var,
-    free_vars, render_value,
+    SIGNAL, Arg, Asymmetric, DefCall, Definition, Expr, Otherwise, Parallel,
+    Program, Sequential, SiteCall, SiteSpec, Var, free_vars, render_expr,
+    render_value,
 )
 
 RESERVED = frozenset(
@@ -171,13 +171,15 @@ class _Cursor:
 class _ExprParser(_Cursor):
     """Parses one expression over a newline-free token slice.
 
-    Records every call (for definition arity checks) and every variable
-    occurrence (for unbound-variable warnings); the program parser owns
-    both lists.
+    A call to one of ``defnames`` becomes a ``DefCall``, any other call
+    a ``SiteCall``.  Records every call (for definition arity checks)
+    and every variable occurrence (for unbound-variable warnings); the
+    program parser owns both lists.
     """
 
-    def __init__(self, tokens, diags, calls, var_spans):
+    def __init__(self, tokens, diags, defnames, calls, var_spans):
         super().__init__(tokens, diags)
+        self.defnames = defnames
         self.calls = calls
         self.var_spans = var_spans
 
@@ -267,12 +269,11 @@ class _ExprParser(_Cursor):
                 self.error(t.span, f"{t.text!r} is a reserved word")
                 return SiteCall("0", ())
             self.advance()
-            if self.at("("):
-                args = self._args()
-                self.calls.append((t.text, len(args), t.span))
-                return SiteCall(t.text, args)
-            self.calls.append((t.text, 0, t.span))
-            return SiteCall(t.text, ())
+            args = self._args() if self.at("(") else ()
+            self.calls.append((t.text, len(args), t.span))
+            if t.text in self.defnames:
+                return DefCall(t.text, args)
+            return SiteCall(t.text, args)
         shown = t.text if t.kind != "eof" else "end of input"
         self.error(t.span, f"expected an expression, found {shown!r}")
         raise _Bail()
@@ -292,35 +293,20 @@ class _ExprParser(_Cursor):
 
     def _arg(self) -> Arg:
         t = self.peek()
-        if t.kind == "int":
-            self.advance()
-            return t.value
-        if t.kind == "string":
-            self.advance()
-            return t.value
-        if t.kind == "name":
-            self.advance()
-            if t.text == "true":
-                return True
-            if t.text == "false":
-                return False
-            if t.text == "signal":
-                return SIGNAL
-            if self.at("("):
-                self.error(t.span,
-                           "site calls cannot be nested in argument "
-                           "position; bind the inner call with >x> or <x<")
-                self._skip_balanced()
-                return Var(t.text)
-            if t.text in RESERVED:
-                self.error(t.span, f"{t.text!r} is reserved and cannot be "
-                                   f"an argument")
-                return Var(t.text)
+        if t.kind != "name" or t.text in _LITERALS:
+            return _literal_arg(self, "an argument")
+        self.advance()
+        if self.at("("):
+            self.error(t.span,
+                       "site calls cannot be nested in argument "
+                       "position; bind the inner call with >x> or <x<")
+            self._skip_balanced()
+        elif t.text in RESERVED:
+            self.error(t.span, f"{t.text!r} is reserved and cannot be "
+                               f"an argument")
+        else:
             self.var_spans.append((t.text, t.span))
-            return Var(t.text)
-        shown = t.text if t.kind != "eof" else "end of input"
-        self.error(t.span, f"expected an argument, found {shown!r}")
-        raise _Bail()
+        return Var(t.text)
 
     def _skip_balanced(self):
         depth = 0
@@ -382,15 +368,19 @@ def _brace_slice(cur: _Cursor) -> list:
     return out
 
 
-def _literal_arg(cur: _Cursor):
+_LITERALS = {"true": True, "false": False, "signal": SIGNAL}
+
+
+def _literal_arg(cur: _Cursor, what: str = "a literal value"):
     t = cur.peek()
     if t.kind in ("int", "string"):
         cur.advance()
         return t.value
-    if t.kind == "name" and t.text in ("true", "false", "signal"):
+    if t.kind == "name" and t.text in _LITERALS:
         cur.advance()
-        return {"true": True, "false": False, "signal": SIGNAL}[t.text]
-    cur.error(t.span, f"expected a literal value, found {t.text!r}")
+        return _LITERALS[t.text]
+    shown = t.text if t.kind != "eof" else "end of input"
+    cur.error(t.span, f"expected {what}, found {shown!r}")
     raise _Bail()
 
 
@@ -431,7 +421,8 @@ def _parse_site_decl(line: _Cursor, sites: dict):
     sites[name_tok.text] = SiteSpec(responses, responsive, delay)
 
 
-def _parse_def_decl(line: _Cursor, defs: dict, diags, calls, var_spans):
+def _parse_def_decl(line: _Cursor, defs: dict, diags, defnames, calls,
+                    var_spans):
     line.advance()  # "def"
     name_tok = line.expect("name", "a definition name")
     if name_tok.text in RESERVED:
@@ -458,26 +449,9 @@ def _parse_def_decl(line: _Cursor, defs: dict, diags, calls, var_spans):
     line.expect(")", "')' closing the parameter list")
     line.expect("=", "'=' before the definition body")
     body_tokens = line.tokens[line.i:]
-    body = _ExprParser(body_tokens, diags, calls, var_spans).parse()
+    body = _ExprParser(body_tokens, diags, defnames, calls,
+                       var_spans).parse()
     defs[name_tok.text] = Definition(tuple(params), body)
-
-
-def _resolve_defcalls(e: Expr, names: frozenset) -> Expr:
-    if isinstance(e, SiteCall) and e.site in names:
-        return DefCall(e.site, e.args)
-    if isinstance(e, Parallel):
-        return Parallel(_resolve_defcalls(e.left, names),
-                        _resolve_defcalls(e.right, names))
-    if isinstance(e, Sequential):
-        return Sequential(_resolve_defcalls(e.left, names), e.binder,
-                          _resolve_defcalls(e.right, names))
-    if isinstance(e, Asymmetric):
-        return Asymmetric(_resolve_defcalls(e.left, names), e.binder,
-                          _resolve_defcalls(e.right, names))
-    if isinstance(e, Otherwise):
-        return Otherwise(_resolve_defcalls(e.left, names),
-                         _resolve_defcalls(e.right, names))
-    return e
 
 
 def parse_program_with_diagnostics(src: str):
@@ -485,7 +459,14 @@ def parse_program_with_diagnostics(src: str):
     diags: list = []
     calls: list = []
     var_spans: list = []
-    cur = _Cursor(_lex(src, diags), diags)
+    tokens = _lex(src, diags)
+    # Every definition's name is known before any body is parsed, so a
+    # call to a definition declared further down is a DefCall too.
+    # "def" is reserved: anywhere but in a head it is an error.
+    defnames = frozenset(
+        name.text for (word, name) in zip(tokens, tokens[1:])
+        if word.text == "def" and word.kind == "name" and name.kind == "name")
+    cur = _Cursor(tokens, diags)
     defs: dict = {}
     sites: dict = {}
     goal = None
@@ -504,7 +485,8 @@ def parse_program_with_diagnostics(src: str):
             if t.kind == "name" and t.text == "def":
                 line = _Cursor(_line_slice(cur), diags)
                 try:
-                    _parse_def_decl(line, defs, diags, calls, var_spans)
+                    _parse_def_decl(line, defs, diags, defnames, calls,
+                                    var_spans)
                 except _Bail:
                     pass
                 continue
@@ -515,7 +497,7 @@ def parse_program_with_diagnostics(src: str):
             cur.error(SourceSpan(end.line, end.col, 1),
                       "a program needs a goal expression")
         else:
-            goal = _ExprParser(goal_tokens, diags, calls,
+            goal = _ExprParser(goal_tokens, diags, defnames, calls,
                                var_spans).parse()
     except _Bail:
         pass
@@ -534,11 +516,6 @@ def parse_program_with_diagnostics(src: str):
 
     if any(d.severity == "error" for d in diags) or goal is None:
         return None, diags
-
-    defnames = frozenset(defs)
-    goal = _resolve_defcalls(goal, defnames)
-    defs = {name: Definition(d.params, _resolve_defcalls(d.body, defnames))
-            for name, d in defs.items()}
 
     unbound = set(free_vars(goal))
     for d in defs.values():
@@ -571,74 +548,6 @@ def parse_expr(src: str) -> Expr:
 # ---------------------------------------------------------------------------
 # Rendering
 
-_LEVEL_OTHERWISE = 1
-_LEVEL_ASYM = 2
-_LEVEL_PAR = 3
-_LEVEL_SEQ = 4
-_LEVEL_PRIM = 5
-
-
-def _level(e: Expr) -> int:
-    if isinstance(e, Otherwise):
-        return _LEVEL_OTHERWISE
-    if isinstance(e, Asymmetric):
-        return _LEVEL_ASYM
-    if isinstance(e, Parallel):
-        return _LEVEL_PAR
-    if isinstance(e, Sequential):
-        return _LEVEL_SEQ
-    return _LEVEL_PRIM
-
-
-def _render_arg(a: Arg) -> str:
-    if isinstance(a, Var):
-        return a.name
-    return render_value(a)
-
-
-def _render(e: Expr, floor: int, full: bool) -> str:
-    if isinstance(e, SiteCall):
-        if e.site == "0" and not e.args:
-            return "0"
-        return f"{e.site}({', '.join(_render_arg(a) for a in e.args)})"
-    if isinstance(e, DefCall):
-        return f"{e.name}({', '.join(_render_arg(a) for a in e.args)})"
-    if isinstance(e, Pending):
-        return f"?{e.handle}"
-    if isinstance(e, Emit):
-        return f"!{render_value(e.value)}"
-    if isinstance(e, Stop):
-        return "stop"
-
-    if isinstance(e, Parallel):
-        text = (f"{_render(e.left, _LEVEL_PAR, full)} | "
-                f"{_render(e.right, _LEVEL_SEQ, full)}")
-    elif isinstance(e, Sequential):
-        op = f">{e.binder}>" if e.binder is not None else ">>"
-        text = (f"{_render(e.left, _LEVEL_PRIM, full)} {op} "
-                f"{_render(e.right, _LEVEL_SEQ, full)}")
-    elif isinstance(e, Asymmetric):
-        op = f"<{e.binder}<" if e.binder is not None else "<<"
-        text = (f"{_render(e.left, _LEVEL_PAR, full)} {op} "
-                f"{_render(e.right, _LEVEL_ASYM, full)}")
-    else:  # Otherwise
-        text = (f"{_render(e.left, _LEVEL_OTHERWISE, full)} ; "
-                f"{_render(e.right, _LEVEL_ASYM, full)}")
-
-    if full or _level(e) < floor:
-        return f"({text})"
-    return text
-
-
-def render_expr(e: Expr, full_parens: bool = False) -> str:
-    """Concrete syntax for ``e``; parse_expr(render_expr(e)) == e.
-
-    With ``full_parens`` every composite is parenthesized (useful for
-    teaching precedence and for cross-checking the grammar).
-    """
-    return _render(e, _LEVEL_OTHERWISE, full_parens)
-
-
 def _render_site_decl(name: str, spec: SiteSpec) -> str:
     if not spec.responsive or not spec.responses:
         return f"site {name} silent"
@@ -651,15 +560,14 @@ def _render_site_decl(name: str, spec: SiteSpec) -> str:
     return " ".join(parts)
 
 
-def render_program(p: Program, full_parens: bool = False) -> str:
+def render_program(p: Program) -> str:
     lines = []
     for name, spec in p.site_env.items():
         lines.append(_render_site_decl(name, spec))
     for name, d in p.definitions.items():
         params = ", ".join(d.params)
-        lines.append(f"def {name}({params}) = "
-                     f"{render_expr(d.body, full_parens)}")
-    lines.append(render_expr(p.goal, full_parens))
+        lines.append(f"def {name}({params}) = {render_expr(d.body)}")
+    lines.append(render_expr(p.goal))
     return "\n".join(lines) + "\n"
 
 

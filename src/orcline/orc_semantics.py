@@ -41,7 +41,7 @@ from .mts import Lts
 from .orc_ast import (
     SIGNAL, STOP, Asymmetric, DefCall, Emit, Expr, Otherwise, Parallel,
     Pending, Program, Sequential, Signal, SiteCall, SiteSpec, Stop, Value,
-    Var, render_value, substitute, value_sort_key,
+    Var, render_expr, render_value, substitute, value_sort_key,
 )
 
 BUILTIN_SITES = frozenset(["Signal", "Rtimer", "if", "let", "0"])
@@ -89,8 +89,7 @@ def event_label(event) -> str:
     elif isinstance(event, Internal):
         text = "tau"
     elif isinstance(event, Call):
-        args = ",".join(render_value(a) if not isinstance(a, Var) else a.name
-                        for a in event.args)
+        args = ",".join(render_value(a) for a in event.args)
         text = f"{event.site}_{event.handle}({args})"
     elif isinstance(event, Return):
         text = f"{event.handle}?{render_value(event.value)}"
@@ -475,49 +474,17 @@ def run(program: Program, policy=None, bounds: Bounds = Bounds()) -> Trace:
 # ---------------------------------------------------------------------------
 # Exhaustive exploration
 
-def _canon_value(v) -> str:
-    return v.name if isinstance(v, Var) else render_value(v)
-
-
-def _canon_pair(e, op: str, parts: list):
-    parts.append("(")
-    _canon_expr(e.left, parts)
-    parts.append(op)
-    _canon_expr(e.right, parts)
-    parts.append(")")
-
-
-def _canon_expr(e: Expr, parts: list):
-    kind = type(e)
-    if kind is Parallel:
-        _canon_pair(e, "|", parts)
-    elif kind is Pending:
-        value = "-" if e.value is None else render_value(e.value)
-        parts.append(f"?{e.site}:{e.due}:{value}")
-    elif kind is SiteCall:
-        parts.append(f"C{e.site}({','.join(_canon_value(a) for a in e.args)})")
-    elif kind is Sequential:
-        _canon_pair(e, f">{e.binder or ''}>", parts)
-    elif kind is Emit:
-        parts.append(f"!{render_value(e.value)}")
-    elif kind is Stop:
-        parts.append(".")
-    elif kind is Asymmetric:
-        _canon_pair(e, f"<{e.binder or ''}<", parts)
-    elif kind is Otherwise:
-        _canon_pair(e, ";", parts)
-    elif kind is DefCall:
-        parts.append(f"D{e.name}({','.join(_canon_value(a) for a in e.args)})")
-
-
 def canonical_key(state: ExecState) -> str:
-    """Stable state identity: the expression with each outstanding
-    call's site, due tick and response written at its node, plus clock
-    and counters.  Handles are left out: each occurs once in the term,
-    so numbering them in walk order would give the k-th Pending k."""
-    parts: list = []
-    _canon_expr(state.expr, parts)
-    parts.append(f"@{state.clock}")
+    """Stable state identity: the printed term, which writes each
+    outstanding call's site, due tick and response at its node, plus
+    clock and counters.  Handles are left out: each occurs once in the
+    term, so numbering them in walk order would give the k-th Pending k.
+
+    The term prints site and definition calls alike, so the key assumes
+    that no program calls one name both as a site and as a definition;
+    the parser makes every call to a definition's name a DefCall.
+    """
+    parts = [render_expr(state.expr), f"@{state.clock}"]
     for name in sorted(state.def_depth):
         parts.append(f"d{name}={state.def_depth[name]}")
     for site in sorted(state.cycles):
@@ -751,31 +718,9 @@ def reachable_without(explored: ExploredLts, pred) -> set:
     return _reachable(_successors(explored), 0, lambda ev: not pred(ev))
 
 
-def lts_view(explored: ExploredLts, collapse_internal: bool = False) -> Lts:
-    """The explored graph as an Lts with states s0, s1, ...
-
-    With ``collapse_internal`` the view is the weak-transition graph:
-    internal moves are elided by shortcutting through tau-closures.
-    """
-    def name(i):
-        return f"s{i}"
-
-    if not collapse_internal:
-        trans = frozenset((name(i), event_label(ev), name(j))
-                          for (i, ev, j) in explored.edges)
-        states = frozenset(name(i) for i in range(len(explored.states)))
-        return Lts(states, frozenset(), name(0), trans)
-
-    succ = _successors(explored)
-    trans = set()
-    kept = {0}
-    for i in range(len(explored.states)):
-        for u in _reachable(succ, i, lambda ev: isinstance(ev, Internal)):
-            for (ev, v) in succ[u]:
-                if not isinstance(ev, Internal):
-                    trans.add((name(i), event_label(ev), name(v)))
-                    kept.add(i)
-                    kept.add(v)
-    states = frozenset(name(i) for i in kept)
-    visible = frozenset(t for t in trans if t[0] in states)
-    return Lts(states, frozenset(), name(0), visible)
+def lts_view(explored: ExploredLts) -> Lts:
+    """The explored graph as an Lts with states s0, s1, ..."""
+    trans = frozenset((f"s{i}", event_label(ev), f"s{j}")
+                      for (i, ev, j) in explored.edges)
+    states = frozenset(f"s{i}" for i in range(len(explored.states)))
+    return Lts(states, frozenset(), "s0", trans)

@@ -26,11 +26,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .corpus import fixture_text
 from .feature_model import FeatureModel, Requires
 from .orc_ast import (
     Asymmetric, Expr, Otherwise, Parallel, Program, Sequential, SiteCall,
-    SiteSpec, Var,
+    Var,
 )
+from .orc_parser import parse_program
 
 
 class UnsupportedGroupSize(Exception):
@@ -241,36 +243,15 @@ def encode(model: FeatureModel, plan: EncodingPlan = None) -> Program:
     return Program(goal, {}, {})
 
 
-def _string_sites(*names) -> dict:
-    """Stub sites that respond with their own name, so tuples read
-    nicely in traces."""
-    return {name: SiteSpec((name,), True, 0) for name in names}
-
-
 def demand_response_program() -> Program:
-    """Aggregate a load-shifting price (real_time | day_ahead) and a
-    trade decision (sell | buy), publishing both as one tuple.
-
-    The binders deliberately share names with the tuple arguments, so
-    the first response on each side completes the pair."""
-    inner = Asymmetric(
-        SiteCall("let", (Var("Load_shift"), Var("Agreement"))),
-        "Load_shift",
-        Parallel(SiteCall("real_time"), SiteCall("day_ahead")))
-    goal = Asymmetric(inner, "Agreement",
-                      Parallel(SiteCall("sell"), SiteCall("buy")))
-    return Program(goal, {}, _string_sites("real_time", "day_ahead",
-                                           "sell", "buy"))
+    """The bundled ``dr.orc``: aggregate a load-shifting price
+    (real_time | day_ahead) and a trade decision (sell | buy),
+    publishing the first answer from each side as one tuple."""
+    return parse_program(fixture_text("dr.orc"))
 
 
 def demand_response_choice_program() -> Program:
-    """The committed variant: whichever side answers first (pricing or
-    trading) is the only one whose follow-up computation runs."""
-    goal = encode_alternative(
-        SiteCall("Load_shift"), SiteCall("Agreement"),
-        Parallel(SiteCall("real_time"), SiteCall("day_ahead")),
-        Parallel(SiteCall("sell"), SiteCall("buy")),
-        flag_var="f", neg_var="nf")
-    return Program(goal, {}, _string_sites(
-        "Load_shift", "Agreement", "real_time", "day_ahead", "sell",
-        "buy"))
+    """The bundled ``dr_alt.orc``, the committed variant: whichever
+    side answers first (pricing or trading) is the only one whose
+    follow-up computation runs."""
+    return parse_program(fixture_text("dr_alt.orc"))

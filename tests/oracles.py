@@ -4,6 +4,10 @@
 kept unchanged: the product check deletes failing pairs from the full
 product × family relation until fixpoint (O(n³) on a chain), and the
 derivation toggles every may-only transition, reachable or not.
+
+``canonical_key`` is the explorer's original state key, kept
+unchanged: a private, fully parenthesised syntax that marks site calls
+``C`` and definition calls ``D`` and writes a halted branch as ``.``.
 """
 
 from __future__ import annotations
@@ -12,6 +16,10 @@ import itertools
 
 from orcline.errors import BoundExceeded
 from orcline.mts import ActionMismatch, ClauseFailure, Lts, ProductCheck
+from orcline.orc_ast import (
+    Asymmetric, DefCall, Emit, Otherwise, Parallel, Pending, Sequential,
+    SiteCall, Stop, Var, render_value,
+)
 
 
 def _outgoing(trans):
@@ -112,3 +120,53 @@ def derive_products(family, max_optional: int = 20) -> list:
         return (len(lts.states), len(lts.trans), sorted(lts.trans))
 
     return sorted(seen.values(), key=sort_key)
+
+
+def _canon_value(v) -> str:
+    return v.name if isinstance(v, Var) else render_value(v)
+
+
+def _canon_pair(e, op: str, parts: list):
+    parts.append("(")
+    _canon_expr(e.left, parts)
+    parts.append(op)
+    _canon_expr(e.right, parts)
+    parts.append(")")
+
+
+def _canon_expr(e, parts: list):
+    kind = type(e)
+    if kind is Parallel:
+        _canon_pair(e, "|", parts)
+    elif kind is Pending:
+        value = "-" if e.value is None else render_value(e.value)
+        parts.append(f"?{e.site}:{e.due}:{value}")
+    elif kind is SiteCall:
+        parts.append(f"C{e.site}({','.join(_canon_value(a) for a in e.args)})")
+    elif kind is Sequential:
+        _canon_pair(e, f">{e.binder or ''}>", parts)
+    elif kind is Emit:
+        parts.append(f"!{render_value(e.value)}")
+    elif kind is Stop:
+        parts.append(".")
+    elif kind is Asymmetric:
+        _canon_pair(e, f"<{e.binder or ''}<", parts)
+    elif kind is Otherwise:
+        _canon_pair(e, ";", parts)
+    elif kind is DefCall:
+        parts.append(f"D{e.name}({','.join(_canon_value(a) for a in e.args)})")
+
+
+def canonical_key(state) -> str:
+    """Stable state identity: the expression with each outstanding
+    call's site, due tick and response written at its node, plus clock
+    and counters.  Handles are left out: each occurs once in the term,
+    so numbering them in walk order would give the k-th Pending k."""
+    parts: list = []
+    _canon_expr(state.expr, parts)
+    parts.append(f"@{state.clock}")
+    for name in sorted(state.def_depth):
+        parts.append(f"d{name}={state.def_depth[name]}")
+    for site in sorted(state.cycles):
+        parts.append(f"c{site}={state.cycles[site]}")
+    return "\x1f".join(parts)

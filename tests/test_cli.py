@@ -96,7 +96,7 @@ def test_explore_json_has_the_outcomes_of_full_exploration(capsys, name):
     full = orcline.explore(orcline.parse_program(corpus.fixture_text(name)))
     code, out, err = run_cli(capsys, "orc", "explore", fx(name),
                              "--format", "json")
-    assert code == 0
+    assert code == (2 if full.truncated_states else 0)
     got, want = json.loads(out), json.loads(cli._explore_json(full))
     assert got.pop("states") <= want.pop("states")
     assert got.pop("edges") <= want.pop("edges")
@@ -124,6 +124,15 @@ def test_explore_state_bound_exits_two(capsys):
                              "--max-states", "10")
     assert code == 2
     assert "truncated" in err
+
+
+def test_explore_depth_bound_exits_two(capsys):
+    code, out, err = run_cli(capsys, "orc", "explore", fx("loop.orc"),
+                             "--max-depth", "3")
+    assert code == 2
+    assert "truncated outcomes 1" in out
+    assert err == ("truncated: a definition reached the expansion depth "
+                   "bound (--max-depth 3)\n")
 
 
 def test_missing_file_exits_one(capsys):
@@ -399,6 +408,54 @@ def test_fixtures_export_writes_files(tmp_path, capsys):
     written = out.splitlines()
     assert len(written) == len(corpus.fixture_names())
     assert all((dest / name).exists() for name in corpus.fixture_names())
+
+
+def test_fixtures_export_into_an_uncreatable_directory_exits_one(
+        tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run_cli(capsys, "fixtures", "export",
+                             str(blocker / "bundle"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {blocker / 'bundle'}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("fm", "count", fx("smartgrid.fm")),
+    ("orc", "explore", fx("par.orc"), "--format", "lts"),
+    ("fixtures", "list"),
+])
+def test_out_into_a_missing_directory_exits_one(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("orc", "frobnicate"),
+    ("orc", "run"),
+    ("orc", "run", "x.orc", "--max-steps", "abc"),
+    ("orc", "run", fx("par.orc"), "--max-steps", "-1"),
+    ("orc", "explore", fx("par.orc"), "--max-states", "-1"),
+    ("orc", "explore", fx("loop.orc"), "--max-depth", "-1"),
+], ids=["unknown-command", "missing-file", "not-a-number",
+        "negative-steps", "negative-states", "negative-depth"])
+def test_usage_errors_exit_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: orcline")
 
 
 def test_out_flag_redirects_stdout(tmp_path, capsys):

@@ -6,9 +6,9 @@ import sys
 
 import orcline
 from orcline.orc_ast import (
-    SIGNAL, STOP, Asymmetric, Otherwise, Parallel, Program, Sequential,
-    Signal, SiteCall, SiteSpec, Stop, Var, free_vars, render_value,
-    substitute,
+    SIGNAL, STOP, Asymmetric, Emit, Otherwise, Parallel, Pending, Program,
+    Sequential, Signal, SiteCall, SiteSpec, Stop, Var, free_vars,
+    render_expr, render_value, substitute,
 )
 
 from generators import random_expr
@@ -28,6 +28,20 @@ def test_render_value_forms():
     assert render_value(-3) == "-3"
     assert render_value("a\"b") == '"a\\"b"'
     assert render_value((1, "x")) == '(1,"x")'
+
+
+def test_render_runtime_nodes():
+    # A Pending prints its site, due tick and response but not its
+    # handle; each runtime node is a primary, so combinators around it
+    # parenthesise as around a call.
+    assert render_expr(Pending(4, "A", 2, (1, "x"))) == '?A:2:(1,"x")'
+    assert render_expr(Pending(0, "mute", None, None)) == "?mute:-:-"
+    assert render_expr(Emit(True)) == "!true"
+    assert render_expr(STOP) == "stop"
+    assert render_expr(Sequential(
+        Parallel(Pending(1, "A", 0, SIGNAL), Emit(1)), "x",
+        Otherwise(STOP, SiteCall("B", (Var("x"),))))) \
+        == "(?A:0:signal | !1) >x> (stop ; B(x))"
 
 
 def test_substitute_replaces_free_variable_in_args():

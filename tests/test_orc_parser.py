@@ -9,7 +9,7 @@ from orcline import (
 )
 from orcline.feature_model import enumerate_products
 from orcline.orc_ast import (
-    SIGNAL, Asymmetric, Otherwise, Parallel, Program, Sequential,
+    SIGNAL, Asymmetric, DefCall, Otherwise, Parallel, Program, Sequential,
     SiteCall, SiteSpec, Var,
 )
 from orcline.orc_parser import parse_program_with_diagnostics
@@ -125,14 +125,6 @@ def test_random_round_trip_expressions():
         assert parse_expr(render_expr(e)) == e
 
 
-def test_full_parens_and_minimal_parses_agree():
-    rng = random.Random(8)
-    for _ in range(300):
-        e = random_expr(rng)
-        assert parse_expr(render_expr(e, full_parens=True)) \
-            == parse_expr(render_expr(e))
-
-
 def test_program_round_trip_with_declarations():
     src = (
         'site slow delay 3 responds 1, 2\n'
@@ -145,6 +137,13 @@ def test_program_round_trip_with_declarations():
     assert p.definitions["Twice"].params == ("x",)
     again = parse_program(render_program(p))
     assert again == p
+
+
+def test_calls_to_definitions_declared_later_are_definition_calls():
+    p = parse_program("def A() = B()\ndef B() = let(1)\nA()\n")
+    assert p.definitions["A"].body == DefCall("B", ())
+    assert p.definitions["B"].body == SiteCall("let", (1,))
+    assert p.goal == DefCall("A", ())
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import pytest
 from orcline import (
     Bounds, BoundExceeded, Call, Deterministic, Internal, Publish, Return,
     SeededRandom, Tick, corpus, explore, initial_state, is_halted,
-    lts_view, parse_expr, parse_program, publication_sequences,
-    publications, run, step,
+    lts_view, orc_semantics, parse_expr, parse_program,
+    publication_sequences, publications, run, step,
 )
 from orcline.orc_ast import (
     SIGNAL, Asymmetric, DefCall, Emit, Otherwise, Parallel, Pending,
@@ -17,6 +17,7 @@ from orcline.orc_semantics import (
     path_call_site_sets,
 )
 
+import oracles
 from generators import ended_paths, random_expr
 
 
@@ -351,9 +352,6 @@ def test_lts_view_and_labels():
     assert view.init == "s0"
     labels = {label for (_, label, _) in view.trans}
     assert labels == {"let_0(1)", "0?1", "!1"}
-    weak = lts_view(explore(program("let(1) >> let(2)")),
-                    collapse_internal=True)
-    assert "tau" not in {label for (_, label, _) in weak.trans}
 
 
 def test_event_labels_and_json():
@@ -399,9 +397,9 @@ def fold_inputs():
             yield program(src), Bounds(max_states=100, max_depth=depth)
 
 
-def explore_partial(p, bounds):
+def explore_partial(p, bounds, reduce=False):
     try:
-        return explore(p, bounds)
+        return explore(p, bounds, reduce)
     except BoundExceeded as exc:
         return exc.partial
 
@@ -577,6 +575,40 @@ def test_reduction_follows_one_safe_step_per_state():
     # only the two publications branch: they are not safe
     assert [ev for (i, ev, j) in reduced.edges if i == 4] \
         == [Publish(1), Publish(2)]
+
+
+def _summary(explored) -> tuple:
+    return (explored.states, explored.edges, explored.halted_states,
+            explored.truncated_states, explored.outcomes,
+            explored.truncated_outcomes, explored.truncated)
+
+
+# States that differ only in one part of the key: a due tick, or an
+# int, a bool and a string that print alike in Python.
+KEY_PROBES = [
+    "Rtimer(x) <x< (let(1) | let(2))",
+    'let(x) <x< (let(1) | let(true) | let("1"))',
+    'site S responds 1, true, "1"\nS() | S() | S()',
+]
+
+
+def test_printed_key_partitions_states_as_the_oracle_key(monkeypatch):
+    # The state key is the printed term; the oracle is the explorer's
+    # original private key syntax.  Same partition and same BFS order
+    # means the same numbered states and edges, full and reduced.
+    fixtures = [program(corpus.fixture_text(name))
+                for name in corpus.fixture_names() if name.endswith(".orc")]
+    cases = list(fold_inputs()) + list(reduction_inputs())
+    cases += [(p, Bounds(max_depth=d)) for p in fixtures for d in (1, 3)]
+    cases += [(program(src), Bounds()) for src in KEY_PROBES]
+    for p, bounds in cases:
+        for reduce in (False, True):
+            printed = explore_partial(p, bounds, reduce)
+            with monkeypatch.context() as patched:
+                patched.setattr(orc_semantics, "canonical_key",
+                                oracles.canonical_key)
+                oracle = explore_partial(p, bounds, reduce)
+            assert _summary(printed) == _summary(oracle)
 
 
 @pytest.mark.xfail(strict=True, reason="1 == True in Python, so the "

@@ -16,7 +16,10 @@ seeded ``orc run`` on fan-outs), every ``mts check`` again with
 ``--format json``, ``mts check``/``products``/``dot`` and the ``fm``
 commands on the bundled fixtures and on broken variants of the
 fixture product, and ``orc explore`` in all four formats and ``orc
-run`` with and without ``--seed`` on every ``.orc`` fixture.  A job
+run`` with and without ``--seed`` on every ``.orc`` fixture, and the
+error paths: ``orc explore`` cut by ``--max-depth`` (text and json), a
+negative bound, an unknown subcommand and ``--out`` into a missing
+directory.  A job
 that writes a file another job reads (``encode`` for the orc workload)
 writes it once, with this checkout, before the comparison.
 ``--ignore-key K`` drops top-level key K from JSON stdout, and every
@@ -69,6 +72,12 @@ def fixture_commands(workdir: str) -> list:
             commands.append(["orc", "run", fx(name)])
             commands += [["orc", "run", fx(name), "--seed", str(seed)]
                          for seed in (1, 4, 7)]
+    commands += [["orc", "explore", fx("loop.orc"), "--max-depth", "3",
+                  "--format", fmt] for fmt in ("text", "json")]
+    commands += [["orc", "explore", fx("par.orc"), "--max-states", "-1"],
+                 ["orc", "frobnicate"],
+                 ["fm", "count", fx("smartgrid.fm"), "--out",
+                  os.path.join(workdir, "missing", "x")]]
     return commands
 
 
