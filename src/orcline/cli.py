@@ -15,8 +15,9 @@ Subcommands::
 
 Exit codes: 0 success, 1 a usage error, unreadable, unparseable or too
 deeply nested input, or unwritable output, 2 a bound cut the
-computation short, 3 well-formed input with a negative verdict
-(invalid configuration, not a product, unencodable model).
+computation short or memory ran out, 3 well-formed input with a
+negative verdict (invalid configuration, not a product, unencodable
+model).
 """
 
 from __future__ import annotations
@@ -502,6 +503,10 @@ def main(argv=None) -> int:
         _diag("error: input is too deeply nested to process (Python "
               f"recursion limit {sys.getrecursionlimit()})")
         return EXIT_INPUT
+    except MemoryError:
+        # Like a bound hit, memory cut the computation short.
+        _diag("error: out of memory before the computation finished")
+        return EXIT_BOUND
 
 
 if __name__ == "__main__":

@@ -26,6 +26,11 @@ The stepping rules:
 * a DefCall expands its body (call by value), bounded per definition
   name by ``Bounds.max_depth`` — a blocked expansion is reported as
   truncation, never silently dropped.
+
+A term is *halted* when no step is enabled and nothing in it waits: no
+response is due later, no call waits for an unbound variable, and no
+definition call waits at the depth bound.  One walk, ``_expr_steps``,
+finds both the steps and the waits.
 """
 
 from __future__ import annotations
@@ -43,9 +48,6 @@ from .orc_ast import (
     Pending, Program, Sequential, Signal, SiteCall, SiteSpec, Stop, Value,
     Var, render_expr, render_value, substitute, value_sort_key,
 )
-
-BUILTIN_SITES = frozenset(["Signal", "Rtimer", "if", "let", "0"])
-
 
 # ---------------------------------------------------------------------------
 # Events
@@ -97,9 +99,10 @@ def event_label(event) -> str:
         text = f"tick({event.clock})"
     else:
         raise TypeError(f"not an event: {event!r}")
-    # Spaces can only come from string values; keep tokens whitespace-free
-    # for the line-oriented .mts format (  survives a JSON reparse).
-    return text.replace(" ", "\\u0020")
+    # Spaces and "--" can only come from string values.  Keep tokens
+    # free of whitespace and of the comment marker of the line-oriented
+    # .mts/.lts formats; both escapes survive a JSON reparse.
+    return text.replace(" ", "\\u0020").replace("--", "-\\u002d")
 
 
 def value_to_json(value: Value):
@@ -245,27 +248,13 @@ def _resolve_call(site: str, args: tuple, clock: int, program: Program,
     return clock + spec.delay, value, cycled
 
 
-def _halted(e: Expr) -> bool:
-    """Can this subterm never transition or publish again?
-
-    Conservative where variables are involved: a call blocked on an
-    unbound variable counts as live, because an enclosing binder may
-    still deliver the value.
-    """
-    if isinstance(e, Stop):
-        return True
-    if isinstance(e, Pending):
-        return e.due is None
-    if isinstance(e, (Parallel, Asymmetric)):
-        return _halted(e.left) and _halted(e.right)
-    if isinstance(e, Sequential):
-        return _halted(e.left)
-    # SiteCall, DefCall, Emit, Otherwise all still have (potential) moves.
-    return False
+# Why a stuck node cannot move yet, besides a Pending's due tick.
+_UNBOUND = "unbound"   # a call with a variable argument
+_DEPTH = "depth"       # a definition call at the depth bound
 
 
 def _expr_steps(e: Expr, path: tuple, state: ExecState, program: Program,
-                bounds: Bounds) -> list:
+                bounds: Bounds, waits: list) -> list:
     """The enabled steps of subterm ``e`` at ``path``, unsorted.
 
     A step is a plain tuple ``(priority, position, event, expr,
@@ -273,11 +262,18 @@ def _expr_steps(e: Expr, path: tuple, state: ExecState, program: Program,
     the definition expanded and ``cycle_site`` the multi-response site
     called, or None.  Each enclosing node rebuilds only ``expr`` (and,
     for a spawn or a bind, the first three fields).
+
+    Each active node that cannot move yet appends to ``waits`` why: a
+    Pending its due tick, a call with a variable argument ``_UNBOUND``
+    (an enclosing binder may still deliver the value), a definition
+    call at the depth bound ``_DEPTH``.  A subterm that yields neither
+    a step nor a wait is halted.
     """
     kind = type(e)
     if kind is SiteCall:
         if any(isinstance(a, Var) for a in e.args):
-            return []  # blocked until every argument is a value
+            waits.append(_UNBOUND)
+            return []
         due, value, cycled = _resolve_call(e.site, e.args, state.clock,
                                            program, state.cycles)
         handle = state.next_handle
@@ -285,9 +281,12 @@ def _expr_steps(e: Expr, path: tuple, state: ExecState, program: Program,
                  Pending(handle, e.site, due, value), None, cycled)]
 
     if kind is Pending:
-        if e.due is not None and e.due <= state.clock:
+        if e.due is None:
+            return []  # never responds
+        if e.due <= state.clock:
             return [(_PRIO_RETURN, path, Return(e.site, e.handle, e.value),
                      Emit(e.value), None, None)]
+        waits.append(e.due)
         return []
 
     if kind is Emit:
@@ -295,10 +294,12 @@ def _expr_steps(e: Expr, path: tuple, state: ExecState, program: Program,
 
     if kind is DefCall:
         if any(isinstance(a, Var) for a in e.args):
+            waits.append(_UNBOUND)
             return []
         d = program.definitions[e.name]
         if state.def_depth.get(e.name, 0) >= bounds.max_depth:
-            return []  # blocked; surfaces as truncation, not as halting
+            waits.append(_DEPTH)  # surfaces as truncation, not as halting
+            return []
         body = d.body
         for p, a in zip(d.params, e.args):
             body = substitute(body, p, a)
@@ -308,16 +309,18 @@ def _expr_steps(e: Expr, path: tuple, state: ExecState, program: Program,
         left, right = e.left, e.right
         out = [(prio, pos, ev, _par(x, right), dn, cs)
                for (prio, pos, ev, x, dn, cs)
-               in _expr_steps(left, path + (0,), state, program, bounds)]
+               in _expr_steps(left, path + (0,), state, program, bounds,
+                             waits)]
         out += [(prio, pos, ev, _par(left, x), dn, cs)
                 for (prio, pos, ev, x, dn, cs)
-                in _expr_steps(right, path + (1,), state, program, bounds)]
+                in _expr_steps(right, path + (1,), state, program, bounds,
+                              waits)]
         return out
 
     if kind is Sequential:
         out = []
         for (prio, pos, ev, x, dn, cs) in _expr_steps(
-                e.left, path + (0,), state, program, bounds):
+                e.left, path + (0,), state, program, bounds, waits):
             rest = _seq(x, e.binder, e.right)
             if type(ev) is Publish:
                 inst = e.right
@@ -332,9 +335,10 @@ def _expr_steps(e: Expr, path: tuple, state: ExecState, program: Program,
     if kind is Asymmetric:
         out = [(prio, pos, ev, Asymmetric(x, e.binder, e.right), dn, cs)
                for (prio, pos, ev, x, dn, cs)
-               in _expr_steps(e.left, path + (0,), state, program, bounds)]
+               in _expr_steps(e.left, path + (0,), state, program, bounds,
+                              waits)]
         for (prio, pos, ev, x, dn, cs) in _expr_steps(
-                e.right, path + (1,), state, program, bounds):
+                e.right, path + (1,), state, program, bounds, waits):
             if type(ev) is Publish:
                 bound = e.left
                 if e.binder is not None:
@@ -346,39 +350,31 @@ def _expr_steps(e: Expr, path: tuple, state: ExecState, program: Program,
         return out
 
     if kind is Otherwise:
+        waiting = len(waits)
         left_steps = _expr_steps(e.left, path + (0,), state, program,
-                                 bounds)
+                                 bounds, waits)
         # A publication settles the choice: B is discarded.
         out = [s if type(s[2]) is Publish
                else s[:3] + (Otherwise(s[3], e.right),) + s[4:]
                for s in left_steps]
-        if not left_steps and _halted(e.left):
+        if not left_steps and len(waits) == waiting:  # A is halted
             out.append((_PRIO_FALLBACK, path, INTERNAL, e.right, None, None))
         return out
 
     return []  # Stop
 
 
-def _next_due(e: Expr, clock: int):
-    """The earliest response due after ``clock``, or None.  Only calls
-    still in the term count: a terminated branch took its calls along."""
-    if isinstance(e, Pending):
-        return e.due if e.due is not None and e.due > clock else None
-    if isinstance(e, (Parallel, Sequential, Asymmetric, Otherwise)):
-        dues = [d for d in (_next_due(e.left, clock),
-                            _next_due(e.right, clock)) if d is not None]
-        return min(dues, default=None)
-    return None
-
-
-def _enabled(state: ExecState, program: Program, bounds: Bounds) -> list:
+def _enabled(state: ExecState, program: Program, bounds: Bounds,
+             waits: list) -> list:
     """The state's steps sorted by (rule, position), stably; in a
-    quiescent state the one Tick step, if a response is still due."""
-    steps = _expr_steps(state.expr, (), state, program, bounds)
+    quiescent state the one Tick step to the earliest due tick in
+    ``waits``, if a response is still due.  Only calls still in the
+    term wait: a terminated branch took its calls along."""
+    steps = _expr_steps(state.expr, (), state, program, bounds, waits)
     if steps:
         steps.sort(key=itemgetter(0, 1))
         return steps
-    target = _next_due(state.expr, state.clock)
+    target = min((w for w in waits if type(w) is int), default=None)
     if target is None:
         return []
     return [(_PRIO_TICK, (), Tick(target), state.expr, None, None)]
@@ -413,25 +409,17 @@ def step(state: ExecState, program: Program,
     due tick.
     """
     return [Transition(s[2], _apply(state, s), s[0], s[1])
-            for s in _enabled(state, program, bounds)]
+            for s in _enabled(state, program, bounds, [])]
 
 
-def is_halted(state: ExecState) -> bool:
-    """True iff the state's expression can never move or publish again."""
-    return _halted(state.expr)
-
-
-def _depth_blocked(e: Expr, state: ExecState, bounds: Bounds) -> bool:
-    """Is some *active* definition call stuck at the depth bound?"""
-    if isinstance(e, DefCall):
-        return (not any(isinstance(a, Var) for a in e.args)
-                and state.def_depth.get(e.name, 0) >= bounds.max_depth)
-    if isinstance(e, (Parallel, Asymmetric)):
-        return (_depth_blocked(e.left, state, bounds)
-                or _depth_blocked(e.right, state, bounds))
-    if isinstance(e, (Sequential, Otherwise)):
-        return _depth_blocked(e.left, state, bounds)
-    return False
+def is_halted(state: ExecState, program: Program) -> bool:
+    """True iff the state's expression can never move or publish again:
+    no step is enabled and nothing waits.  A definition call either
+    expands or waits at the depth bound, so no bound changes the
+    answer."""
+    waits: list = []
+    return not _expr_steps(state.expr, (), state, program, Bounds(),
+                           waits) and not waits
 
 
 def run(program: Program, policy=None, bounds: Bounds = Bounds()) -> Trace:
@@ -451,9 +439,10 @@ def run(program: Program, policy=None, bounds: Bounds = Bounds()) -> Trace:
     publications: list = []
     taken = 0
     while True:
-        steps = _enabled(state, program, bounds)
+        waits: list = []
+        steps = _enabled(state, program, bounds, waits)
         if not steps:
-            blocked = _depth_blocked(state.expr, state, bounds)
+            blocked = _DEPTH in waits
             return Trace(events, publications, halted=not blocked,
                          truncated=blocked)
         if taken >= bounds.max_steps:
@@ -585,16 +574,13 @@ def _insert_sorted(value, multiset: tuple) -> tuple:
     return multiset[:i] + (value,) + multiset[i:]
 
 
-def _safe(event, program: Program) -> bool:
-    """Is this a safe step: a Return, or a Call to a site with at most
-    one response (every builtin, a single-response or silent site)?"""
-    if isinstance(event, Return):
-        return True
-    if not isinstance(event, Call):
-        return False
-    spec = program.site_env.get(event.site)
-    return (event.site in BUILTIN_SITES or spec is None
-            or not spec.responsive or len(spec.responses) <= 1)
+def _safe(t: Transition, cycles: dict) -> bool:
+    """Is this a safe step: a Return, or a Call that leaves the
+    ``cycles`` counters as they were, i.e. a call to a site with at
+    most one response (every builtin, a single-response or silent
+    site)?"""
+    return isinstance(t.event, Return) or (isinstance(t.event, Call)
+                                           and t.state.cycles == cycles)
 
 
 def explore(program: Program, bounds: Bounds = Bounds(),
@@ -645,12 +631,16 @@ def explore(program: Program, bounds: Bounds = Bounds(),
     queue: deque = deque([0])
     while queue:
         i = queue.popleft()
-        transitions = step(states[i], program, bounds)
+        state = states[i]
+        transitions = step(state, program, bounds)
         if reduce:
             transitions = next(([t] for t in transitions
-                                if _safe(t.event, program)), transitions)
+                                if _safe(t, state.cycles)), transitions)
         if not transitions:
-            if _depth_blocked(states[i].expr, states[i], bounds):
+            # Quiescent: walk once more to learn what the term waits for.
+            waits: list = []
+            _expr_steps(state.expr, (), state, program, bounds, waits)
+            if _DEPTH in waits:
                 truncated.add(i)
             else:
                 halted.add(i)

@@ -228,11 +228,12 @@ def encode(model: FeatureModel, plan: EncodingPlan = None) -> Program:
 
     Raises UnsupportedGroupSize, MissingTrigger or PlanMismatch when
     the model has no encoding under the given plan; ``plan.notes``
-    records one line per rule applied.
+    records one line per rule applied by this call.
     """
     if plan is None:
         plan = default_plan(model)
     _check_plan(model, plan)
+    plan.notes = []
     encoder = _Encoder(model, plan)
     goal, _ = encoder.subtree(model.root)
     unapplied = [c for c in model.constraints if c not in encoder.applied]

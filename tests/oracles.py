@@ -8,6 +8,11 @@ derivation toggles every may-only transition, reachable or not.
 ``canonical_key`` is the explorer's original state key, kept
 unchanged: a private, fully parenthesised syntax that marks site calls
 ``C`` and definition calls ``D`` and writes a halted branch as ``.``.
+
+``_halted``, ``_next_due`` and ``_depth_blocked`` are the interpreter's
+original separate walks, kept unchanged, for whether a term is halted,
+where a quiescent state's Tick goes and whether its quiescence is a
+truncation; the step walk now reports all three through its waits.
 """
 
 from __future__ import annotations
@@ -17,9 +22,10 @@ import itertools
 from orcline.errors import BoundExceeded
 from orcline.mts import ActionMismatch, ClauseFailure, Lts, ProductCheck
 from orcline.orc_ast import (
-    Asymmetric, DefCall, Emit, Otherwise, Parallel, Pending, Sequential,
-    SiteCall, Stop, Var, render_value,
+    Asymmetric, DefCall, Emit, Expr, Otherwise, Parallel, Pending,
+    Sequential, SiteCall, Stop, Var, render_value,
 )
+from orcline.orc_semantics import Bounds, ExecState
 
 
 def _outgoing(trans):
@@ -170,3 +176,47 @@ def canonical_key(state) -> str:
     for site in sorted(state.cycles):
         parts.append(f"c{site}={state.cycles[site]}")
     return "\x1f".join(parts)
+
+
+def _halted(e: Expr) -> bool:
+    """Can this subterm never transition or publish again?
+
+    Conservative where variables are involved: a call blocked on an
+    unbound variable counts as live, because an enclosing binder may
+    still deliver the value.
+    """
+    if isinstance(e, Stop):
+        return True
+    if isinstance(e, Pending):
+        return e.due is None
+    if isinstance(e, (Parallel, Asymmetric)):
+        return _halted(e.left) and _halted(e.right)
+    if isinstance(e, Sequential):
+        return _halted(e.left)
+    # SiteCall, DefCall, Emit, Otherwise all still have (potential) moves.
+    return False
+
+
+def _next_due(e: Expr, clock: int):
+    """The earliest response due after ``clock``, or None.  Only calls
+    still in the term count: a terminated branch took its calls along."""
+    if isinstance(e, Pending):
+        return e.due if e.due is not None and e.due > clock else None
+    if isinstance(e, (Parallel, Sequential, Asymmetric, Otherwise)):
+        dues = [d for d in (_next_due(e.left, clock),
+                            _next_due(e.right, clock)) if d is not None]
+        return min(dues, default=None)
+    return None
+
+
+def _depth_blocked(e: Expr, state: ExecState, bounds: Bounds) -> bool:
+    """Is some *active* definition call stuck at the depth bound?"""
+    if isinstance(e, DefCall):
+        return (not any(isinstance(a, Var) for a in e.args)
+                and state.def_depth.get(e.name, 0) >= bounds.max_depth)
+    if isinstance(e, (Parallel, Asymmetric)):
+        return (_depth_blocked(e.left, state, bounds)
+                or _depth_blocked(e.right, state, bounds))
+    if isinstance(e, (Sequential, Otherwise)):
+        return _depth_blocked(e.left, state, bounds)
+    return False

@@ -165,6 +165,16 @@ def test_input_beyond_the_recursion_limit_exits_one(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_running_out_of_memory_exits_two(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+    monkeypatch.setattr(cli, "_cmd_orc_explore", exhausted)
+    code, out, err = run_cli(capsys, "orc", "explore", fx("par.orc"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory before the computation finished\n"
+
+
 # ---------------------------------------------------------------------------
 # fm
 

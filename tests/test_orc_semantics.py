@@ -1,6 +1,8 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orcline import (
     Bounds, BoundExceeded, Call, Deterministic, Internal, Publish, Return,
@@ -9,9 +11,11 @@ from orcline import (
     publication_sequences, publications, run, step,
 )
 from orcline.orc_ast import (
-    SIGNAL, Asymmetric, DefCall, Emit, Otherwise, Parallel, Pending,
-    Program, Sequential, SiteCall, SiteSpec, Stop, Var, value_sort_key,
+    SIGNAL, Asymmetric, DefCall, Definition, Emit, Otherwise, Parallel,
+    Pending, Program, Sequential, SiteCall, SiteSpec, Stop, Var,
+    value_sort_key,
 )
+from orcline.orc_parser import parse_lts, render_lts
 from orcline.orc_semantics import (
     _fold_paths, canonical_key, event_label, event_to_json,
     path_call_site_sets,
@@ -54,7 +58,7 @@ def test_signal_call_return_publish():
     kinds = [type(e) for e in events]
     assert kinds == [Call, Return, Publish]
     assert events[2].value == SIGNAL
-    assert is_halted(state)
+    assert is_halted(state, p)
 
 
 def test_zero_site_blocks_forever():
@@ -62,7 +66,7 @@ def test_zero_site_blocks_forever():
     events, state = drive(p)
     assert [type(e) for e in events] == [Call]
     assert state.expr == Pending(0, "0", None, None)
-    assert is_halted(state)
+    assert is_halted(state, p)
 
 
 def test_call_with_unbound_variable_has_no_transition():
@@ -194,21 +198,62 @@ def test_multi_response_sites_cycle_in_call_order():
 def test_halted_examples():
     p = program("if(false)")
     [t] = step(initial_state(p), p)
-    assert is_halted(t.state)
+    assert is_halted(t.state, p)
 
     p = program("Rtimer(5)")
     [t] = step(initial_state(p), p)
-    assert not is_halted(t.state)
+    assert not is_halted(t.state, p)
 
     p = program("if(false) | if(false)")
     _, state = drive(p)
-    assert is_halted(state)
+    assert is_halted(state, p)
 
 
 def test_blocked_variable_is_not_considered_halted():
     # let(x) can still move once x arrives, so `;` must not fire.
     p = program("(let(x) <x< Signal()) ; let(99)")
     assert publications(p) == {(SIGNAL,)}
+    # Nor for a definition call waiting for its argument.
+    p = program("def F(x) = let(x)\n"
+                "(F(y) ; let(9)) <y< (Rtimer(1) >> let(2))")
+    assert publications(p) == {(2,)}
+
+
+def test_the_step_walk_agrees_with_the_oracle_walks(monkeypatch):
+    # Halting, the Tick target and truncation each had a walk of their
+    # own (kept in oracles.py); now the step walk's waits decide them.
+    fixtures = [program(corpus.fixture_text(name))
+                for name in corpus.fixture_names() if name.endswith(".orc")]
+    cases = list(fold_inputs()) + list(reduction_inputs())
+    cases += [(p, Bounds(max_depth=d)) for p in fixtures for d in (1, 3, 16)]
+    stepped = []   # (state, transitions) in the order explore steps them
+
+    def recording_step(state, program, bounds):
+        stepped.append((state, step(state, program, bounds)))
+        return stepped[-1][1]
+
+    monkeypatch.setattr(orc_semantics, "step", recording_step)
+    seen = {"halted": 0, "tick": 0, "truncated": 0}
+    for p, bounds in cases:
+        stepped.clear()
+        ex = explore_partial(p, bounds)
+        assert [s for (s, _) in stepped] == ex.states   # BFS order
+        for i, (state, transitions) in enumerate(stepped):
+            halted = oracles._halted(state.expr)
+            assert is_halted(state, p) == halted
+            if transitions and type(transitions[0].event) is not Tick:
+                continue
+            due = oracles._next_due(state.expr, state.clock)
+            assert [t.event for t in transitions] \
+                == ([] if due is None else [Tick(due)])
+            if not transitions:
+                cut = oracles._depth_blocked(state.expr, state, bounds)
+                assert (i in ex.truncated_states) == cut
+                assert (i in ex.halted_states) == (not cut)
+                seen["truncated"] += cut
+            seen["halted"] += halted
+            seen["tick"] += bool(transitions)
+    assert min(seen.values()) >= 20, seen
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +360,37 @@ def test_explore_covers_every_deterministic_run():
                 assert key in got
 
 
+SITE_ENV = {"A": SiteSpec((1, 2, 3)), "B": SiteSpec((True, 0), True, 2),
+            "C": SiteSpec((7,), False)}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(st.randoms(use_true_random=False))
+def test_seeded_runs_publish_an_explored_outcome(rng):
+    goal = random_expr(rng, rng.randrange(2, 5))
+    definitions = {}
+    if rng.random() < 0.5:
+        # A recursion that the depth bound cuts off.
+        body = Sequential(random_expr(rng, 1), None, DefCall("L"))
+        definitions["L"] = Definition((), body)
+        goal = Parallel(goal, DefCall("L"))
+    p = Program(goal, definitions, SITE_ENV if rng.random() < 0.5 else {})
+    bounds = Bounds(max_steps=2000, max_states=2000,
+                    max_depth=rng.randrange(1, 3))
+    try:
+        ex = explore(p, bounds)
+    except BoundExceeded:
+        return
+    for seed in rng.sample(range(1000), 3):
+        try:
+            trace = run(p, SeededRandom(seed), bounds)
+        except BoundExceeded:
+            continue
+        outcome = tuple(sorted(trace.publications, key=value_sort_key))
+        assert outcome in (ex.truncated_outcomes if trace.truncated
+                           else ex.outcomes)
+
+
 def test_explore_respects_state_bound_with_partial_result():
     p = program("def Loop() = Signal() >> Loop()\nLoop()\n")
     with pytest.raises(BoundExceeded) as info:
@@ -354,6 +430,15 @@ def test_lts_view_and_labels():
     assert labels == {"let_0(1)", "0?1", "!1"}
 
 
+def test_labels_with_a_space_or_a_comment_marker_round_trip():
+    # A space ends a token and "--" starts a comment in the .lts format.
+    view = lts_view(explore(program('let("a -- b")')))
+    assert parse_lts(render_lts(view)) == view
+    [label] = [label for (_, label, _) in view.trans if label[0] == "!"]
+    assert label == '!"a\\u0020-\\u002d\\u0020b"'
+    assert json.loads(label[1:]) == "a -- b"
+
+
 def test_event_labels_and_json():
     assert event_label(Publish(SIGNAL)) == "!signal"
     assert event_label(Internal()) == "tau"
@@ -387,10 +472,9 @@ def fold_inputs():
     multi-response, delayed and silent sites), then recursive
     definitions at several depth bounds."""
     rng = random.Random(34)
-    env = {"A": SiteSpec((1, 2, 3)), "B": SiteSpec((True, 0), True, 2),
-           "C": SiteSpec((7,), False)}
     for k in range(300):
-        p = Program(random_expr(rng, 2 + k % 3), {}, env if k % 2 else {})
+        p = Program(random_expr(rng, 2 + k % 3), {},
+                    SITE_ENV if k % 2 else {})
         yield p, Bounds(max_states=25 if k % 4 == 0 else 100)
     for src in RECURSIVE:
         for depth in (1, 3, 6):

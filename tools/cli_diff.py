@@ -16,8 +16,10 @@ seeded ``orc run`` on fan-outs), every ``mts check`` again with
 ``--format json``, ``mts check``/``products``/``dot`` and the ``fm``
 commands on the bundled fixtures and on broken variants of the
 fixture product, and ``orc explore`` in all four formats and ``orc
-run`` with and without ``--seed`` on every ``.orc`` fixture, and the
-error paths: ``orc explore`` cut by ``--max-depth`` (text and json), a
+run`` with and without ``--seed`` on every ``.orc`` fixture and on
+probes of quiescence (a call waiting for a variable, a definition at
+the depth bound, a pending timer) and of a label holding ``--``, and
+the error paths: ``orc explore`` cut by ``--max-depth`` (text and json), a
 negative bound, an unknown subcommand and ``--out`` into a missing
 directory.  A job
 that writes a file another job reads (``encode`` for the orc workload)
@@ -43,6 +45,16 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 import workloads  # noqa: E402
 
+# (file name, program, extra flags) of the quiescence and label probes.
+PROBES = [
+    ("var_blocked.orc",
+     "def F(x) = let(x)\n(F(y) ; let(9)) <y< (Rtimer(1) >> let(2))\n", []),
+    ("depth_blocked.orc", "def L() = L()\nL() ; let(9)\n",
+     ["--max-depth", "2"]),
+    ("waiting.orc", "let(x) | Rtimer(2) >> let(1)\n", []),
+    ("dashes.orc", 'let("a -- b")\n', []),
+]
+
 
 def fixture_commands(workdir: str) -> list:
     def fx(name):
@@ -65,13 +77,18 @@ def fixture_commands(workdir: str) -> list:
         commands += [["fm", "products", fx(fm)], ["fm", "count", fx(fm)]]
     commands.append(["fm", "validate", fx("smartgrid.fm"), "--select",
                      "SmartGrid,DemandResponse"])
-    for name in sorted(os.listdir(FIXTURES)):
-        if name.endswith(".orc"):
-            commands += [["orc", "explore", fx(name), "--format", fmt]
-                         for fmt in ("text", "json", "lts", "dot")]
-            commands.append(["orc", "run", fx(name)])
-            commands += [["orc", "run", fx(name), "--seed", str(seed)]
-                         for seed in (1, 4, 7)]
+    programs = [(fx(name), []) for name in sorted(os.listdir(FIXTURES))
+                if name.endswith(".orc")]
+    for name, text, flags in PROBES:
+        programs.append((os.path.join(workdir, name), flags))
+        with open(programs[-1][0], "w") as handle:
+            handle.write(text)
+    for path, flags in programs:
+        commands += [["orc", "explore", path, "--format", fmt] + flags
+                     for fmt in ("text", "json", "lts", "dot")]
+        commands.append(["orc", "run", path] + flags)
+        commands += [["orc", "run", path, "--seed", str(seed)] + flags
+                     for seed in (1, 4, 7)]
     commands += [["orc", "explore", fx("loop.orc"), "--max-depth", "3",
                   "--format", fmt] for fmt in ("text", "json")]
     commands += [["orc", "explore", fx("par.orc"), "--max-states", "-1"],
