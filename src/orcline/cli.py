@@ -234,11 +234,7 @@ def _sorted_products(products) -> list:
 
 def _cmd_fm_products(args) -> int:
     model = _load(args.file, orc_parser.parse_feature_model)
-    try:
-        products = _sorted_products(fm_mod.enumerate_products(model))
-    except BoundExceeded as exc:
-        _diag(f"truncated: {exc}")
-        return EXIT_BOUND
+    products = _sorted_products(fm_mod.enumerate_products(model))
     if args.format == "json":
         _emit(json.dumps(products, indent=2) + "\n", args.out)
     else:
@@ -250,11 +246,7 @@ def _cmd_fm_products(args) -> int:
 
 def _cmd_fm_count(args) -> int:
     model = _load(args.file, orc_parser.parse_feature_model)
-    try:
-        _emit(f"{fm_mod.product_count(model)}\n", args.out)
-    except BoundExceeded as exc:
-        _diag(f"truncated: {exc}")
-        return EXIT_BOUND
+    _emit(f"{fm_mod.product_count(model)}\n", args.out)
     return EXIT_OK
 
 
@@ -302,11 +294,7 @@ def _cmd_mts_check(args) -> int:
 
 def _cmd_mts_products(args) -> int:
     family = _load(args.file, orc_parser.parse_mts)
-    try:
-        products = mts_mod.derive_products(family)
-    except BoundExceeded as exc:
-        _diag(f"truncated: {exc}")
-        return EXIT_BOUND
+    products = mts_mod.derive_products(family)
     if args.format == "json":
         payload = [{"states": sorted(p.states), "init": p.init,
                     "trans": sorted(list(t) for t in p.trans)}
@@ -496,6 +484,11 @@ def main(argv=None) -> int:
     except _CliError as exc:
         _diag(f"error: {exc}")
         return exc.code
+    except BoundExceeded as exc:
+        # orc run and orc explore catch their own, to print the partial
+        # result first.
+        _diag(f"truncated: {exc}")
+        return EXIT_BOUND
     except RecursionError:
         # The parser and every tree walker recurse, so a term nested
         # (or, through its left-nested | spine, spread) too far

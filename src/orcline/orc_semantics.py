@@ -177,7 +177,7 @@ class Transition:
 class Trace:
     events: list          # (clock, Event) pairs
     publications: list    # Publish values in order
-    halted: bool          # quiescent with nothing blocked by bounds
+    halted: bool          # quiescent, not at max_depth; see is_halted
     truncated: bool       # quiescent but a definition hit max_depth
 
 
@@ -364,20 +364,21 @@ def _expr_steps(e: Expr, path: tuple, state: ExecState, program: Program,
     return []  # Stop
 
 
-def _enabled(state: ExecState, program: Program, bounds: Bounds,
-             waits: list) -> list:
-    """The state's steps sorted by (rule, position), stably; in a
-    quiescent state the one Tick step to the earliest due tick in
-    ``waits``, if a response is still due.  Only calls still in the
-    term wait: a terminated branch took its calls along."""
+def _enabled(state: ExecState, program: Program, bounds: Bounds) -> tuple:
+    """``(steps, waits)``: the state's steps sorted by (rule, position),
+    stably, and why its stuck nodes wait (see ``_expr_steps``).  In a
+    quiescent state the steps are the one Tick step to the earliest due
+    tick in ``waits``, if a response is still due.  Only calls still in
+    the term wait: a terminated branch took its calls along."""
+    waits: list = []
     steps = _expr_steps(state.expr, (), state, program, bounds, waits)
     if steps:
         steps.sort(key=itemgetter(0, 1))
-        return steps
-    target = min((w for w in waits if type(w) is int), default=None)
-    if target is None:
-        return []
-    return [(_PRIO_TICK, (), Tick(target), state.expr, None, None)]
+    else:
+        target = min((w for w in waits if type(w) is int), default=None)
+        if target is not None:
+            steps = [(_PRIO_TICK, (), Tick(target), state.expr, None, None)]
+    return steps, waits
 
 
 def _apply(state: ExecState, s: tuple) -> ExecState:
@@ -409,17 +410,18 @@ def step(state: ExecState, program: Program,
     due tick.
     """
     return [Transition(s[2], _apply(state, s), s[0], s[1])
-            for s in _enabled(state, program, bounds, [])]
+            for s in _enabled(state, program, bounds)[0]]
 
 
 def is_halted(state: ExecState, program: Program) -> bool:
-    """True iff the state's expression can never move or publish again:
-    no step is enabled and nothing waits.  A definition call either
-    expands or waits at the depth bound, so no bound changes the
-    answer."""
-    waits: list = []
-    return not _expr_steps(state.expr, (), state, program, Bounds(),
-                           waits) and not waits
+    """True iff no step is enabled and nothing waits: no response due
+    later, no call waiting for a variable, no definition call at the
+    depth bound (so no bound changes the answer).  ``;`` asks this of
+    its left side.  ``let(x)`` waits for ``x`` forever, so it is not
+    halted here, while ``run`` and ``explore`` call every quiescent
+    state halted that no definition waits in at the depth bound."""
+    steps, waits = _enabled(state, program, Bounds())
+    return not steps and not waits
 
 
 def run(program: Program, policy=None, bounds: Bounds = Bounds()) -> Trace:
@@ -439,8 +441,7 @@ def run(program: Program, policy=None, bounds: Bounds = Bounds()) -> Trace:
     publications: list = []
     taken = 0
     while True:
-        waits: list = []
-        steps = _enabled(state, program, bounds, waits)
+        steps, waits = _enabled(state, program, bounds)
         if not steps:
             blocked = _DEPTH in waits
             return Trace(events, publications, halted=not blocked,
@@ -493,7 +494,7 @@ class ExploredLts:
 
     states: list                  # ExecState per id; 0 is initial
     edges: list                   # (src id, Event, dst id)
-    halted_states: frozenset
+    halted_states: frozenset      # as Trace.halted, not is_halted
     truncated_states: frozenset
     outcomes: frozenset           # sorted tuples of Values
     truncated_outcomes: frozenset
@@ -574,18 +575,18 @@ def _insert_sorted(value, multiset: tuple) -> tuple:
     return multiset[:i] + (value,) + multiset[i:]
 
 
-def _safe(t: Transition, cycles: dict) -> bool:
-    """Is this a safe step: a Return, or a Call that leaves the
-    ``cycles`` counters as they were, i.e. a call to a site with at
-    most one response (every builtin, a single-response or silent
-    site)?"""
-    return isinstance(t.event, Return) or (isinstance(t.event, Call)
-                                           and t.state.cycles == cycles)
+def _safe(s: tuple) -> bool:
+    """Is step ``s`` safe: a Return, or a Call with no cycle site, i.e.
+    to a site with at most one response (every builtin, a
+    single-response or silent site)?"""
+    kind = type(s[2])
+    return kind is Return or (kind is Call and s[5] is None)
 
 
 def explore(program: Program, bounds: Bounds = Bounds(),
             reduce: bool = False) -> ExploredLts:
-    """Breadth-first closure of step() with canonical deduplication.
+    """Breadth-first exploration with canonical deduplication: one
+    step walk per state, and a successor only for each step followed.
 
     Raises BoundExceeded (with the partial ExploredLts attached) when
     max_states is hit; paths cut off that way are flagged, not lost.
@@ -632,21 +633,18 @@ def explore(program: Program, bounds: Bounds = Bounds(),
     while queue:
         i = queue.popleft()
         state = states[i]
-        transitions = step(state, program, bounds)
+        steps, waits = _enabled(state, program, bounds)
         if reduce:
-            transitions = next(([t] for t in transitions
-                                if _safe(t, state.cycles)), transitions)
-        if not transitions:
-            # Quiescent: walk once more to learn what the term waits for.
-            waits: list = []
-            _expr_steps(state.expr, (), state, program, bounds, waits)
+            steps = next(([s] for s in steps if _safe(s)), steps)
+        if not steps:
             if _DEPTH in waits:
                 truncated.add(i)
             else:
                 halted.add(i)
             continue
-        for t in transitions:
-            key = canonical_key(t.state)
+        for s in steps:
+            succ = _apply(state, s)
+            key = canonical_key(succ)
             j = ids.get(key)
             if j is None:
                 if len(states) >= bounds.max_states:
@@ -655,9 +653,9 @@ def explore(program: Program, bounds: Bounds = Bounds(),
                     continue
                 j = len(states)
                 ids[key] = j
-                states.append(t.state)
+                states.append(succ)
                 queue.append(j)
-            edges.append((i, t.event, j))
+            edges.append((i, s[2], j))
 
     result = ExploredLts(states, edges, frozenset(halted),
                          frozenset(truncated), frozenset(), frozenset(),

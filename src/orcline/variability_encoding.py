@@ -134,16 +134,19 @@ class _Encoder:
     def site(self, feature: str) -> Expr:
         return SiteCall(self.plan.feature_to_site[feature])
 
-    def group_expr(self, group) -> Expr:
+    def group_expr(self, group):
+        """(expr, covered feature names) for an alternative group."""
         (m, n) = group.members
         (ta, tb) = self.plan.trigger_sites[group.gid]
         self.plan.notes.append(
             f"alternative {{{m}, {n}}}: flag race decided by "
             f"{ta}/{tb}, guards composed with if")
-        return encode_alternative(
-            self.subtree(m)[0], self.subtree(n)[0],
-            SiteCall(ta), SiteCall(tb),
+        expr_m, covered_m = self.subtree(m)
+        expr_n, covered_n = self.subtree(n)
+        expr = encode_alternative(
+            expr_m, expr_n, SiteCall(ta), SiteCall(tb),
             flag_var=f"flag{group.gid}", neg_var=f"nflag{group.gid}")
+        return expr, covered_m | covered_n
 
     def fuse_constraints(self, units: list) -> list:
         """Apply requires/excludes between units once both endpoints
@@ -194,10 +197,8 @@ class _Encoder:
             self.plan.notes.append(
                 f"mandatory {child} under {name}: parallel composition")
         for g in model.groups_of(name):
-            covered = set()
-            for m in g.members:
-                covered |= self.covered(m)
-            units.append((covered, self.group_expr(g)))
+            expr, covered = self.group_expr(g)
+            units.append((covered, expr))
         if name != model.root or not units:
             # The family's own site anchors the goal only when nothing
             # else composes under the root.
@@ -215,12 +216,6 @@ class _Encoder:
                 f"optional {child} under {name}: asymmetric composition, "
                 f"published value ignored")
         return expr, covered_all
-
-    def covered(self, name: str) -> set:
-        out = {name}
-        for child in self.model.features[name].children:
-            out |= self.covered(child)
-        return out
 
 
 def encode(model: FeatureModel, plan: EncodingPlan = None) -> Program:

@@ -175,6 +175,25 @@ def test_running_out_of_memory_exits_two(monkeypatch, capsys):
     assert err == "error: out of memory before the computation finished\n"
 
 
+def test_fm_and_mts_bound_hits_exit_two_before_any_output(tmp_path,
+                                                          capsys):
+    model = tmp_path / "wide.fm"
+    model.write_text("family Wide {\n"
+                     + "".join(f"  optional F{i}\n" for i in range(25))
+                     + "  requires F0 F1\n}\n")
+    family = tmp_path / "wide.mts"
+    family.write_text("mts Wide\nstates s0 s1\ninit s0\n"
+                      + "".join(f"may s0 A{i} s1\n" for i in range(21)))
+    enumeration = ("truncated: model has 26 features, enumeration bound "
+                   "is 24\n")
+    for argv, err in [(["fm", "products", str(model)], enumeration),
+                      (["fm", "count", str(model)], enumeration),
+                      (["mts", "products", str(family)],
+                       "truncated: 21 optional transitions reachable from "
+                       "s0 under may, derivation bound is 20\n")]:
+        assert run_cli(capsys, *argv) == (2, "", err)
+
+
 # ---------------------------------------------------------------------------
 # fm
 

@@ -219,6 +219,19 @@ def test_blocked_variable_is_not_considered_halted():
     assert publications(p) == {(2,)}
 
 
+def test_let_of_an_unbound_variable_halts_for_run_and_explore_only():
+    # run and explore call a quiescent state halted unless a definition
+    # waits at the depth bound; is_halted also counts the call that
+    # waits for x, which nothing will ever bind.
+    p = program("let(x)")
+    trace = run(p)
+    assert (trace.events, trace.halted, trace.truncated) == ([], True, False)
+    ex = explore(p)
+    assert ex.halted_states == {0} and not ex.truncated_states
+    assert ex.outcomes == {()}
+    assert not is_halted(initial_state(p), p)
+
+
 def test_the_step_walk_agrees_with_the_oracle_walks(monkeypatch):
     # Halting, the Tick target and truncation each had a walk of their
     # own (kept in oracles.py); now the step walk's waits decide them.
@@ -226,33 +239,35 @@ def test_the_step_walk_agrees_with_the_oracle_walks(monkeypatch):
                 for name in corpus.fixture_names() if name.endswith(".orc")]
     cases = list(fold_inputs()) + list(reduction_inputs())
     cases += [(p, Bounds(max_depth=d)) for p in fixtures for d in (1, 3, 16)]
-    stepped = []   # (state, transitions) in the order explore steps them
+    walked = []   # (state, step events) in the order explore walks them
+    enabled = orc_semantics._enabled
 
-    def recording_step(state, program, bounds):
-        stepped.append((state, step(state, program, bounds)))
-        return stepped[-1][1]
+    def recording_enabled(state, program, bounds):
+        steps, waits = enabled(state, program, bounds)
+        walked.append((state, [s[2] for s in steps]))
+        return steps, waits
 
-    monkeypatch.setattr(orc_semantics, "step", recording_step)
     seen = {"halted": 0, "tick": 0, "truncated": 0}
     for p, bounds in cases:
-        stepped.clear()
-        ex = explore_partial(p, bounds)
-        assert [s for (s, _) in stepped] == ex.states   # BFS order
-        for i, (state, transitions) in enumerate(stepped):
+        walked.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(orc_semantics, "_enabled", recording_enabled)
+            ex = explore_partial(p, bounds)
+        assert [s for (s, _) in walked] == ex.states   # BFS order
+        for i, (state, events) in enumerate(walked):
             halted = oracles._halted(state.expr)
             assert is_halted(state, p) == halted
-            if transitions and type(transitions[0].event) is not Tick:
+            if events and type(events[0]) is not Tick:
                 continue
             due = oracles._next_due(state.expr, state.clock)
-            assert [t.event for t in transitions] \
-                == ([] if due is None else [Tick(due)])
-            if not transitions:
+            assert events == ([] if due is None else [Tick(due)])
+            if not events:
                 cut = oracles._depth_blocked(state.expr, state, bounds)
                 assert (i in ex.truncated_states) == cut
                 assert (i in ex.halted_states) == (not cut)
                 seen["truncated"] += cut
             seen["halted"] += halted
-            seen["tick"] += bool(transitions)
+            seen["tick"] += bool(events)
     assert min(seen.values()) >= 20, seen
 
 
@@ -659,6 +674,49 @@ def test_reduction_follows_one_safe_step_per_state():
     # only the two publications branch: they are not safe
     assert [ev for (i, ev, j) in reduced.edges if i == 4] \
         == [Publish(1), Publish(2)]
+
+
+def test_explore_walks_each_state_once(monkeypatch):
+    # One step walk per state, and a successor only for each step
+    # followed: one per edge, plus each step whose new target the state
+    # bound cut off.
+    counts = {"walks": 0, "applies": 0}
+    expr_steps, apply = orc_semantics._expr_steps, orc_semantics._apply
+
+    def counting_expr_steps(e, path, *rest):
+        counts["walks"] += path == ()
+        return expr_steps(e, path, *rest)
+
+    def counting_apply(state, s):
+        counts["applies"] += 1
+        return apply(state, s)
+
+    def followed(state, p, bounds, reduce):
+        transitions = step(state, p, bounds)
+        safe = [t for t in transitions if isinstance(t.event, Return)
+                or (isinstance(t.event, Call)
+                    and t.state.cycles == state.cycles)]
+        return len(safe[:1] if reduce and safe else transitions)
+
+    dr_alt = program(corpus.fixture_text("dr_alt.orc"))
+    cases = [(dr_alt, Bounds()), (dr_alt, Bounds(max_states=60)),
+             (program("let(1) | let(2)"), Bounds())]
+    cut_off = 0
+    for p, bounds in cases:
+        for reduce in (False, True):
+            counts.update(walks=0, applies=0)
+            with monkeypatch.context() as patched:
+                patched.setattr(orc_semantics, "_expr_steps",
+                                counting_expr_steps)
+                patched.setattr(orc_semantics, "_apply", counting_apply)
+                ex = explore_partial(p, bounds, reduce)
+            assert counts["walks"] == len(ex.states)
+            assert counts["applies"] == sum(
+                followed(state, p, bounds, reduce) for state in ex.states)
+            cut_off += counts["applies"] > len(ex.edges)
+            if not ex.truncated:
+                assert counts["applies"] == len(ex.edges)
+    assert cut_off == 2
 
 
 def _summary(explored) -> tuple:

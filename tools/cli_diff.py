@@ -18,7 +18,8 @@ commands on the bundled fixtures and on broken variants of the
 fixture product, and ``orc explore`` in all four formats and ``orc
 run`` with and without ``--seed`` on every ``.orc`` fixture and on
 probes of quiescence (a call waiting for a variable, a definition at
-the depth bound, a pending timer) and of a label holding ``--``, and
+the depth bound, a pending timer, a call on a variable that nothing
+binds) and of a label holding ``--``, and
 the error paths: ``orc explore`` cut by ``--max-depth`` (text and json), a
 negative bound, an unknown subcommand and ``--out`` into a missing
 directory.  A job
@@ -53,6 +54,8 @@ PROBES = [
      ["--max-depth", "2"]),
     ("waiting.orc", "let(x) | Rtimer(2) >> let(1)\n", []),
     ("dashes.orc", 'let("a -- b")\n', []),
+    ("unbound.orc", "let(x)\n", []),
+    ("never_bound.orc", "let(y) <y< if(false)\n", []),
 ]
 
 
