@@ -30,7 +30,9 @@ The stepping rules:
 A term is *halted* when no step is enabled and nothing in it waits: no
 response is due later, no call waits for an unbound variable, and no
 definition call waits at the depth bound.  One walk, ``_expr_steps``,
-finds both the steps and the waits.
+finds both the steps and the waits.  A step names the node it rewrites,
+and ``_apply`` builds its successor by rebuilding the one path from the
+root to that node.
 """
 
 from __future__ import annotations
@@ -254,14 +256,21 @@ _DEPTH = "depth"       # a definition call at the depth bound
 
 
 def _expr_steps(e: Expr, path: tuple, state: ExecState, program: Program,
-                bounds: Bounds, waits: list) -> list:
-    """The enabled steps of subterm ``e`` at ``path``, unsorted.
+                bounds: Bounds, waits: list, steps: list) -> None:
+    """Append the enabled steps of subterm ``e`` at ``path`` to
+    ``steps``, unsorted.
 
-    A step is a plain tuple ``(priority, position, event, expr,
-    def_name, cycle_site)``: ``expr`` replaces ``e``, ``def_name`` is
-    the definition expanded and ``cycle_site`` the multi-response site
-    called, or None.  Each enclosing node rebuilds only ``expr`` (and,
-    for a spawn or a bind, the first three fields).
+    A step is a plain tuple ``(priority, position, event, leaf_path,
+    leaf_expr, def_name, cycle_site)``.  ``leaf_path`` is the path of
+    the node that the local rule rewrites, and ``leaf_expr`` replaces
+    it: a Pending for a Call, an Emit for a Return, Stop for a Publish,
+    the expanded body for an Expand, the right operand for a fallback.
+    ``def_name`` is the definition expanded and ``cycle_site`` the
+    multi-response site called, or None.  The walk builds no term:
+    ``_apply`` rebuilds the successor of the one step taken.  A ``>x>``
+    that spawns, or a ``<x<`` that binds, on a publication of its
+    operand rewrites only the first three fields (its rule, its own
+    position, INTERNAL) and leaves the substitution to ``_apply``.
 
     Each active node that cannot move yet appends to ``waits`` why: a
     Pending its due tick, a call with a variable argument ``_UNBOUND``
@@ -273,95 +282,81 @@ def _expr_steps(e: Expr, path: tuple, state: ExecState, program: Program,
     if kind is SiteCall:
         if any(isinstance(a, Var) for a in e.args):
             waits.append(_UNBOUND)
-            return []
+            return
         due, value, cycled = _resolve_call(e.site, e.args, state.clock,
                                            program, state.cycles)
         handle = state.next_handle
-        return [(_PRIO_CALL, path, Call(e.site, handle, e.args),
-                 Pending(handle, e.site, due, value), None, cycled)]
+        steps.append((_PRIO_CALL, path, Call(e.site, handle, e.args), path,
+                      Pending(handle, e.site, due, value), None, cycled))
 
-    if kind is Pending:
+    elif kind is Pending:
         if e.due is None:
-            return []  # never responds
+            return  # never responds
         if e.due <= state.clock:
-            return [(_PRIO_RETURN, path, Return(e.site, e.handle, e.value),
-                     Emit(e.value), None, None)]
-        waits.append(e.due)
-        return []
+            steps.append((_PRIO_RETURN, path,
+                          Return(e.site, e.handle, e.value), path,
+                          Emit(e.value), None, None))
+        else:
+            waits.append(e.due)
 
-    if kind is Emit:
-        return [(_PRIO_PUBLISH, path, Publish(e.value), STOP, None, None)]
+    elif kind is Emit:
+        steps.append((_PRIO_PUBLISH, path, Publish(e.value), path, STOP,
+                      None, None))
 
-    if kind is DefCall:
+    elif kind is DefCall:
         if any(isinstance(a, Var) for a in e.args):
             waits.append(_UNBOUND)
-            return []
+            return
         d = program.definitions[e.name]
         if state.def_depth.get(e.name, 0) >= bounds.max_depth:
             waits.append(_DEPTH)  # surfaces as truncation, not as halting
-            return []
+            return
         body = d.body
         for p, a in zip(d.params, e.args):
             body = substitute(body, p, a)
-        return [(_PRIO_EXPAND, path, INTERNAL, body, e.name, None)]
+        steps.append((_PRIO_EXPAND, path, INTERNAL, path, body, e.name,
+                      None))
 
-    if kind is Parallel:
-        left, right = e.left, e.right
-        out = [(prio, pos, ev, _par(x, right), dn, cs)
-               for (prio, pos, ev, x, dn, cs)
-               in _expr_steps(left, path + (0,), state, program, bounds,
-                             waits)]
-        out += [(prio, pos, ev, _par(left, x), dn, cs)
-                for (prio, pos, ev, x, dn, cs)
-                in _expr_steps(right, path + (1,), state, program, bounds,
-                              waits)]
-        return out
+    elif kind is Parallel:
+        _expr_steps(e.left, path + (0,), state, program, bounds, waits,
+                    steps)
+        _expr_steps(e.right, path + (1,), state, program, bounds, waits,
+                    steps)
 
-    if kind is Sequential:
-        out = []
-        for (prio, pos, ev, x, dn, cs) in _expr_steps(
-                e.left, path + (0,), state, program, bounds, waits):
-            rest = _seq(x, e.binder, e.right)
-            if type(ev) is Publish:
-                inst = e.right
-                if e.binder is not None:
-                    inst = substitute(e.right, e.binder, ev.value)
-                out.append((_PRIO_SEQ_SPAWN, path, INTERNAL,
-                            _par(rest, inst), dn, cs))
-            else:
-                out.append((prio, pos, ev, rest, dn, cs))
-        return out
+    elif kind is Sequential:
+        start = len(steps)
+        _expr_steps(e.left, path + (0,), state, program, bounds, waits,
+                    steps)
+        _hide_publications(steps, start, _PRIO_SEQ_SPAWN, path)
 
-    if kind is Asymmetric:
-        out = [(prio, pos, ev, Asymmetric(x, e.binder, e.right), dn, cs)
-               for (prio, pos, ev, x, dn, cs)
-               in _expr_steps(e.left, path + (0,), state, program, bounds,
-                              waits)]
-        for (prio, pos, ev, x, dn, cs) in _expr_steps(
-                e.right, path + (1,), state, program, bounds, waits):
-            if type(ev) is Publish:
-                bound = e.left
-                if e.binder is not None:
-                    bound = substitute(e.left, e.binder, ev.value)
-                out.append((_PRIO_BIND, path, INTERNAL, bound, dn, cs))
-            else:
-                out.append((prio, pos, ev, Asymmetric(e.left, e.binder, x),
-                            dn, cs))
-        return out
+    elif kind is Asymmetric:
+        _expr_steps(e.left, path + (0,), state, program, bounds, waits,
+                    steps)
+        start = len(steps)
+        _expr_steps(e.right, path + (1,), state, program, bounds, waits,
+                    steps)
+        _hide_publications(steps, start, _PRIO_BIND, path)
 
-    if kind is Otherwise:
-        waiting = len(waits)
-        left_steps = _expr_steps(e.left, path + (0,), state, program,
-                                 bounds, waits)
-        # A publication settles the choice: B is discarded.
-        out = [s if type(s[2]) is Publish
-               else s[:3] + (Otherwise(s[3], e.right),) + s[4:]
-               for s in left_steps]
-        if not left_steps and len(waits) == waiting:  # A is halted
-            out.append((_PRIO_FALLBACK, path, INTERNAL, e.right, None, None))
-        return out
+    elif kind is Otherwise:
+        # A publication of A passes up and settles the choice (_apply
+        # discards B); A halted falls back to B.
+        waiting, start = len(waits), len(steps)
+        _expr_steps(e.left, path + (0,), state, program, bounds, waits,
+                    steps)
+        if len(steps) == start and len(waits) == waiting:  # A is halted
+            steps.append((_PRIO_FALLBACK, path, INTERNAL, path, e.right,
+                          None, None))
 
-    return []  # Stop
+
+def _hide_publications(steps: list, start: int, priority: int,
+                       path: tuple) -> None:
+    """Make each publication among ``steps[start:]`` an INTERNAL step
+    of rule ``priority`` at ``path``, the spawn of ``>x>`` or the bind
+    of ``<x<``; its leaf fields stay, for ``_apply``."""
+    for i in range(start, len(steps)):
+        s = steps[i]
+        if type(s[2]) is Publish:
+            steps[i] = (priority, path, INTERNAL) + s[3:]
 
 
 def _enabled(state: ExecState, program: Program, bounds: Bounds) -> tuple:
@@ -370,20 +365,70 @@ def _enabled(state: ExecState, program: Program, bounds: Bounds) -> tuple:
     quiescent state the steps are the one Tick step to the earliest due
     tick in ``waits``, if a response is still due.  Only calls still in
     the term wait: a terminated branch took its calls along."""
+    steps: list = []
     waits: list = []
-    steps = _expr_steps(state.expr, (), state, program, bounds, waits)
+    _expr_steps(state.expr, (), state, program, bounds, waits, steps)
     if steps:
         steps.sort(key=itemgetter(0, 1))
     else:
         target = min((w for w in waits if type(w) is int), default=None)
         if target is not None:
-            steps = [(_PRIO_TICK, (), Tick(target), state.expr, None, None)]
+            steps = [(_PRIO_TICK, (), Tick(target), (), state.expr, None,
+                      None)]
     return steps, waits
 
 
+def _rebuild(expr: Expr, leaf_path: tuple, leaf_expr: Expr) -> Expr:
+    """``expr`` with the node at ``leaf_path`` replaced by ``leaf_expr``
+    and every node above it rebuilt, bottom up, by the rule the step
+    passes through.  ``|`` drops a Stop operand and ``stop >x> B``
+    becomes Stop (``_par``, ``_seq``).  When the node at ``leaf_path`` is an Emit, the step
+    publishes its value v.  The publication passes up through ``|``,
+    the left of ``<x<`` and the left of ``;``, which it discards B of,
+    until the first ``A >x> B`` with A on the path spawns ``[v/x]B`` in
+    parallel or the first ``A <x< B`` with B on the path becomes
+    ``[v/x]A``; above that node the step is INTERNAL.  Costs one node
+    per level of ``leaf_path``."""
+    spine = []
+    node = expr
+    for i in leaf_path:
+        spine.append(node)
+        node = node.right if i else node.left
+    publishing = type(node) is Emit
+    value = node.value if publishing else None
+    x = leaf_expr
+    for node, i in zip(reversed(spine), reversed(leaf_path)):
+        kind = type(node)
+        if kind is Parallel:
+            x = _par(node.left, x) if i else _par(x, node.right)
+        elif kind is Sequential:
+            x = _seq(x, node.binder, node.right)
+            if publishing:
+                publishing = False
+                spawned = node.right
+                if node.binder is not None:
+                    spawned = substitute(spawned, node.binder, value)
+                x = _par(x, spawned)
+        elif kind is Asymmetric:
+            if not i:
+                x = Asymmetric(x, node.binder, node.right)
+            elif publishing:
+                publishing = False
+                x = node.left
+                if node.binder is not None:
+                    x = substitute(x, node.binder, value)
+            else:
+                x = Asymmetric(node.left, node.binder, x)
+        elif not publishing:   # Otherwise, with A on the path
+            x = Otherwise(x, node.right)
+    return x
+
+
 def _apply(state: ExecState, s: tuple) -> ExecState:
-    """The successor state that step ``s`` leads to."""
-    priority, _, event, expr, def_name, cycle_site = s
+    """The successor state that step ``s`` leads to.  Its term is
+    rebuilt once, along the step's leaf path (``_rebuild``); a Tick
+    keeps the term."""
+    priority, _, event, leaf_path, leaf_expr, def_name, cycle_site = s
     clock, next_handle = state.clock, state.next_handle
     if priority == _PRIO_CALL:
         next_handle += 1
@@ -397,7 +442,8 @@ def _apply(state: ExecState, s: tuple) -> ExecState:
     if cycle_site is not None:
         cycles = dict(cycles)
         cycles[cycle_site] = cycles.get(cycle_site, 0) + 1
-    return ExecState(expr, clock, next_handle, def_depth, cycles)
+    return ExecState(_rebuild(state.expr, leaf_path, leaf_expr), clock,
+                     next_handle, def_depth, cycles)
 
 
 def step(state: ExecState, program: Program,
@@ -429,7 +475,8 @@ def run(program: Program, policy=None, bounds: Bounds = Bounds()) -> Trace:
 
     The Deterministic policy always takes the lowest-numbered rule at
     the leftmost position; SeededRandom draws uniformly from the
-    enabled set.  Only the chosen step's successor state is built.
+    enabled set.  Each event costs one step walk and one rebuilt path:
+    only the chosen step's successor state is built.
     Raises BoundExceeded (with the partial trace attached) when
     max_steps runs out.
     """
@@ -448,7 +495,8 @@ def run(program: Program, policy=None, bounds: Bounds = Bounds()) -> Trace:
                          truncated=blocked)
         if taken >= bounds.max_steps:
             raise BoundExceeded(
-                f"no quiescence after {bounds.max_steps} steps",
+                f"--max-steps {bounds.max_steps} reached after "
+                f"{len(events)} events, {len(publications)} publications",
                 partial=Trace(events, publications, halted=False,
                               truncated=True))
         chosen = steps[0] if rng is None else \
@@ -580,7 +628,7 @@ def _safe(s: tuple) -> bool:
     to a site with at most one response (every builtin, a
     single-response or silent site)?"""
     kind = type(s[2])
-    return kind is Return or (kind is Call and s[5] is None)
+    return kind is Return or (kind is Call and s[6] is None)
 
 
 def explore(program: Program, bounds: Bounds = Bounds(),
@@ -664,7 +712,8 @@ def explore(program: Program, bounds: Bounds = Bounds(),
         result, _publish_value, _insert_sorted, ())
     if hit_state_bound:
         raise BoundExceeded(
-            f"exploration stopped at {bounds.max_states} states",
+            f"--max-states {bounds.max_states} reached after "
+            f"{len(states)} states, {len(edges)} edges",
             partial=result)
     return result
 

@@ -13,19 +13,30 @@ unchanged: a private, fully parenthesised syntax that marks site calls
 original separate walks, kept unchanged, for whether a term is halted,
 where a quiescent state's Tick goes and whether its quiescence is a
 truncation; the step walk now reports all three through its waits.
+
+``_expr_steps``, ``_enabled``, ``_apply`` and ``run`` are the step walk
+that built every enabled step's successor term; steps now name the
+node they rewrite, and ``_apply`` builds the one successor taken.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
+from operator import itemgetter
 
 from orcline.errors import BoundExceeded
 from orcline.mts import ActionMismatch, ClauseFailure, Lts, ProductCheck
 from orcline.orc_ast import (
-    Asymmetric, DefCall, Emit, Expr, Otherwise, Parallel, Pending,
-    Sequential, SiteCall, Stop, Var, render_value,
+    STOP, Asymmetric, DefCall, Emit, Expr, Otherwise, Parallel, Pending,
+    Program, Sequential, SiteCall, Stop, Var, render_value, substitute,
 )
-from orcline.orc_semantics import Bounds, ExecState
+from orcline.orc_semantics import (
+    _DEPTH, _PRIO_BIND, _PRIO_CALL, _PRIO_EXPAND, _PRIO_FALLBACK,
+    _PRIO_PUBLISH, _PRIO_RETURN, _PRIO_SEQ_SPAWN, _PRIO_TICK, _UNBOUND,
+    INTERNAL, Bounds, Call, ExecState, Publish, Return, SeededRandom, Tick,
+    Trace, _par, _resolve_call, _seq, initial_state,
+)
 
 
 def _outgoing(trans):
@@ -220,3 +231,174 @@ def _depth_blocked(e: Expr, state: ExecState, bounds: Bounds) -> bool:
     if isinstance(e, (Sequential, Otherwise)):
         return _depth_blocked(e.left, state, bounds)
     return False
+
+
+# ---------------------------------------------------------------------------
+# The step walk that rebuilt a successor term for every enabled step.
+#
+# ``_expr_steps``, ``_enabled`` and ``_apply`` are kept unchanged: each
+# step carried the whole rewritten term, rebuilt at every enclosing
+# node, and ``run`` kept one of them.  ``run`` is the library's run
+# loop on top of them; it returns ``(trace, exceeded)`` instead of
+# raising, so its bound message does not enter the comparison.
+
+def _expr_steps(e: Expr, path: tuple, state: ExecState, program: Program,
+                bounds: Bounds, waits: list) -> list:
+    """The enabled steps of subterm ``e`` at ``path``, unsorted.
+
+    A step is a plain tuple ``(priority, position, event, expr,
+    def_name, cycle_site)``: ``expr`` replaces ``e``, ``def_name`` is
+    the definition expanded and ``cycle_site`` the multi-response site
+    called, or None.  Each enclosing node rebuilds only ``expr`` (and,
+    for a spawn or a bind, the first three fields).
+    """
+    kind = type(e)
+    if kind is SiteCall:
+        if any(isinstance(a, Var) for a in e.args):
+            waits.append(_UNBOUND)
+            return []
+        due, value, cycled = _resolve_call(e.site, e.args, state.clock,
+                                           program, state.cycles)
+        handle = state.next_handle
+        return [(_PRIO_CALL, path, Call(e.site, handle, e.args),
+                 Pending(handle, e.site, due, value), None, cycled)]
+
+    if kind is Pending:
+        if e.due is None:
+            return []  # never responds
+        if e.due <= state.clock:
+            return [(_PRIO_RETURN, path, Return(e.site, e.handle, e.value),
+                     Emit(e.value), None, None)]
+        waits.append(e.due)
+        return []
+
+    if kind is Emit:
+        return [(_PRIO_PUBLISH, path, Publish(e.value), STOP, None, None)]
+
+    if kind is DefCall:
+        if any(isinstance(a, Var) for a in e.args):
+            waits.append(_UNBOUND)
+            return []
+        d = program.definitions[e.name]
+        if state.def_depth.get(e.name, 0) >= bounds.max_depth:
+            waits.append(_DEPTH)  # surfaces as truncation, not as halting
+            return []
+        body = d.body
+        for p, a in zip(d.params, e.args):
+            body = substitute(body, p, a)
+        return [(_PRIO_EXPAND, path, INTERNAL, body, e.name, None)]
+
+    if kind is Parallel:
+        left, right = e.left, e.right
+        out = [(prio, pos, ev, _par(x, right), dn, cs)
+               for (prio, pos, ev, x, dn, cs)
+               in _expr_steps(left, path + (0,), state, program, bounds,
+                             waits)]
+        out += [(prio, pos, ev, _par(left, x), dn, cs)
+                for (prio, pos, ev, x, dn, cs)
+                in _expr_steps(right, path + (1,), state, program, bounds,
+                              waits)]
+        return out
+
+    if kind is Sequential:
+        out = []
+        for (prio, pos, ev, x, dn, cs) in _expr_steps(
+                e.left, path + (0,), state, program, bounds, waits):
+            rest = _seq(x, e.binder, e.right)
+            if type(ev) is Publish:
+                inst = e.right
+                if e.binder is not None:
+                    inst = substitute(e.right, e.binder, ev.value)
+                out.append((_PRIO_SEQ_SPAWN, path, INTERNAL,
+                            _par(rest, inst), dn, cs))
+            else:
+                out.append((prio, pos, ev, rest, dn, cs))
+        return out
+
+    if kind is Asymmetric:
+        out = [(prio, pos, ev, Asymmetric(x, e.binder, e.right), dn, cs)
+               for (prio, pos, ev, x, dn, cs)
+               in _expr_steps(e.left, path + (0,), state, program, bounds,
+                              waits)]
+        for (prio, pos, ev, x, dn, cs) in _expr_steps(
+                e.right, path + (1,), state, program, bounds, waits):
+            if type(ev) is Publish:
+                bound = e.left
+                if e.binder is not None:
+                    bound = substitute(e.left, e.binder, ev.value)
+                out.append((_PRIO_BIND, path, INTERNAL, bound, dn, cs))
+            else:
+                out.append((prio, pos, ev, Asymmetric(e.left, e.binder, x),
+                            dn, cs))
+        return out
+
+    if kind is Otherwise:
+        waiting = len(waits)
+        left_steps = _expr_steps(e.left, path + (0,), state, program,
+                                 bounds, waits)
+        # A publication settles the choice: B is discarded.
+        out = [s if type(s[2]) is Publish
+               else s[:3] + (Otherwise(s[3], e.right),) + s[4:]
+               for s in left_steps]
+        if not left_steps and len(waits) == waiting:  # A is halted
+            out.append((_PRIO_FALLBACK, path, INTERNAL, e.right, None, None))
+        return out
+
+    return []  # Stop
+
+
+def _enabled(state: ExecState, program: Program, bounds: Bounds) -> tuple:
+    waits: list = []
+    steps = _expr_steps(state.expr, (), state, program, bounds, waits)
+    if steps:
+        steps.sort(key=itemgetter(0, 1))
+    else:
+        target = min((w for w in waits if type(w) is int), default=None)
+        if target is not None:
+            steps = [(_PRIO_TICK, (), Tick(target), state.expr, None, None)]
+    return steps, waits
+
+
+def _apply(state: ExecState, s: tuple) -> ExecState:
+    priority, _, event, expr, def_name, cycle_site = s
+    clock, next_handle = state.clock, state.next_handle
+    if priority == _PRIO_CALL:
+        next_handle += 1
+    elif priority == _PRIO_TICK:
+        clock = event.clock
+    def_depth = state.def_depth
+    if def_name is not None:
+        def_depth = dict(def_depth)
+        def_depth[def_name] = def_depth.get(def_name, 0) + 1
+    cycles = state.cycles
+    if cycle_site is not None:
+        cycles = dict(cycles)
+        cycles[cycle_site] = cycles.get(cycle_site, 0) + 1
+    return ExecState(expr, clock, next_handle, def_depth, cycles)
+
+
+def run(program: Program, policy=None, bounds: Bounds = Bounds()) -> tuple:
+    rng = None
+    if isinstance(policy, SeededRandom):
+        rng = random.Random(policy.seed)
+    state = initial_state(program)
+    events: list = []
+    publications: list = []
+    taken = 0
+    while True:
+        steps, waits = _enabled(state, program, bounds)
+        if not steps:
+            blocked = _DEPTH in waits
+            return Trace(events, publications, halted=not blocked,
+                         truncated=blocked), False
+        if taken >= bounds.max_steps:
+            return Trace(events, publications, halted=False,
+                         truncated=True), True
+        chosen = steps[0] if rng is None else \
+            steps[rng.randrange(len(steps))]
+        event = chosen[2]
+        events.append((state.clock, event))
+        if isinstance(event, Publish):
+            publications.append(event.value)
+        state = _apply(state, chosen)
+        taken += 1

@@ -65,6 +65,14 @@ def test_run_step_bound_exits_two(capsys):
     assert "truncated" in err
 
 
+def test_run_step_bound_names_the_flag_and_the_progress(capsys):
+    code, out, err = run_cli(capsys, "orc", "run", fx("loop.orc"),
+                             "--max-steps", "5", "--max-depth", "1000")
+    assert (code, len(out.splitlines())) == (2, 5)
+    assert err == ("truncated: --max-steps 5 reached after 5 events, "
+                   "0 publications\n")
+
+
 # ---------------------------------------------------------------------------
 # orc explore
 
@@ -124,6 +132,15 @@ def test_explore_state_bound_exits_two(capsys):
                              "--max-states", "10")
     assert code == 2
     assert "truncated" in err
+
+
+def test_explore_state_bound_names_the_flag_and_the_progress(capsys):
+    code, out, err = run_cli(capsys, "orc", "explore", fx("mutex.orc"),
+                             "--max-states", "10", "--format", "json")
+    payload = json.loads(out)
+    assert (code, payload["states"], payload["edges"]) == (2, 10, 9)
+    assert err == ("truncated: --max-states 10 reached after 10 states, "
+                   "9 edges\n")
 
 
 def test_explore_depth_bound_exits_two(capsys):

@@ -758,3 +758,75 @@ def test_printed_key_partitions_states_as_the_oracle_key(monkeypatch):
 def test_outcomes_keep_int_and_bool_apart():
     ex = explore(program("let(v) <v< (let(1) | let(true))"))
     assert ex.outcomes == {(1,), (True,)} and len(ex.outcomes) == 2
+
+
+def fanout(n: int, mixed: bool = False) -> str:
+    """n parallel branches on sites S_i that answer i after i mod 3
+    ticks: ``S_i() >x> let(x)`` each, or, when ``mixed``, that in turn
+    with ``let(x, i) <x< (S_i() ; let(0))`` and ``(if(false) ; S_i())
+    >x> let(x)``."""
+    kinds = ["S{i}() >x> let(x)", "(let(x, {i}) <x< (S{i}() ; let(0)))",
+             "(if(false) ; S{i}()) >x> let(x)"]
+    sites = "".join(f"site S{i} delay {i % 3} responds {i}\n"
+                    for i in range(n))
+    return sites + " | ".join(kinds[i % 3 if mixed else 0].format(i=i)
+                              for i in range(n)) + "\n"
+
+
+def test_steps_and_successors_agree_with_the_rebuilding_walk():
+    # The step walk used to build every step's successor term (kept in
+    # oracles.py); now a step names the node it rewrites and _apply
+    # rebuilds the term along that path.  Same steps in the same
+    # order, the same waits, the same successor for every step, and
+    # the same runs, deterministic and seeded.
+    fixtures = [program(corpus.fixture_text(name))
+                for name in corpus.fixture_names() if name.endswith(".orc")]
+    cases = list(fold_inputs()) + list(reduction_inputs())
+    cases += [(p, Bounds(max_depth=d)) for p in fixtures for d in (1, 3, 16)]
+    cases += [(program(fanout(n, mixed)), Bounds(max_states=1500))
+              for n in range(2, 9) for mixed in (False, True)]
+    policies = [Deterministic()] + [SeededRandom(s) for s in (1, 4, 7)]
+    compared = {"steps": 0, "runs": 0}
+    for p, bounds in cases:
+        for state in explore_partial(p, bounds).states:
+            steps, waits = orc_semantics._enabled(state, p, bounds)
+            old_steps, old_waits = oracles._enabled(state, p, bounds)
+            assert [s[:3] for s in steps] == [s[:3] for s in old_steps]
+            assert waits == old_waits
+            for s, old in zip(steps, old_steps):
+                assert orc_semantics._apply(state, s) \
+                    == oracles._apply(state, old)
+            compared["steps"] += len(steps)
+        for policy in policies:
+            try:
+                got = run(p, policy, bounds), False
+            except BoundExceeded as exc:
+                got = exc.partial, True
+            assert got == oracles.run(p, policy, bounds)
+            compared["runs"] += bool(got[0].events)
+    assert compared["steps"] > 100000 and compared["runs"] > 2000, compared
+
+
+def test_run_rebuilds_one_path_per_event(monkeypatch):
+    # The bench's 32-branch fan-out.  A step names the node it
+    # rewrites, so an event rebuilds one path of the | spine and calls
+    # _par at most once per level; building every enabled step's
+    # successor calls it about 144 times per event.
+    rng = random.Random(32)
+    order = list(range(32))
+    rng.shuffle(order)
+    text = "".join(f"site S{i} delay {i % 3} responds {i}\n" for i in order)
+    rng.shuffle(order)
+    text += " | ".join(f"S{i}() >x> let(x)" for i in order) + "\n"
+    calls = 0
+    par = orc_semantics._par
+
+    def counting_par(left, right):
+        nonlocal calls
+        calls += 1
+        return par(left, right)
+
+    monkeypatch.setattr(orc_semantics, "_par", counting_par)
+    trace = run(program(text), SeededRandom(1))
+    assert sorted(trace.publications) == list(range(32))
+    assert calls <= 32 * len(trace.events), calls / len(trace.events)

@@ -19,8 +19,12 @@ fixture product, and ``orc explore`` in all four formats and ``orc
 run`` with and without ``--seed`` on every ``.orc`` fixture and on
 probes of quiescence (a call waiting for a variable, a definition at
 the depth bound, a pending timer, a call on a variable that nothing
-binds) and of a label holding ``--``, and
-the error paths: ``orc explore`` cut by ``--max-depth`` (text and json), a
+binds) and of a label holding ``--``, ``orc run`` with and without
+``--seed`` on two 64-branch fan-outs (the benchmark's ``S_i() >x>
+let(x)`` and one mixing ``>x>``, ``<x<`` and ``;``) and ``orc explore
+--format json|lts`` on their 3-branch versions, and
+the error paths: ``orc explore`` cut by ``--max-depth`` (text and json)
+and by ``--max-states``, ``orc run`` cut by ``--max-steps``, a
 negative bound, an unknown subcommand and ``--out`` into a missing
 directory.  A job
 that writes a file another job reads (``encode`` for the orc workload)
@@ -35,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -57,6 +62,24 @@ PROBES = [
     ("unbound.orc", "let(x)\n", []),
     ("never_bound.orc", "let(y) <y< if(false)\n", []),
 ]
+
+
+def mixed_fanout(n: int) -> str:
+    """n parallel branches on sites S_i that answer i after i mod 3
+    ticks, taking turns at ``>x>`` spawning, ``<x<`` binding through a
+    ``;`` and a ``;`` falling back before a spawn."""
+    kinds = ["S{i}() >x> let(x)", "(let(x, {i}) <x< (S{i}() ; let(0)))",
+             "(if(false) ; S{i}()) >x> let(x)"]
+    sites = "".join(f"site S{i} delay {i % 3} responds {i}\n"
+                    for i in range(n))
+    return sites + " | ".join(kinds[i % 3].format(i=i)
+                              for i in range(n)) + "\n"
+
+
+# Fan-outs as (name, program of n branches): orc run takes them at
+# width 64, orc explore at width 3.
+FANOUTS = [("fanout", lambda n: workloads.fanout_program(n, random.Random(n))),
+           ("mixed", mixed_fanout)]
 
 
 def fixture_commands(workdir: str) -> list:
@@ -92,9 +115,23 @@ def fixture_commands(workdir: str) -> list:
         commands.append(["orc", "run", path] + flags)
         commands += [["orc", "run", path, "--seed", str(seed)] + flags
                      for seed in (1, 4, 7)]
+    for name, make in FANOUTS:
+        wide, narrow = (os.path.join(workdir, f"{name}{n}.orc")
+                        for n in (64, 3))
+        for path, n in ((wide, 64), (narrow, 3)):
+            with open(path, "w") as handle:
+                handle.write(make(n))
+        commands.append(["orc", "run", wide])
+        commands += [["orc", "run", wide, "--seed", str(seed)]
+                     for seed in (1, 4, 7)]
+        commands += [["orc", "explore", narrow, "--format", fmt]
+                     for fmt in ("json", "lts")]
     commands += [["orc", "explore", fx("loop.orc"), "--max-depth", "3",
                   "--format", fmt] for fmt in ("text", "json")]
-    commands += [["orc", "explore", fx("par.orc"), "--max-states", "-1"],
+    commands += [["orc", "explore", fx("mutex.orc"), "--max-states", "10"],
+                 ["orc", "run", fx("loop.orc"), "--max-steps", "5",
+                  "--max-depth", "1000"],
+                 ["orc", "explore", fx("par.orc"), "--max-states", "-1"],
                  ["orc", "frobnicate"],
                  ["fm", "count", fx("smartgrid.fm"), "--out",
                   os.path.join(workdir, "missing", "x")]]
