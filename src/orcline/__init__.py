@@ -8,7 +8,7 @@ from .errors import BoundExceeded
 from .feature_model import (
     AltGroup, Excludes, Feature, FeatureModel, ModelBuilder, Requires,
     UnknownFeature, Violation, enumerate_products, is_valid,
-    product_count, validate,
+    product_count, sorted_products, validate,
 )
 from .mts import (
     ActionMismatch, ClauseFailure, Lts, Mts, ProductCheck,

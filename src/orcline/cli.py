@@ -227,14 +227,9 @@ def _cmd_fm_validate(args) -> int:
     return EXIT_OK if not violations else EXIT_NEGATIVE
 
 
-def _sorted_products(products) -> list:
-    return sorted((sorted(p) for p in products),
-                  key=lambda names: (len(names), names))
-
-
 def _cmd_fm_products(args) -> int:
     model = _load(args.file, orc_parser.parse_feature_model)
-    products = _sorted_products(fm_mod.enumerate_products(model))
+    products = fm_mod.sorted_products(model)
     if args.format == "json":
         _emit(json.dumps(products, indent=2) + "\n", args.out)
     else:

@@ -9,14 +9,12 @@ kinds of cross-tree constraints: ``requires`` (one-directional) and
 
 A *configuration* is a set of feature names; it is a *product* of the
 model when it satisfies all tree and constraint rules.  ``validate``
-explains every way a configuration fails; ``enumerate_products`` and
-``product_count`` enumerate the valid ones.
+explains every way a configuration fails; ``enumerate_products``,
+``sorted_products`` and ``product_count`` enumerate the valid ones.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 
 from .errors import BoundExceeded
@@ -147,17 +145,6 @@ class ModelBuilder:
                             tuple(self._constraints))
 
 
-def _constraints_hold(fm: FeatureModel, selected: frozenset) -> bool:
-    for c in fm.constraints:
-        if isinstance(c, Requires):
-            if c.a in selected and c.b not in selected:
-                return False
-        else:
-            if c.a in selected and c.b in selected:
-                return False
-    return True
-
-
 def _violations(fm: FeatureModel, selection):
     """Yield the rule violations of ``selection`` one at a time, so a
     caller that only needs the first stops the walk there."""
@@ -216,35 +203,75 @@ def is_valid(fm: FeatureModel, selection) -> bool:
     return next(_violations(fm, selection), None) is None
 
 
-def _slots(fm: FeatureModel, name: str) -> list:
-    """One list of choices per slot under a selected ``name``: each
-    mandatory or optional child (an optional one may also be left out)
-    and each alternative group.  Tree rules only; cross-tree
-    constraints are filtered at the top."""
-    slots = []
-    for child in fm.plain_children(name):
-        sub = list(_configurations(fm, child))
-        if fm.features[child].kind == "optional":
-            sub = [frozenset()] + sub
-        slots.append(sub)
-    for g in fm.groups_of(name):
-        slots.append([option for m in g.members
-                      for option in _configurations(fm, m)])
-    return slots
+def _product_masks(fm: FeatureModel) -> tuple:
+    """``(names, rows)``: the model's feature names in sorted order and
+    a stream of its products as int lists, one row at a time.
+
+    The feature of sorted rank ``r`` has the bit ``1 << (n-1-r)``.  Each
+    subtree's configurations are an int list; its slots (each mandatory
+    or optional child, an optional one also left out, and each
+    alternative group) combine by ``+``, which is ``|`` on disjoint
+    bits.  The root's slots go to two lists of balanced size, and a row
+    is one left mask plus every right mask, filtered by the cross-tree
+    constraints, so the root's product is never materialised."""
+    names = sorted(fm.features)
+    bit = {name: 1 << i for i, name in enumerate(reversed(names))}
+
+    def slots(name):
+        out = []
+        for child in fm.plain_children(name):
+            sub = configurations(child)
+            out.append([0] + sub if fm.features[child].kind == "optional"
+                       else sub)
+        for g in fm.groups_of(name):
+            out.append([m for member in g.members
+                        for m in configurations(member)])
+        return out
+
+    def configurations(name):
+        acc = [bit[name]]
+        for sub in slots(name):
+            acc = [x + y for x in acc for y in sub]
+        return acc
+
+    left, right = [bit[fm.root]], [0]
+    for sub in sorted(slots(fm.root), key=len, reverse=True):
+        if len(left) <= len(right):
+            left = [x + y for x in left for y in sub]
+        else:
+            right = [x + y for x in right for y in sub]
+
+    requires = [(bit[c.a], bit[c.b]) for c in fm.constraints
+                if isinstance(c, Requires)]
+    excludes = [bit[c.a] | bit[c.b] for c in fm.constraints
+                if isinstance(c, Excludes)]
+
+    def rows():
+        for x in left:
+            row = [x + y for y in right]
+            for a, b in requires:
+                row = [m for m in row if not m & a or m & b]
+            for ab in excludes:
+                row = [m for m in row if m & ab != ab]
+            yield row
+
+    return names, rows()
 
 
-def _configurations(fm: FeatureModel, name: str):
-    """Lazily, every way of configuring the subtree rooted at ``name``,
-    given that ``name`` itself is selected."""
-    return itertools.starmap(frozenset((name,)).union,
-                             itertools.product(*_slots(fm, name)))
-
-
-def _iter_products(fm: FeatureModel):
-    # Streams, so the constraint filter never materialises the full
-    # cartesian product.
-    return filter(functools.partial(_constraints_hold, fm),
-                  _configurations(fm, fm.root))
+def _decode(names: list, masks: list) -> list:
+    """Each mask as its list of feature names in sorted order: the low
+    byte through a table of name lists, the bits above it by decoding
+    their distinct values the same way.  The masks are distinct, so no
+    two results share a list."""
+    n = len(names)
+    width = min(8, n)
+    table = [[names[n - 1 - j] for j in reversed(range(width)) if v >> j & 1]
+             for v in range(1 << width)]
+    if n <= 8:
+        return [table[m] for m in masks]
+    highs = list({m >> 8 for m in masks})
+    head = dict(zip(highs, _decode(names[:n - 8], highs)))
+    return [head[m >> 8] + table[m & 255] for m in masks]
 
 
 def _check_size(fm: FeatureModel, max_features: int):
@@ -258,7 +285,25 @@ def enumerate_products(fm: FeatureModel,
                        max_features: int = MAX_ENUMERATION_FEATURES) -> set:
     """The set of all products, each a frozenset of feature names."""
     _check_size(fm, max_features)
-    return set(_iter_products(fm))
+    names, rows = _product_masks(fm)
+    return set(map(frozenset,
+                   _decode(names, [m for row in rows for m in row])))
+
+
+def sorted_products(fm: FeatureModel,
+                    max_features: int = MAX_ENUMERATION_FEATURES) -> list:
+    """Every product as its sorted list of feature names, ordered by
+    size, then by the name lists.
+
+    Among masks of one size, the first name where two sorted lists
+    differ is the lowest rank in their XOR, which is its highest bit,
+    so name order is descending mask order; a stable sort by size
+    keeps it."""
+    _check_size(fm, max_features)
+    names, rows = _product_masks(fm)
+    masks = sorted((m for row in rows for m in row), reverse=True)
+    masks.sort(key=int.bit_count)
+    return _decode(names, masks)
 
 
 def product_count(fm: FeatureModel,
@@ -277,4 +322,4 @@ def product_count(fm: FeatureModel,
             return n
         return count(fm.root)
     _check_size(fm, max_features)
-    return sum(1 for _ in _iter_products(fm))
+    return sum(map(len, _product_masks(fm)[1]))

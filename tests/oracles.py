@@ -17,15 +17,23 @@ truncation; the step walk now reports all three through its waits.
 ``_expr_steps``, ``_enabled``, ``_apply`` and ``run`` are the step walk
 that built every enabled step's successor term; steps now name the
 node they rewrite, and ``_apply`` builds the one successor taken.
+
+``_slots``, ``_configurations``, ``_constraints_hold`` and
+``_iter_products`` are the feature-model enumerator that built every
+product as a frozenset, and ``_sorted_products`` is the command line's
+sort of those sets into its order (by size, then by the sorted name
+lists); products are now enumerated as bit masks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from operator import itemgetter
 
 from orcline.errors import BoundExceeded
+from orcline.feature_model import FeatureModel, Requires
 from orcline.mts import ActionMismatch, ClauseFailure, Lts, ProductCheck
 from orcline.orc_ast import (
     STOP, Asymmetric, DefCall, Emit, Expr, Otherwise, Parallel, Pending,
@@ -402,3 +410,50 @@ def run(program: Program, policy=None, bounds: Bounds = Bounds()) -> tuple:
             publications.append(event.value)
         state = _apply(state, chosen)
         taken += 1
+
+
+def _constraints_hold(fm: FeatureModel, selected: frozenset) -> bool:
+    for c in fm.constraints:
+        if isinstance(c, Requires):
+            if c.a in selected and c.b not in selected:
+                return False
+        else:
+            if c.a in selected and c.b in selected:
+                return False
+    return True
+
+
+def _slots(fm: FeatureModel, name: str) -> list:
+    """One list of choices per slot under a selected ``name``: each
+    mandatory or optional child (an optional one may also be left out)
+    and each alternative group.  Tree rules only; cross-tree
+    constraints are filtered at the top."""
+    slots = []
+    for child in fm.plain_children(name):
+        sub = list(_configurations(fm, child))
+        if fm.features[child].kind == "optional":
+            sub = [frozenset()] + sub
+        slots.append(sub)
+    for g in fm.groups_of(name):
+        slots.append([option for m in g.members
+                      for option in _configurations(fm, m)])
+    return slots
+
+
+def _configurations(fm: FeatureModel, name: str):
+    """Lazily, every way of configuring the subtree rooted at ``name``,
+    given that ``name`` itself is selected."""
+    return itertools.starmap(frozenset((name,)).union,
+                             itertools.product(*_slots(fm, name)))
+
+
+def _iter_products(fm: FeatureModel):
+    # Streams, so the constraint filter never materialises the full
+    # cartesian product.
+    return filter(functools.partial(_constraints_hold, fm),
+                  _configurations(fm, fm.root))
+
+
+def _sorted_products(products) -> list:
+    return sorted((sorted(p) for p in products),
+                  key=lambda names: (len(names), names))

@@ -1,12 +1,15 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orcline import BoundExceeded, ModelBuilder, UnknownFeature
 from orcline.feature_model import (
-    enumerate_products, is_valid, product_count, validate,
+    enumerate_products, is_valid, product_count, sorted_products, validate,
 )
 
+import oracles
 from generators import brute_force_products, random_feature_model
 
 
@@ -167,3 +170,31 @@ def test_enumeration_matches_brute_force_oracle():
     for _ in range(60):
         m = random_feature_model(rng, max_features=12)
         assert enumerate_products(m) == brute_force_products(m)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.randoms(use_true_random=False))
+def test_mask_enumeration_matches_the_frozenset_oracle(rng):
+    # Up to 20 features, so masks take one, two or three bytes to decode.
+    m = random_feature_model(rng, max_features=21)
+    expected = set(oracles._iter_products(m))
+    assert sorted_products(m) == oracles._sorted_products(expected)
+    assert enumerate_products(m) == expected
+    assert product_count(m) == len(expected)
+
+
+def test_counting_with_constraints_streams_the_root_product():
+    b = ModelBuilder("R")
+    for i in range(20):
+        b.optional("R", f"O{i:02d}")
+    b.requires("O03", "O11")
+    m = b.build()
+    tracemalloc.start()
+    try:
+        count = product_count(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 3 * 2 ** 18
+    # A materialised root product of 2^20 masks would take tens of MB.
+    assert peak < 2 * 1024 * 1024

@@ -15,20 +15,24 @@ on let ladders, a timer race, the fixtures and the encoded pipeline,
 seeded ``orc run`` on fan-outs), every ``mts check`` again with
 ``--format json``, ``mts check``/``products``/``dot`` and the ``fm``
 commands on the bundled fixtures and on broken variants of the
-fixture product, and ``orc explore`` in all four formats and ``orc
-run`` with and without ``--seed`` on every ``.orc`` fixture and on
-probes of quiescence (a call waiting for a variable, a definition at
-the depth bound, a pending timer, a call on a variable that nothing
-binds) and of a label holding ``--``, ``orc run`` with and without
-``--seed`` on two 64-branch fan-outs (the benchmark's ``S_i() >x>
-let(x)`` and one mixing ``>x>``, ``<x<`` and ``;``) and ``orc explore
---format json|lts`` on their 3-branch versions, and
-the error paths: ``orc explore`` cut by ``--max-depth`` (text and json)
-and by ``--max-states``, ``orc run`` cut by ``--max-steps``, a
-negative bound, an unknown subcommand and ``--out`` into a missing
-directory.  A job
-that writes a file another job reads (``encode`` for the orc workload)
-writes it once, with this checkout, before the comparison.
+fixture product, ``fm products`` (text and json) and ``fm count`` on
+generated feature models (the benchmark's 14- and 15-feature
+families, one of 19 features, an alternative group under an optional
+feature, ``requires`` into group members, a lone root, and
+``excludes`` between two mandatory features), and ``orc explore`` in
+all four formats and ``orc run`` with and without ``--seed`` on every
+``.orc`` fixture and on probes of quiescence (a call waiting for a
+variable, a definition at the depth bound, a pending timer, a call on a
+variable that nothing binds) and of a label holding ``--``, ``orc
+run`` with and without ``--seed`` on two 64-branch fan-outs (the
+benchmark's ``S_i() >x> let(x)`` and one mixing ``>x>``, ``<x<`` and
+``;``) and ``orc explore --format json|lts`` on their 3-branch
+versions, and the error paths: ``orc explore`` cut by ``--max-depth``
+(text and json) and by ``--max-states``, ``orc run`` cut by
+``--max-steps``, a negative bound, an unknown subcommand and ``--out``
+into a missing directory.  A job that writes a file another job reads
+(``encode`` for the orc workload) writes it once, with this checkout,
+before the comparison.
 ``--ignore-key K`` drops top-level key K from JSON stdout, and every
 line ``K <number>`` from other stdout, before comparing.  Exits 1 when
 anything differs.
@@ -76,6 +80,33 @@ def mixed_fanout(n: int) -> str:
                               for i in range(n)) + "\n"
 
 
+# (file name, model) of the feature-model probes: the benchmark's 14-
+# and 15-feature families, 19 features with mixed-case names (three
+# bytes of product mask), an alternative group under an optional
+# feature, ``requires`` into group members, a lone root, and
+# ``excludes`` between two mandatory features (no products).
+FM_PROBES = [
+    ("fm14.fm", workloads.feature_model_text(14, random.Random(14))[0]),
+    ("fm15.fm", workloads.feature_model_text(15, random.Random(15))[0]),
+    ("plant.fm",
+     "family Plant {\n"
+     + "".join(f"  mandatory M{i}\n" for i in range(5))
+     + "  optional solar {\n    optional Panel\n    optional panel\n  }\n"
+     + "".join(f"  optional O{i}\n" for i in (3, 10, 2, 1, 20, 7))
+     + "  alternative {\n    Zeta {\n      mandatory a\n      optional b\n"
+       "    },\n    alpha\n  }\n  requires O10 b\n  excludes panel O3\n}\n"),
+    ("home.fm",
+     "family Home {\n  optional Heating {\n    alternative { Gas, Heat_pump {"
+     "\n      optional Boost\n    }, Wood }\n  }\n  optional Cooling\n}\n"),
+    ("car.fm",
+     "family Car {\n  alternative { Petrol, Diesel, Electric }\n"
+     "  optional Tow\n  optional Charger\n  requires Charger Electric\n"
+     "  requires Tow Diesel\n}\n"),
+    ("alone.fm", "family Alone {\n}\n"),
+    ("dead.fm",
+     "family Dead {\n  mandatory A\n  mandatory B\n  excludes A B\n}\n"),
+]
+
 # Fan-outs as (name, program of n branches): orc run takes them at
 # width 64, orc explore at width 3.
 FANOUTS = [("fanout", lambda n: workloads.fanout_program(n, random.Random(n))),
@@ -103,6 +134,11 @@ def fixture_commands(workdir: str) -> list:
         commands += [["fm", "products", fx(fm)], ["fm", "count", fx(fm)]]
     commands.append(["fm", "validate", fx("smartgrid.fm"), "--select",
                      "SmartGrid,DemandResponse"])
+    for name, text in FM_PROBES:
+        path = os.path.join(workdir, name)
+        with open(path, "w") as handle:
+            handle.write(text)
+        commands += [["fm", "products", path], ["fm", "count", path]]
     programs = [(fx(name), []) for name in sorted(os.listdir(FIXTURES))
                 if name.endswith(".orc")]
     for name, text, flags in PROBES:
