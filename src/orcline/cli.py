@@ -227,11 +227,22 @@ def _cmd_fm_validate(args) -> int:
     return EXIT_OK if not violations else EXIT_NEGATIVE
 
 
+def _name_lists_json(lists: list, names) -> str:
+    """``json.dumps(lists, indent=2)`` for non-empty lists of strings
+    drawn from ``names``, quoting each name once."""
+    if not lists:
+        return "[]"
+    quoted = {name: json.dumps(name) for name in names}.__getitem__
+    rows = ["  [\n    " + ",\n    ".join(map(quoted, row)) + "\n  ]"
+            for row in lists]
+    return "[\n" + ",\n".join(rows) + "\n]"
+
+
 def _cmd_fm_products(args) -> int:
     model = _load(args.file, orc_parser.parse_feature_model)
     products = fm_mod.sorted_products(model)
     if args.format == "json":
-        _emit(json.dumps(products, indent=2) + "\n", args.out)
+        _emit(_name_lists_json(products, model.features) + "\n", args.out)
     else:
         lines = [f"products {len(products)}"]
         lines += ["  " + ", ".join(names) for names in products]
@@ -485,9 +496,9 @@ def main(argv=None) -> int:
         _diag(f"truncated: {exc}")
         return EXIT_BOUND
     except RecursionError:
-        # The parser and every tree walker recurse, so a term nested
-        # (or, through its left-nested | spine, spread) too far
-        # overflows the interpreter stack.
+        # The parser and every tree walker recurse into subterms, so a
+        # term nested too deeply overflows the interpreter stack; the
+        # branches of a | are a loop, so width never does.
         _diag("error: input is too deeply nested to process (Python "
               f"recursion limit {sys.getrecursionlimit()})")
         return EXIT_INPUT

@@ -4,7 +4,9 @@ An expression orchestrates *site calls*.  A site is an external (or
 built-in) service that is called with value arguments and may respond
 at most once.  Expressions are composed with four combinators:
 
-* ``A | B``      -- parallel: run both, merge publications.
+* ``A | B``      -- parallel: run both, merge publications; ``|`` is
+                    associative, and one node holds all the branches
+                    of ``A | B | C``.
 * ``A >x> B``    -- sequential: each value published by A starts a
                     fresh copy of B with x bound to that value.
 * ``A <x< B``    -- asymmetric: run both; the first value published by
@@ -86,10 +88,27 @@ class DefCall:
     args: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Parallel:
-    left: "Expr"
-    right: "Expr"
+    """``b0 | b1 | ... | bn``: every branch runs, and their publications
+    merge.  ``branches`` holds at least two expressions.
+
+    ``|`` is associative, so the constructor flattens a Parallel given
+    in first position into its branches: the left-nested spine that
+    ``a | b | c`` parses to is one node, and ``Parallel(Parallel(a, b),
+    c) == Parallel(a, b, c)``.  A Parallel in any other position stays
+    nested, so ``a | (b | c)`` keeps its shape and a term prints back
+    as it was written.  ``Parallel(a, b)`` is the binary form.
+    """
+
+    branches: tuple
+
+    def __init__(self, *branches):
+        if len(branches) < 2:
+            raise TypeError("Parallel needs at least two branches")
+        if type(branches[0]) is Parallel:
+            branches = branches[0].branches + branches[1:]
+        object.__setattr__(self, "branches", branches)
 
 
 @dataclass(frozen=True)
@@ -204,8 +223,8 @@ def substitute(expr: Expr, name: str, value: Value) -> Expr:
             return SiteCall(expr.site, new_args)
         return DefCall(expr.name, new_args)
     if isinstance(expr, Parallel):
-        return Parallel(substitute(expr.left, name, value),
-                        substitute(expr.right, name, value))
+        return Parallel(*[substitute(b, name, value)
+                          for b in expr.branches])
     if isinstance(expr, Sequential):
         left = substitute(expr.left, name, value)
         right = expr.right if expr.binder == name else substitute(
@@ -227,7 +246,9 @@ def free_vars(expr: Expr) -> frozenset:
     """The set of unbound variable names occurring in ``expr``."""
     if isinstance(expr, (SiteCall, DefCall)):
         return frozenset(a.name for a in expr.args if isinstance(a, Var))
-    if isinstance(expr, (Parallel, Otherwise)):
+    if isinstance(expr, Parallel):
+        return frozenset().union(*map(free_vars, expr.branches))
+    if isinstance(expr, Otherwise):
         return free_vars(expr.left) | free_vars(expr.right)
     if isinstance(expr, Sequential):
         scoped = free_vars(expr.right)
@@ -282,7 +303,10 @@ def _render_args(args: tuple) -> str:
 def _render(e: Expr, floor: int) -> str:
     kind = type(e)
     if kind is Parallel:
-        text = f"{_render(e.left, 3)} | {_render(e.right, 4)}"
+        # ``|`` is left-associative, so a branch that is itself a ``|``
+        # needs parentheses; in first position there is none to print,
+        # since the constructor flattens it.
+        text = " | ".join([_render(b, 4) for b in e.branches])
     elif kind is Sequential:
         text = (f"{_render(e.left, 5)} >{e.binder or ''}> "
                 f"{_render(e.right, 4)}")

@@ -208,11 +208,11 @@ class _ExprParser(_Cursor):
         return left
 
     def par(self) -> Expr:
-        e = self.seq()
+        branches = [self.seq()]
         while self.at("|"):
             self.advance()
-            e = Parallel(e, self.seq())
-        return e
+            branches.append(self.seq())
+        return Parallel(*branches) if len(branches) > 1 else branches[0]
 
     def seq(self) -> Expr:
         left = self.prim()

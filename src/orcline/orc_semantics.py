@@ -16,7 +16,8 @@ The stepping rules:
   with an unbound variable argument cannot move;
 * a due responsive ``Pending`` returns, leaving ``Emit(v)`` which then
   offers ``Publish(v)``;
-* Parallel interleaves both sides and lets publications through;
+* ``|`` interleaves its branches, any number of them, and lets
+  publications through;
 * ``A >x> B`` hides a publication of A as Internal and spawns
   ``[v/x]B`` in parallel;
 * ``A <x< B`` hides the first publication of B, terminates B and
@@ -30,9 +31,12 @@ The stepping rules:
 A term is *halted* when no step is enabled and nothing in it waits: no
 response is due later, no call waits for an unbound variable, and no
 definition call waits at the depth bound.  One walk, ``_expr_steps``,
-finds both the steps and the waits.  A step names the node it rewrites,
-and ``_apply`` builds its successor by rebuilding the one path from the
-root to that node.
+finds both the steps and the waits.  A step names the node it rewrites
+by its path from the root, one index per node passed: the branch
+number under ``|``, 0 or 1 under the binary combinators.  ``_apply``
+builds its successor by rebuilding that one path.  Paths order steps
+of one rule left to right, so the order is the same as when ``|`` was
+a binary node.
 """
 
 from __future__ import annotations
@@ -198,15 +202,6 @@ _PRIO_EXPAND = 7
 _PRIO_TICK = 8
 
 
-def _par(left: Expr, right: Expr) -> Expr:
-    # A finished side disappears; Parallel(Stop, X) behaves as X.
-    if type(left) is Stop:
-        return right
-    if type(right) is Stop:
-        return left
-    return Parallel(left, right)
-
-
 def _seq(left: Expr, binder, right: Expr) -> Expr:
     # Nothing on the left will ever publish, so B is unreachable.
     if type(left) is Stop:
@@ -318,16 +313,16 @@ def _expr_steps(e: Expr, path: tuple, state: ExecState, program: Program,
                       None))
 
     elif kind is Parallel:
-        _expr_steps(e.left, path + (0,), state, program, bounds, waits,
-                    steps)
-        _expr_steps(e.right, path + (1,), state, program, bounds, waits,
-                    steps)
+        for k, branch in enumerate(e.branches):
+            _expr_steps(branch, path + (k,), state, program, bounds, waits,
+                        steps)
 
     elif kind is Sequential:
         start = len(steps)
         _expr_steps(e.left, path + (0,), state, program, bounds, waits,
                     steps)
-        _hide_publications(steps, start, _PRIO_SEQ_SPAWN, path)
+        if len(steps) > start:
+            _hide_publications(steps, start, _PRIO_SEQ_SPAWN, path)
 
     elif kind is Asymmetric:
         _expr_steps(e.left, path + (0,), state, program, bounds, waits,
@@ -335,7 +330,8 @@ def _expr_steps(e: Expr, path: tuple, state: ExecState, program: Program,
         start = len(steps)
         _expr_steps(e.right, path + (1,), state, program, bounds, waits,
                     steps)
-        _hide_publications(steps, start, _PRIO_BIND, path)
+        if len(steps) > start:
+            _hide_publications(steps, start, _PRIO_BIND, path)
 
     elif kind is Otherwise:
         # A publication of A passes up and settles the choice (_apply
@@ -378,29 +374,45 @@ def _enabled(state: ExecState, program: Program, bounds: Bounds) -> tuple:
     return steps, waits
 
 
+def _replace_branch(node: Parallel, k: int, x: Expr) -> Expr:
+    """``node`` with branch ``k`` replaced by ``x``.  A finished branch
+    (Stop) drops out and a lone branch left stands for itself; a
+    Parallel that lands in first position is spliced in by the
+    constructor, so the result is the term the binary spine gave."""
+    branches = node.branches
+    if type(x) is not Stop:
+        return Parallel(*branches[:k], x, *branches[k + 1:])
+    rest = branches[:k] + branches[k + 1:]
+    return Parallel(*rest) if len(rest) > 1 else rest[0]
+
+
 def _rebuild(expr: Expr, leaf_path: tuple, leaf_expr: Expr) -> Expr:
     """``expr`` with the node at ``leaf_path`` replaced by ``leaf_expr``
     and every node above it rebuilt, bottom up, by the rule the step
-    passes through.  ``|`` drops a Stop operand and ``stop >x> B``
-    becomes Stop (``_par``, ``_seq``).  When the node at ``leaf_path`` is an Emit, the step
-    publishes its value v.  The publication passes up through ``|``,
-    the left of ``<x<`` and the left of ``;``, which it discards B of,
-    until the first ``A >x> B`` with A on the path spawns ``[v/x]B`` in
-    parallel or the first ``A <x< B`` with B on the path becomes
-    ``[v/x]A``; above that node the step is INTERNAL.  Costs one node
-    per level of ``leaf_path``."""
+    passes through.  ``|`` drops a Stop branch and ``stop >x> B``
+    becomes Stop (``_replace_branch``, ``_seq``).  When the node at
+    ``leaf_path`` is an Emit, the step publishes its value v.  The
+    publication passes up through ``|``, the left of ``<x<`` and the
+    left of ``;``, which it discards B of, until the first ``A >x> B``
+    with A on the path spawns ``[v/x]B`` in parallel or the first ``A
+    <x< B`` with B on the path becomes ``[v/x]A``; above that node the
+    step is INTERNAL.  Costs one node per level of ``leaf_path``, plus
+    a copy of the branch tuple at each ``|``."""
     spine = []
     node = expr
     for i in leaf_path:
         spine.append(node)
-        node = node.right if i else node.left
+        if type(node) is Parallel:
+            node = node.branches[i]
+        else:
+            node = node.right if i else node.left
     publishing = type(node) is Emit
     value = node.value if publishing else None
     x = leaf_expr
     for node, i in zip(reversed(spine), reversed(leaf_path)):
         kind = type(node)
         if kind is Parallel:
-            x = _par(node.left, x) if i else _par(x, node.right)
+            x = _replace_branch(node, i, x)
         elif kind is Sequential:
             x = _seq(x, node.binder, node.right)
             if publishing:
@@ -408,7 +420,8 @@ def _rebuild(expr: Expr, leaf_path: tuple, leaf_expr: Expr) -> Expr:
                 spawned = node.right
                 if node.binder is not None:
                     spawned = substitute(spawned, node.binder, value)
-                x = _par(x, spawned)
+                if type(spawned) is not Stop:
+                    x = spawned if type(x) is Stop else Parallel(x, spawned)
         elif kind is Asymmetric:
             if not i:
                 x = Asymmetric(x, node.binder, node.right)
@@ -572,8 +585,9 @@ def _fold_paths(explored: ExploredLts, extract, add, empty) -> tuple:
     rule strictly raises (clock, sum of def_depth, -mu(expr)): Tick
     raises the clock, Expand raises def_depth, and every other rule
     keeps both and lowers mu.  mu weighs SiteCall 3, Pending 2, Emit 1,
-    Stop and DefCall 0; ``|``, ``<x<`` and ``;`` cost 1 plus their
-    parts; mu(A >x> B) = 1 + mu(A) + pi(A) * (mu(B) + 1), where pi(A)
+    Stop and DefCall 0; ``<x<`` and ``;`` cost 1 plus their parts, a
+    ``|`` of n branches n - 1 plus its parts (1 per binary ``|``), and
+    mu(A >x> B) = 1 + mu(A) + pi(A) * (mu(B) + 1), where pi(A)
     bounds A's remaining publications: 1 for SiteCall, Pending and
     Emit, 0 for Stop and DefCall, additive over ``|`` and ``;``, with
     pi(A <x< B) = pi(A) and pi(A >x> B) = pi(A) * pi(B).  Only Expand

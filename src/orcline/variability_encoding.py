@@ -204,9 +204,8 @@ class _Encoder:
             # else composes under the root.
             units.insert(0, (set([name]), self.site(name)))
         units = self.fuse_constraints(units)
-        expr = units[0][1]
-        for (_, right) in units[1:]:
-            expr = Parallel(expr, right)
+        exprs = [e for (_, e) in units]
+        expr = Parallel(*exprs) if len(exprs) > 1 else exprs[0]
         covered_all = set().union(*(c for (c, _) in units))
         for child in optional:
             child_expr, child_cov = self.subtree(child)

@@ -18,6 +18,12 @@ truncation; the step walk now reports all three through its waits.
 that built every enabled step's successor term; steps now name the
 node they rewrite, and ``_apply`` builds the one successor taken.
 
+These walks are binary: they read a ``|`` of n branches as the
+left-nested spine it flattens, through ``_sides``, build ``|`` with the
+binary ``_par``, and give steps binary positions.  ``Parallel``'s
+constructor flattens what ``_par`` builds, so their terms compare
+equal with the library's.
+
 ``_slots``, ``_configurations``, ``_constraints_hold`` and
 ``_iter_products`` are the feature-model enumerator that built every
 product as a frozenset, and ``_sorted_products`` is the command line's
@@ -43,8 +49,27 @@ from orcline.orc_semantics import (
     _DEPTH, _PRIO_BIND, _PRIO_CALL, _PRIO_EXPAND, _PRIO_FALLBACK,
     _PRIO_PUBLISH, _PRIO_RETURN, _PRIO_SEQ_SPAWN, _PRIO_TICK, _UNBOUND,
     INTERNAL, Bounds, Call, ExecState, Publish, Return, SeededRandom, Tick,
-    Trace, _par, _resolve_call, _seq, initial_state,
+    Trace, _resolve_call, _seq, initial_state,
 )
+
+
+def _sides(e) -> tuple:
+    """``(left, right)`` of a binary node; a ``|`` reads as the binary
+    node of its left-nested spine: all branches but the last, then the
+    last."""
+    if type(e) is Parallel:
+        *init, last = e.branches
+        return (init[0] if len(init) == 1 else Parallel(*init)), last
+    return e.left, e.right
+
+
+def _par(left: Expr, right: Expr) -> Expr:
+    # A finished side disappears; Parallel(Stop, X) behaves as X.
+    if type(left) is Stop:
+        return right
+    if type(right) is Stop:
+        return left
+    return Parallel(left, right)
 
 
 def _outgoing(trans):
@@ -152,10 +177,11 @@ def _canon_value(v) -> str:
 
 
 def _canon_pair(e, op: str, parts: list):
+    left, right = _sides(e)
     parts.append("(")
-    _canon_expr(e.left, parts)
+    _canon_expr(left, parts)
     parts.append(op)
-    _canon_expr(e.right, parts)
+    _canon_expr(right, parts)
     parts.append(")")
 
 
@@ -209,7 +235,8 @@ def _halted(e: Expr) -> bool:
     if isinstance(e, Pending):
         return e.due is None
     if isinstance(e, (Parallel, Asymmetric)):
-        return _halted(e.left) and _halted(e.right)
+        left, right = _sides(e)
+        return _halted(left) and _halted(right)
     if isinstance(e, Sequential):
         return _halted(e.left)
     # SiteCall, DefCall, Emit, Otherwise all still have (potential) moves.
@@ -222,8 +249,8 @@ def _next_due(e: Expr, clock: int):
     if isinstance(e, Pending):
         return e.due if e.due is not None and e.due > clock else None
     if isinstance(e, (Parallel, Sequential, Asymmetric, Otherwise)):
-        dues = [d for d in (_next_due(e.left, clock),
-                            _next_due(e.right, clock)) if d is not None]
+        dues = [d for d in (_next_due(side, clock) for side in _sides(e))
+                if d is not None]
         return min(dues, default=None)
     return None
 
@@ -234,8 +261,9 @@ def _depth_blocked(e: Expr, state: ExecState, bounds: Bounds) -> bool:
         return (not any(isinstance(a, Var) for a in e.args)
                 and state.def_depth.get(e.name, 0) >= bounds.max_depth)
     if isinstance(e, (Parallel, Asymmetric)):
-        return (_depth_blocked(e.left, state, bounds)
-                or _depth_blocked(e.right, state, bounds))
+        left, right = _sides(e)
+        return (_depth_blocked(left, state, bounds)
+                or _depth_blocked(right, state, bounds))
     if isinstance(e, (Sequential, Otherwise)):
         return _depth_blocked(e.left, state, bounds)
     return False
@@ -297,7 +325,7 @@ def _expr_steps(e: Expr, path: tuple, state: ExecState, program: Program,
         return [(_PRIO_EXPAND, path, INTERNAL, body, e.name, None)]
 
     if kind is Parallel:
-        left, right = e.left, e.right
+        left, right = _sides(e)
         out = [(prio, pos, ev, _par(x, right), dn, cs)
                for (prio, pos, ev, x, dn, cs)
                in _expr_steps(left, path + (0,), state, program, bounds,

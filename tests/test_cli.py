@@ -8,6 +8,7 @@ stdout, notes and summaries to stderr.
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -15,6 +16,10 @@ import pytest
 
 import orcline
 from orcline import cli, corpus, orc_parser
+from orcline import feature_model as fm_mod
+from orcline.orc_ast import free_vars, render_expr, substitute
+
+from generators import random_feature_model
 
 
 def fx(name):
@@ -168,9 +173,8 @@ def test_parse_error_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "explore"])
 @pytest.mark.parametrize("source", [
-    "(" * 3000 + "let(1)" + ")" * 3000,    # deep
-    " | ".join(["let(1)"] * 1200),          # wide
-], ids=["deep", "wide"])
+    "(" * 3000 + "let(1)" + ")" * 3000,
+], ids=["deep"])
 def test_input_beyond_the_recursion_limit_exits_one(tmp_path, capsys,
                                                     command, source):
     path = tmp_path / "big.orc"
@@ -180,6 +184,36 @@ def test_input_beyond_the_recursion_limit_exits_one(tmp_path, capsys,
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+WIDE = " | ".join(["let(1)"] * 2000)
+
+
+@pytest.mark.parametrize("argv, bound_line", [
+    (["run", "--max-steps", "200"],
+     "truncated: --max-steps 200 reached after 200 events, "
+     "0 publications\n"),
+    (["explore", "--max-states", "200"],
+     "truncated: --max-states 200 reached after 200 states, 199 edges\n"),
+], ids=["run", "explore"])
+def test_a_wide_fan_out_runs_into_the_bound_not_the_recursion_limit(
+        tmp_path, capsys, argv, bound_line):
+    # One | node holds all 2,000 branches, so no walk recurses through
+    # the width of the term.
+    path = tmp_path / "wide.orc"
+    path.write_text(WIDE + "\n")
+    code, out, err = run_cli(capsys, "orc", *argv, str(path))
+    assert code == 2
+    assert out
+    assert err == bound_line
+
+
+def test_tree_functions_take_a_wide_fan_out():
+    goal = orc_parser.parse_expr(WIDE.replace("let(1)", "let(x)"))
+    assert len(goal.branches) == 2000
+    assert render_expr(goal) == WIDE.replace("let(1)", "let(x)")
+    assert render_expr(substitute(goal, "x", 1)) == WIDE
+    assert free_vars(goal) == {"x"}
 
 
 def test_running_out_of_memory_exits_two(monkeypatch, capsys):
@@ -231,6 +265,26 @@ def test_fm_products_json(capsys):
     assert len(products) == 4
     assert all(names == sorted(names) for names in products)
     assert all("SmartGrid" in names for names in products)
+
+
+def test_fm_products_json_is_what_json_dumps_writes(tmp_path, capsys):
+    # The writer quotes each feature name once; the text must be
+    # json.dumps(products, indent=2), also with no products at all.
+    rng = random.Random(11)
+    models = [random_feature_model(rng, 12) for _ in range(60)]
+    models.append(orc_parser.parse_feature_model(
+        "family Dead {\n  mandatory A\n  mandatory B\n  excludes A B\n}\n"))
+    empty = 0
+    for model in models:
+        path = tmp_path / "model.fm"
+        path.write_text(orc_parser.render_feature_model(model))
+        code, out, err = run_cli(capsys, "fm", "products", str(path),
+                                 "--format", "json")
+        products = fm_mod.sorted_products(model)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(products, indent=2) + "\n"
+        empty += not products
+    assert empty >= 1 and out == "[]\n"
 
 
 def test_fm_count(capsys):

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orcline import (
     Bounds, BoundExceeded, Call, Deterministic, Internal, Publish, Return,
@@ -529,7 +529,9 @@ def test_fold_matches_brute_force_paths():
 def _publication_bound(e) -> int:
     if isinstance(e, (SiteCall, Pending, Emit)):
         return 1
-    if isinstance(e, (Parallel, Otherwise)):
+    if isinstance(e, Parallel):
+        return sum(map(_publication_bound, e.branches))
+    if isinstance(e, Otherwise):
         return _publication_bound(e.left) + _publication_bound(e.right)
     if isinstance(e, Asymmetric):
         return _publication_bound(e.left)
@@ -548,7 +550,9 @@ def _measure(e) -> int:
     if isinstance(e, Sequential):
         return (1 + _measure(e.left) + _publication_bound(e.left)
                 * (_measure(e.right) + 1))
-    if isinstance(e, (Parallel, Asymmetric, Otherwise)):
+    if isinstance(e, Parallel):
+        return len(e.branches) - 1 + sum(map(_measure, e.branches))
+    if isinstance(e, (Asymmetric, Otherwise)):
         return 1 + _measure(e.left) + _measure(e.right)
     assert isinstance(e, (Stop, DefCall))
     return 0
@@ -575,7 +579,9 @@ def test_every_edge_climbs_the_acyclicity_order():
 def _handles(e) -> list:
     if isinstance(e, Pending):
         return [e.handle]
-    if isinstance(e, (Parallel, Sequential, Asymmetric, Otherwise)):
+    if isinstance(e, Parallel):
+        return [h for b in e.branches for h in _handles(b)]
+    if isinstance(e, (Sequential, Asymmetric, Otherwise)):
         return _handles(e.left) + _handles(e.right)
     return []
 
@@ -775,10 +781,12 @@ def fanout(n: int, mixed: bool = False) -> str:
 
 def test_steps_and_successors_agree_with_the_rebuilding_walk():
     # The step walk used to build every step's successor term (kept in
-    # oracles.py); now a step names the node it rewrites and _apply
-    # rebuilds the term along that path.  Same steps in the same
-    # order, the same waits, the same successor for every step, and
-    # the same runs, deterministic and seeded.
+    # oracles.py, on binary | nodes); now a step names the node it
+    # rewrites and _apply rebuilds the term along that path.  Same
+    # rules and events in the same order, the same waits, the same
+    # successor for every step, and the same runs, deterministic and
+    # seeded.  Positions differ: a branch of an n-ary | is one index
+    # where the binary spine took one index per level.
     fixtures = [program(corpus.fixture_text(name))
                 for name in corpus.fixture_names() if name.endswith(".orc")]
     cases = list(fold_inputs()) + list(reduction_inputs())
@@ -791,7 +799,8 @@ def test_steps_and_successors_agree_with_the_rebuilding_walk():
         for state in explore_partial(p, bounds).states:
             steps, waits = orc_semantics._enabled(state, p, bounds)
             old_steps, old_waits = oracles._enabled(state, p, bounds)
-            assert [s[:3] for s in steps] == [s[:3] for s in old_steps]
+            assert [(s[0], s[2]) for s in steps] \
+                == [(s[0], s[2]) for s in old_steps]
             assert waits == old_waits
             for s, old in zip(steps, old_steps):
                 assert orc_semantics._apply(state, s) \
@@ -807,26 +816,77 @@ def test_steps_and_successors_agree_with_the_rebuilding_walk():
     assert compared["steps"] > 100000 and compared["runs"] > 2000, compared
 
 
+def _depth(e) -> int:
+    """Nodes above the deepest leaf of ``e``."""
+    if isinstance(e, Parallel):
+        return 1 + max(map(_depth, e.branches))
+    if isinstance(e, (Sequential, Asymmetric, Otherwise)):
+        return 1 + max(_depth(e.left), _depth(e.right))
+    return 0
+
+
 def test_run_rebuilds_one_path_per_event(monkeypatch):
     # The bench's 32-branch fan-out.  A step names the node it
-    # rewrites, so an event rebuilds one path of the | spine and calls
-    # _par at most once per level; building every enabled step's
-    # successor calls it about 144 times per event.
+    # rewrites, so an event rebuilds the nodes on one path, no more
+    # than the term is deep; the fan-out is one | node, at most three
+    # nodes deep, where its binary spine was 33 deep.
     rng = random.Random(32)
     order = list(range(32))
     rng.shuffle(order)
     text = "".join(f"site S{i} delay {i % 3} responds {i}\n" for i in order)
     rng.shuffle(order)
     text += " | ".join(f"S{i}() >x> let(x)" for i in order) + "\n"
-    calls = 0
-    par = orc_semantics._par
+    rebuilt = []
+    rebuild = orc_semantics._rebuild
 
-    def counting_par(left, right):
-        nonlocal calls
-        calls += 1
-        return par(left, right)
+    def counting_rebuild(expr, leaf_path, leaf_expr):
+        assert len(leaf_path) <= _depth(expr)
+        rebuilt.append(len(leaf_path))
+        return rebuild(expr, leaf_path, leaf_expr)
 
-    monkeypatch.setattr(orc_semantics, "_par", counting_par)
+    monkeypatch.setattr(orc_semantics, "_rebuild", counting_rebuild)
     trace = run(program(text), SeededRandom(1))
     assert sorted(trace.publications) == list(range(32))
-    assert calls <= 32 * len(trace.events), calls / len(trace.events)
+    assert len(rebuilt) == len(trace.events)
+    assert max(rebuilt) <= 3
+
+
+def _oracle_explore(p: Program, bounds: Bounds):
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(orc_semantics, "_enabled", oracles._enabled)
+        patched.setattr(orc_semantics, "_apply", oracles._apply)
+        return explore_partial(p, bounds)
+
+
+def _printed(explored) -> tuple:
+    return ([canonical_key(state) for state in explored.states],
+            explored.edges, explored.halted_states,
+            explored.truncated_states, explored.truncated)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 64), st.booleans(),
+       st.booleans())
+@example(0, 64, False, True)
+@example(0, 64, True, True)
+def test_flat_parallel_explores_and_runs_as_the_binary_walk(
+        seed, n, mixed, use_fanout):
+    # explore and run on n-ary | nodes against the binary oracle walk:
+    # the same numbered states and edges, and the same traces.  A run
+    # of a wide fan-out is cut after 60 events.
+    if use_fanout:
+        p = program(fanout(n, mixed))
+        bounds = Bounds(max_states=10, max_steps=60)
+    else:
+        rng = random.Random(seed)
+        env = {"A": SiteSpec((1, 2, 3)), "B": SiteSpec((True, 0), True, 2)}
+        p = Program(random_expr(rng, 2 + seed % 4), {}, env if mixed else {})
+        bounds = Bounds(max_states=400)
+    assert _printed(explore_partial(p, bounds)) \
+        == _printed(_oracle_explore(p, bounds))
+    for policy in [Deterministic()] + [SeededRandom(s) for s in (1, 4, 7)]:
+        try:
+            got = run(p, policy, bounds), False
+        except BoundExceeded as exc:
+            got = exc.partial, True
+        assert got == oracles.run(p, policy, bounds)

@@ -23,8 +23,9 @@ feature, ``requires`` into group members, a lone root, and
 all four formats and ``orc run`` with and without ``--seed`` on every
 ``.orc`` fixture and on probes of quiescence (a call waiting for a
 variable, a definition at the depth bound, a pending timer, a call on a
-variable that nothing binds) and of a label holding ``--``, ``orc
-run`` with and without ``--seed`` on two 64-branch fan-outs (the
+variable that nothing binds), of a label holding ``--`` and of ``|``
+nested on either side of another ``|``, ``orc run`` with and without
+``--seed`` on two 64-branch fan-outs (the
 benchmark's ``S_i() >x> let(x)`` and one mixing ``>x>``, ``<x<`` and
 ``;``) and ``orc explore --format json|lts`` on their 3-branch
 versions, and the error paths: ``orc explore`` cut by ``--max-depth``
@@ -55,7 +56,8 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 import workloads  # noqa: E402
 
-# (file name, program, extra flags) of the quiescence and label probes.
+# (file name, program, extra flags) of the quiescence, label and nesting
+# probes.
 PROBES = [
     ("var_blocked.orc",
      "def F(x) = let(x)\n(F(y) ; let(9)) <y< (Rtimer(1) >> let(2))\n", []),
@@ -65,6 +67,9 @@ PROBES = [
     ("dashes.orc", 'let("a -- b")\n', []),
     ("unbound.orc", "let(x)\n", []),
     ("never_bound.orc", "let(y) <y< if(false)\n", []),
+    ("nested_par.orc",
+     "(let(1) | let(2) >x> (let(x) | let(3)))"
+     " | (let(4) | let(y) <y< (let(5) | Rtimer(1) >> let(6)))\n", []),
 ]
 
 
