@@ -227,26 +227,18 @@ def _cmd_fm_validate(args) -> int:
     return EXIT_OK if not violations else EXIT_NEGATIVE
 
 
-def _name_lists_json(lists: list, names) -> str:
-    """``json.dumps(lists, indent=2)`` for non-empty lists of strings
-    drawn from ``names``, quoting each name once."""
-    if not lists:
-        return "[]"
-    quoted = {name: json.dumps(name) for name in names}.__getitem__
-    rows = ["  [\n    " + ",\n    ".join(map(quoted, row)) + "\n  ]"
-            for row in lists]
-    return "[\n" + ",\n".join(rows) + "\n]"
-
-
 def _cmd_fm_products(args) -> int:
     model = _load(args.file, orc_parser.parse_feature_model)
-    products = fm_mod.sorted_products(model)
     if args.format == "json":
-        _emit(_name_lists_json(products, model.features) + "\n", args.out)
+        # json.dumps(products, indent=2), quoting each name once.
+        rows = fm_mod.joined_products(model, ",\n    ", json.dumps)
+        text = "[\n  [\n    " + "\n  ],\n  [\n    ".join(rows) \
+            + "\n  ]\n]" if rows else "[]"
+        _emit(text + "\n", args.out)
     else:
-        lines = [f"products {len(products)}"]
-        lines += ["  " + ", ".join(names) for names in products]
-        _emit("\n".join(lines) + "\n", args.out)
+        rows = fm_mod.joined_products(model, ", ")
+        _emit("\n  ".join([f"products {len(rows)}"] + rows) + "\n",
+              args.out)
     return EXIT_OK
 
 
@@ -410,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="randomise scheduling with this seed")
     _add_bounds(p)
     _add_out(p)
-    p.set_defaults(func=_cmd_orc_run)
+    p.set_defaults(handler="orc_run")
     p = orc_sub.add_parser("explore", help="explore all interleavings")
     p.add_argument("file")
     p.add_argument("--format", choices=("text", "json", "dot", "lts"),
@@ -420,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "interleaving")
     _add_bounds(p)
     _add_out(p)
-    p.set_defaults(func=_cmd_orc_explore)
+    p.set_defaults(handler="orc_explore")
 
     fm = sub.add_parser("fm", help="feature-model commands")
     fm_sub = fm.add_subparsers(dest="action", required=True)
@@ -430,16 +422,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated selected feature names")
     p.add_argument("--format", choices=("text", "json"), default="text")
     _add_out(p)
-    p.set_defaults(func=_cmd_fm_validate)
+    p.set_defaults(handler="fm_validate")
     p = fm_sub.add_parser("products", help="enumerate all products")
     p.add_argument("file")
     p.add_argument("--format", choices=("text", "json"), default="text")
     _add_out(p)
-    p.set_defaults(func=_cmd_fm_products)
+    p.set_defaults(handler="fm_products")
     p = fm_sub.add_parser("count", help="count products")
     p.add_argument("file")
     _add_out(p)
-    p.set_defaults(func=_cmd_fm_count)
+    p.set_defaults(handler="fm_count")
 
     mts = sub.add_parser("mts", help="modal transition system commands")
     mts_sub = mts.add_subparsers(dest="action", required=True)
@@ -448,16 +440,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("product")
     p.add_argument("--format", choices=("text", "json"), default="text")
     _add_out(p)
-    p.set_defaults(func=_cmd_mts_check)
+    p.set_defaults(handler="mts_check")
     p = mts_sub.add_parser("products", help="derive all products")
     p.add_argument("file")
     p.add_argument("--format", choices=("text", "json"), default="text")
     _add_out(p)
-    p.set_defaults(func=_cmd_mts_products)
+    p.set_defaults(handler="mts_products")
     p = mts_sub.add_parser("dot", help="GraphViz export")
     p.add_argument("file")
     _add_out(p)
-    p.set_defaults(func=_cmd_mts_dot)
+    p.set_defaults(handler="mts_dot")
 
     p = sub.add_parser("encode",
                        help="compile a feature model to an Orc program")
@@ -466,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON file mapping features to sites and groups "
                         "to trigger pairs")
     _add_out(p)
-    p.set_defaults(func=_cmd_encode)
+    p.set_defaults(handler="encode")
 
     p = sub.add_parser("fixtures", help="bundled example files")
     p.add_argument("action", choices=("list", "show", "export"))
@@ -474,19 +466,30 @@ def build_parser() -> argparse.ArgumentParser:
                    help="file name (show) or destination directory "
                         "(export)")
     _add_out(p)
-    p.set_defaults(func=_cmd_fixtures)
+    p.set_defaults(handler="fixtures")
     return top
 
 
+# The parser main builds on its first call and reuses after that.
+# Parsing leaves it unchanged, and each leaf parser names its command
+# function (``handler``), which main looks up when it runs it.
+_parser = None
+
+
 def main(argv=None) -> int:
+    """Run one ``orcline`` command line; returns its exit code.  Callers
+    may call it repeatedly in one process."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         # argparse has printed the help (0) or a usage error (2), and a
         # usage error is bad input: 2 is for a bound hit.
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.handler}"](args)
     except _CliError as exc:
         _diag(f"error: {exc}")
         return exc.code

@@ -208,21 +208,25 @@ def _product_masks(fm: FeatureModel) -> tuple:
     a stream of its products as int lists, one row at a time.
 
     The feature of sorted rank ``r`` has the bit ``1 << (n-1-r)``.  Each
-    subtree's configurations are an int list; its slots (each mandatory
-    or optional child, an optional one also left out, and each
-    alternative group) combine by ``+``, which is ``|`` on disjoint
-    bits.  The root's slots go to two lists of balanced size, and a row
-    is one left mask plus every right mask, filtered by the cross-tree
-    constraints, so the root's product is never materialised."""
+    subtree's configurations are an int list; its slots (each optional
+    child, also left out, each alternative group, and a mandatory
+    child's bit and slots in place of the child) combine by ``+``, which
+    is ``|`` on disjoint bits.  The root's slots, with those of the
+    mandatory features under it, go to two lists of balanced size, and
+    a row is one left mask plus every right mask, filtered by the
+    cross-tree constraints, so the root's product is never
+    materialised."""
     names = sorted(fm.features)
     bit = {name: 1 << i for i, name in enumerate(reversed(names))}
 
     def slots(name):
         out = []
         for child in fm.plain_children(name):
-            sub = configurations(child)
-            out.append([0] + sub if fm.features[child].kind == "optional"
-                       else sub)
+            if fm.features[child].kind == "optional":
+                out.append([0] + configurations(child))
+            else:
+                out.append([bit[child]])
+                out += slots(child)
         for g in fm.groups_of(name):
             out.append([m for member in g.members
                         for m in configurations(member)])
@@ -274,6 +278,25 @@ def _decode(names: list, masks: list) -> list:
     return [head[m >> 8] + table[m & 255] for m in masks]
 
 
+def _decode_joined(pieces: list, masks: list, sep: str) -> list:
+    """Each mask as ``sep.join`` of its features' pieces in sorted
+    order, through 8-bit tables of joined pieces as in ``_decode``:
+    ``first`` for the leading byte and ``rest``, whose entries start
+    with ``sep``, for each byte after it."""
+    n = len(pieces)
+    width = min(8, n)
+    first = [sep.join(pieces[n - 1 - j] for j in reversed(range(width))
+                      if v >> j & 1)
+             for v in range(1 << width)]
+    if n <= 8:
+        return [first[m] for m in masks]
+    rest = [sep + text if text else text for text in first]
+    highs = list({m >> 8 for m in masks})
+    head = dict(zip(highs, _decode_joined(pieces[:n - 8], highs, sep)))
+    return [head[h] + rest[m & 255] if (h := m >> 8) else first[m]
+            for m in masks]
+
+
 def _check_size(fm: FeatureModel, max_features: int):
     if len(fm.features) > max_features:
         raise BoundExceeded(
@@ -299,11 +322,23 @@ def sorted_products(fm: FeatureModel,
     differ is the lowest rank in their XOR, which is its highest bit,
     so name order is descending mask order; a stable sort by size
     keeps it."""
+    return _decode(*_sorted_masks(fm, max_features))
+
+
+def joined_products(fm: FeatureModel, sep: str, form=str) -> list:
+    """``sorted_products``, each product as the one string
+    ``sep.join(map(form, names))``, decoded straight from its mask."""
+    names, masks = _sorted_masks(fm, MAX_ENUMERATION_FEATURES)
+    return _decode_joined(list(map(form, names)), masks, sep)
+
+
+def _sorted_masks(fm: FeatureModel, max_features: int) -> tuple:
+    """``(names, masks)``: the masks in ``sorted_products`` order."""
     _check_size(fm, max_features)
     names, rows = _product_masks(fm)
     masks = sorted((m for row in rows for m in row), reverse=True)
     masks.sort(key=int.bit_count)
-    return _decode(names, masks)
+    return names, masks
 
 
 def product_count(fm: FeatureModel,

@@ -245,6 +245,21 @@ def _resolve_call(site: str, args: tuple, clock: int, program: Program,
     return clock + spec.delay, value, cycled
 
 
+_BUILTIN_SITES = frozenset(("0", "Signal", "let", "if", "Rtimer"))
+
+
+def _cycle_site(site: str, program: Program):
+    """The cycled site of ``_resolve_call`` without resolving the call:
+    ``site`` if it is an external site with more than one response,
+    else None."""
+    if site in _BUILTIN_SITES:
+        return None
+    spec = program.site_env.get(site)
+    if spec is None or not spec.responsive or len(spec.responses) < 2:
+        return None
+    return site
+
+
 # Why a stuck node cannot move yet, besides a Pending's due tick.
 _UNBOUND = "unbound"   # a call with a variable argument
 _DEPTH = "depth"       # a definition call at the depth bound
@@ -258,11 +273,13 @@ def _expr_steps(e: Expr, path: tuple, state: ExecState, program: Program,
     A step is a plain tuple ``(priority, position, event, leaf_path,
     leaf_expr, def_name, cycle_site)``.  ``leaf_path`` is the path of
     the node that the local rule rewrites, and ``leaf_expr`` replaces
-    it: a Pending for a Call, an Emit for a Return, Stop for a Publish,
-    the expanded body for an Expand, the right operand for a fallback.
-    ``def_name`` is the definition expanded and ``cycle_site`` the
-    multi-response site called, or None.  The walk builds no term:
-    ``_apply`` rebuilds the successor of the one step taken.  A ``>x>``
+    it: an Emit for a Return, Stop for a Publish, the expanded body for
+    an Expand, the right operand for a fallback.  A Call's
+    ``leaf_expr`` is the program instead, against whose sites
+    ``_apply`` resolves the call it takes into a Pending.  ``def_name``
+    is the definition expanded and ``cycle_site`` the multi-response
+    site called, or None.  The walk builds no term and resolves no
+    call: ``_apply`` does both for the one step taken.  A ``>x>``
     that spawns, or a ``<x<`` that binds, on a publication of its
     operand rewrites only the first three fields (its rule, its own
     position, INTERNAL) and leaves the substitution to ``_apply``.
@@ -278,11 +295,9 @@ def _expr_steps(e: Expr, path: tuple, state: ExecState, program: Program,
         if any(isinstance(a, Var) for a in e.args):
             waits.append(_UNBOUND)
             return
-        due, value, cycled = _resolve_call(e.site, e.args, state.clock,
-                                           program, state.cycles)
-        handle = state.next_handle
-        steps.append((_PRIO_CALL, path, Call(e.site, handle, e.args), path,
-                      Pending(handle, e.site, due, value), None, cycled))
+        steps.append((_PRIO_CALL, path,
+                      Call(e.site, state.next_handle, e.args), path,
+                      program, None, _cycle_site(e.site, program)))
 
     elif kind is Pending:
         if e.due is None:
@@ -440,11 +455,15 @@ def _rebuild(expr: Expr, leaf_path: tuple, leaf_expr: Expr) -> Expr:
 def _apply(state: ExecState, s: tuple) -> ExecState:
     """The successor state that step ``s`` leads to.  Its term is
     rebuilt once, along the step's leaf path (``_rebuild``); a Tick
-    keeps the term."""
+    keeps the term.  A Call is resolved here, so that only the call
+    taken is."""
     priority, _, event, leaf_path, leaf_expr, def_name, cycle_site = s
     clock, next_handle = state.clock, state.next_handle
     if priority == _PRIO_CALL:
         next_handle += 1
+        due, value, _ = _resolve_call(event.site, event.args, clock,
+                                      leaf_expr, state.cycles)
+        leaf_expr = Pending(event.handle, event.site, due, value)
     elif priority == _PRIO_TICK:
         clock = event.clock
     def_depth = state.def_depth

@@ -565,3 +565,75 @@ def test_out_flag_redirects_stdout(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "4\n"
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+def test_main_builds_its_parser_once(monkeypatch, capsys, tmp_path):
+    built = []
+    build = cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    monkeypatch.setattr(cli, "_parser", None)
+    mixed = [("orc", "run", fx("par.orc"), "--seed", "3"),
+             ("orc", "explore", fx("mutex.orc"), "--format", "json"),
+             ("orc", "run"),
+             ("fm", "count", fx("smartgrid.fm")),
+             ("fm", "products", fx("smartgrid.fm"), "--format", "json"),
+             ("mts", "dot", fx("drh_family.mts")),
+             ("fixtures", "list"),
+             ("--help",),
+             ("encode", fx("smartgrid.fm"), "--out", str(tmp_path / "e"))]
+    codes = [run_cli(capsys, *mixed[i % len(mixed)])[0] for i in range(50)]
+    assert len(built) == 1
+    assert codes[:len(mixed)] == [0, 0, 1, 0, 0, 0, 0, 0, 0]
+    assert codes == codes[:len(mixed)] * 5 + codes[:5]
+
+
+def test_calls_after_a_usage_error_and_help_run_as_in_a_fresh_process(
+        monkeypatch, capsys):
+    # Help text wraps at the terminal width, which both sides read from
+    # COLUMNS.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "_parser", None)
+    package_root = pathlib.Path(orcline.__file__).parents[1]
+    sequence = [("orc", "run"),
+                ("--help",),
+                ("orc", "run", fx("mutex.orc"), "--seed", "7"),
+                ("orc", "explore", "--help"),
+                ("orc", "run", "x.orc", "--max-steps", "abc"),
+                ("orc", "explore", fx("par.orc"), "--format", "json"),
+                ("fm", "products", fx("smartgrid.fm")),
+                ("fm", "validate", fx("smartgrid.fm")),
+                ("fm", "count", fx("smartgrid.fm"))]
+    for argv in sequence:
+        fresh = subprocess.run([sys.executable, "-m", "orcline", *argv],
+                               capture_output=True, text=True,
+                               cwd=package_root)
+        assert run_cli(capsys, *argv) \
+            == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert cli._parser is not None
+
+
+def test_a_command_patched_after_the_first_call_is_the_one_that_runs(
+        monkeypatch, capsys):
+    assert run_cli(capsys, "fm", "count", fx("smartgrid.fm")) \
+        == (0, "4\n", "")
+    seen = []
+
+    def patched(args):
+        seen.append(args.file)
+        return 3
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_cmd_fm_count", patched)
+        assert run_cli(capsys, "fm", "count", fx("smartgrid.fm")) \
+            == (3, "", "")
+    assert seen == [fx("smartgrid.fm")]
+    assert run_cli(capsys, "fm", "count", fx("smartgrid.fm")) \
+        == (0, "4\n", "")

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from orcline import BoundExceeded, ModelBuilder, UnknownFeature
 from orcline.feature_model import (
-    enumerate_products, is_valid, product_count, sorted_products, validate,
+    enumerate_products, is_valid, joined_products, product_count,
+    sorted_products, validate,
 )
 
 import oracles
@@ -183,10 +185,40 @@ def test_mask_enumeration_matches_the_frozenset_oracle(rng):
     assert product_count(m) == len(expected)
 
 
-def test_counting_with_constraints_streams_the_root_product():
+def test_joined_products_are_the_joined_sorted_name_lists():
+    # Random models have the root F0 in the leading byte; Root below
+    # sorts last, so its bit is in the low byte and some masks fit in
+    # it.  Dead has no products.
+    rng = random.Random(12)
+    models = [random_feature_model(rng, max_features=21) for _ in range(80)]
+    b = ModelBuilder("Root")
+    for i in range(12):
+        b.optional("Root", f"A{i:02d}")
+    b.excludes("A00", "A01")
+    models.append(b.build())
+    b = ModelBuilder("Dead")
+    b.mandatory("Dead", "A")
+    b.mandatory("Dead", "B")
+    b.excludes("A", "B")
+    models.append(b.build())
+    for m in models:
+        products = sorted_products(m)
+        for sep, form in ((", ", str), (",\n    ", json.dumps)):
+            assert joined_products(m, sep, form) \
+                == [sep.join(map(form, names)) for names in products]
+    assert max(len(m.features) for m in models) > 16
+    assert products == []
+
+
+def _twenty_optional_features(parent: str) -> tuple:
+    """(count, tracemalloc peak) of counting a model with 20 optional
+    features under ``parent``, which is the root R or its mandatory
+    child A, and one ``requires``."""
     b = ModelBuilder("R")
+    if parent != "R":
+        b.mandatory("R", parent)
     for i in range(20):
-        b.optional("R", f"O{i:02d}")
+        b.optional(parent, f"O{i:02d}")
     b.requires("O03", "O11")
     m = b.build()
     tracemalloc.start()
@@ -195,6 +227,19 @@ def test_counting_with_constraints_streams_the_root_product():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return count, peak
+
+
+def test_counting_with_constraints_streams_the_root_product():
+    count, peak = _twenty_optional_features("R")
     assert count == 3 * 2 ** 18
     # A materialised root product of 2^20 masks would take tens of MB.
+    assert peak < 2 * 1024 * 1024
+
+
+def test_counting_streams_features_under_a_mandatory_child():
+    # A's 20 optional features join the root's slots, so the root split
+    # balances them too; A's subtree as one list would hold 2^20 masks.
+    count, peak = _twenty_optional_features("A")
+    assert count == 3 * 2 ** 18
     assert peak < 2 * 1024 * 1024

@@ -851,6 +851,27 @@ def test_run_rebuilds_one_path_per_event(monkeypatch):
     assert max(rebuilt) <= 3
 
 
+def test_run_resolves_only_the_calls_it_takes(monkeypatch):
+    # The step walk offers every enabled call; only the one step taken
+    # resolves its site's response.
+    resolved = []
+    resolve = orc_semantics._resolve_call
+
+    def counting_resolve(site, *rest):
+        resolved.append(site)
+        return resolve(site, *rest)
+
+    monkeypatch.setattr(orc_semantics, "_resolve_call", counting_resolve)
+    for mixed in (False, True):
+        for seed in (1, 2):
+            resolved.clear()
+            trace = run(program(fanout(32, mixed)), SeededRandom(seed))
+            calls = [ev.site for (_, ev) in trace.events
+                     if isinstance(ev, Call)]
+            assert len(calls) >= 64
+            assert resolved == calls
+
+
 def _oracle_explore(p: Program, bounds: Bounds):
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(orc_semantics, "_enabled", oracles._enabled)
