@@ -12,7 +12,7 @@ from .feature_model import (
 )
 from .mts import (
     ActionMismatch, ClauseFailure, Lts, Mts, ProductCheck,
-    derive_products, export_dot, is_product, modality, underlying_lts,
+    derive_products, export_dot, is_product, modality,
 )
 from .orc_ast import (
     SIGNAL, STOP, Asymmetric, DefCall, Definition, Emit, Otherwise,
@@ -26,15 +26,13 @@ from .orc_parser import (
     render_program,
 )
 from .orc_semantics import (
-    Bounds, Call, Deterministic, ExecState, ExploredLts, Internal,
-    Publish, Return, SeededRandom, Tick, Trace, event_label, explore,
-    initial_state, is_halted, lts_view, publication_sequences,
-    publications, run, step,
+    Bounds, Call, ExecState, ExploredLts, Internal, Publish, Return,
+    SeededRandom, Tick, Trace, event_label, explore, initial_state,
+    is_halted, lts_view, publication_sequences, run, step,
 )
 from .variability_encoding import (
     EncodingPlan, MissingTrigger, PlanMismatch, UnsupportedGroupSize,
-    default_plan, demand_response_choice_program,
-    demand_response_program, encode, encode_alternative,
+    default_plan, encode, encode_alternative,
 )
 
 __version__ = "0.1.0"

@@ -120,8 +120,7 @@ def _sorted_outcomes(outcome_set):
 
 def _cmd_orc_run(args) -> int:
     program = _load_program(args.file)
-    policy = sem.SeededRandom(args.seed) if args.seed is not None \
-        else sem.Deterministic()
+    policy = None if args.seed is None else sem.SeededRandom(args.seed)
     code = EXIT_OK
     try:
         trace = sem.run(program, policy, _bounds(args))
@@ -143,17 +142,14 @@ def _cmd_orc_run(args) -> int:
 
 
 def _explore_text(explored) -> str:
-    lines = [f"states {len(explored.states)}",
-             f"edges {len(explored.edges)}",
-             f"outcomes {len(explored.outcomes)}"]
-    for seq in _sorted_outcomes(explored.outcomes):
-        lines.append("  {" + ", ".join(render_value(v) for v in seq) + "}")
+    lines = [f"states {len(explored.states)}", f"edges {len(explored.edges)}"]
+    parts = [("outcomes", explored.outcomes)]
     if explored.truncated_outcomes:
-        lines.append(f"truncated outcomes "
-                     f"{len(explored.truncated_outcomes)}")
-        for seq in _sorted_outcomes(explored.truncated_outcomes):
-            lines.append("  {" + ", ".join(render_value(v) for v in seq)
-                         + "}")
+        parts.append(("truncated outcomes", explored.truncated_outcomes))
+    for title, outcomes in parts:
+        lines.append(f"{title} {len(outcomes)}")
+        lines += ["  {" + ", ".join(map(render_value, seq)) + "}"
+                  for seq in _sorted_outcomes(outcomes)]
     return "\n".join(lines) + "\n"
 
 
@@ -323,7 +319,7 @@ def _cmd_encode(args) -> int:
     if args.plan:
         try:
             plan = enc.plan_from_json(_read(args.plan))
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise _CliError(EXIT_INPUT, f"{args.plan}: bad plan file: {exc}")
     if plan is None:
         plan = enc.default_plan(model)

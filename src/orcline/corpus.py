@@ -26,10 +26,7 @@ def fixture_names() -> list:
 
 def fixture_text(name: str) -> str:
     """The contents of one bundled file."""
-    if name not in fixture_names():
-        raise KeyError(f"no bundled fixture named {name!r}; "
-                       f"available: {', '.join(fixture_names())}")
-    return (_fixture_dir() / name).read_text()
+    return fixture_path(name).read_text()
 
 
 def fixture_path(name: str) -> Path:

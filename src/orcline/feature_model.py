@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import BoundExceeded
 
-#: Default cap on model size for exhaustive product enumeration.
+#: Cap on model size for exhaustive product enumeration.
 MAX_ENUMERATION_FEATURES = 24
 
 
@@ -74,12 +74,6 @@ class FeatureModel:
     features: dict           # name -> Feature
     groups: tuple            # AltGroup, ...
     constraints: tuple       # Requires | Excludes, ...
-
-    def feature(self, name: str) -> Feature:
-        try:
-            return self.features[name]
-        except KeyError:
-            raise UnknownFeature(name) from None
 
     def plain_children(self, name: str) -> list:
         """Mandatory and optional children, skipping group members."""
@@ -262,59 +256,44 @@ def _product_masks(fm: FeatureModel) -> tuple:
     return names, rows()
 
 
-def _decode(names: list, masks: list) -> list:
-    """Each mask as its list of feature names in sorted order: the low
-    byte through a table of name lists, the bits above it by decoding
-    their distinct values the same way.  The masks are distinct, so no
-    two results share a list."""
-    n = len(names)
-    width = min(8, n)
-    table = [[names[n - 1 - j] for j in reversed(range(width)) if v >> j & 1]
-             for v in range(1 << width)]
-    if n <= 8:
-        return [table[m] for m in masks]
-    highs = list({m >> 8 for m in masks})
-    head = dict(zip(highs, _decode(names[:n - 8], highs)))
-    return [head[m >> 8] + table[m & 255] for m in masks]
-
-
-def _decode_joined(pieces: list, masks: list, sep: str) -> list:
-    """Each mask as ``sep.join`` of its features' pieces in sorted
-    order, through 8-bit tables of joined pieces as in ``_decode``:
-    ``first`` for the leading byte and ``rest``, whose entries start
-    with ``sep``, for each byte after it."""
+def _decode(pieces: list, masks: list, join, sep=None) -> list:
+    """Each mask as ``join`` of its features' pieces in sorted order
+    (``list``, or ``sep.join``): the low byte through a table, the bits
+    above it by decoding their distinct values the same way.  With
+    ``sep``, a byte after the leading one reads entries that start with
+    ``sep``.  Masks are distinct, so no two results share a list."""
     n = len(pieces)
     width = min(8, n)
-    first = [sep.join(pieces[n - 1 - j] for j in reversed(range(width))
-                      if v >> j & 1)
+    first = [join([pieces[n - 1 - j] for j in reversed(range(width))
+                   if v >> j & 1])
              for v in range(1 << width)]
     if n <= 8:
         return [first[m] for m in masks]
-    rest = [sep + text if text else text for text in first]
     highs = list({m >> 8 for m in masks})
-    head = dict(zip(highs, _decode_joined(pieces[:n - 8], highs, sep)))
+    head = dict(zip(highs, _decode(pieces[:n - 8], highs, join, sep)))
+    if sep is None:
+        return [head[m >> 8] + first[m & 255] for m in masks]
+    rest = [sep + text if text else text for text in first]
     return [head[h] + rest[m & 255] if (h := m >> 8) else first[m]
             for m in masks]
 
 
-def _check_size(fm: FeatureModel, max_features: int):
-    if len(fm.features) > max_features:
+def _check_size(fm: FeatureModel):
+    if len(fm.features) > MAX_ENUMERATION_FEATURES:
         raise BoundExceeded(
             f"model has {len(fm.features)} features, enumeration bound "
-            f"is {max_features}")
+            f"is {MAX_ENUMERATION_FEATURES}")
 
 
-def enumerate_products(fm: FeatureModel,
-                       max_features: int = MAX_ENUMERATION_FEATURES) -> set:
+def enumerate_products(fm: FeatureModel) -> set:
     """The set of all products, each a frozenset of feature names."""
-    _check_size(fm, max_features)
+    _check_size(fm)
     names, rows = _product_masks(fm)
-    return set(map(frozenset,
-                   _decode(names, [m for row in rows for m in row])))
+    return set(map(frozenset, _decode(
+        names, [m for row in rows for m in row], list)))
 
 
-def sorted_products(fm: FeatureModel,
-                    max_features: int = MAX_ENUMERATION_FEATURES) -> list:
+def sorted_products(fm: FeatureModel) -> list:
     """Every product as its sorted list of feature names, ordered by
     size, then by the name lists.
 
@@ -322,30 +301,29 @@ def sorted_products(fm: FeatureModel,
     differ is the lowest rank in their XOR, which is its highest bit,
     so name order is descending mask order; a stable sort by size
     keeps it."""
-    return _decode(*_sorted_masks(fm, max_features))
+    return _decode(*_sorted_masks(fm), list)
 
 
 def joined_products(fm: FeatureModel, sep: str, form=str) -> list:
     """``sorted_products``, each product as the one string
     ``sep.join(map(form, names))``, decoded straight from its mask."""
-    names, masks = _sorted_masks(fm, MAX_ENUMERATION_FEATURES)
-    return _decode_joined(list(map(form, names)), masks, sep)
+    names, masks = _sorted_masks(fm)
+    return _decode(list(map(form, names)), masks, sep.join, sep)
 
 
-def _sorted_masks(fm: FeatureModel, max_features: int) -> tuple:
+def _sorted_masks(fm: FeatureModel) -> tuple:
     """``(names, masks)``: the masks in ``sorted_products`` order."""
-    _check_size(fm, max_features)
+    _check_size(fm)
     names, rows = _product_masks(fm)
     masks = sorted((m for row in rows for m in row), reverse=True)
     masks.sort(key=int.bit_count)
     return names, masks
 
 
-def product_count(fm: FeatureModel,
-                  max_features: int = MAX_ENUMERATION_FEATURES) -> int:
+def product_count(fm: FeatureModel) -> int:
     """Number of products.  Counts multiplicatively when there are no
     cross-tree constraints, otherwise streams the enumeration, which
-    ``max_features`` bounds."""
+    ``MAX_ENUMERATION_FEATURES`` bounds."""
     if not fm.constraints:
         def count(name):
             n = 1
@@ -356,5 +334,5 @@ def product_count(fm: FeatureModel,
                 n *= sum(count(m) for m in g.members)
             return n
         return count(fm.root)
-    _check_size(fm, max_features)
+    _check_size(fm)
     return sum(map(len, _product_masks(fm)[1]))

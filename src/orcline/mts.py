@@ -79,11 +79,6 @@ class Mts:
         _freeze(self, "actions", frozenset(self.actions) | labels)
 
 
-def underlying_lts(m: Mts) -> Lts:
-    """The LTS of everything the MTS allows (its may-relation)."""
-    return Lts(m.states, m.actions, m.init, m.may)
-
-
 def modality(m: Mts, src, action, dst) -> str:
     """Three-valued transition query: "must", "may-only" or "absent"."""
     triple = (src, action, dst)
@@ -273,8 +268,7 @@ def _visit_order(init, trans) -> dict:
         out.setdefault(src, []).append((action, dst))
     order = {init: 0}
     queue = [init]
-    while queue:
-        src = queue.pop(0)
+    for src in queue:
         for (_, dst) in sorted(out.get(src, [])):
             if dst not in order:
                 order[dst] = len(order)

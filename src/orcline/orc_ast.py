@@ -164,6 +164,9 @@ class Stop:
 
 STOP = Stop()
 
+#: Sites the semantics answers itself, whatever a program declares.
+BUILTIN_SITES = frozenset(("0", "Signal", "let", "if", "Rtimer"))
+
 Expr = Union[
     SiteCall, DefCall, Parallel, Sequential, Asymmetric, Otherwise,
     Pending, Emit, Stop,

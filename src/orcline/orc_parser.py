@@ -31,6 +31,9 @@ from .orc_ast import (
 RESERVED = frozenset(
     ["def", "site", "silent", "delay", "responds", "true", "false", "signal"])
 
+#: A name token: a site, definition, variable, state or feature name.
+NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
 _FM_KEYWORDS = frozenset(
     ["family", "mandatory", "optional", "alternative", "requires",
      "excludes"])
@@ -90,9 +93,9 @@ _TOKEN_RE = re.compile(
       | (?P<nl>\n)
       | (?P<string>"(?:[^"\\\n]|\\.)*")
       | (?P<int>-?[0-9]+)
-      | (?P<name>[A-Za-z][A-Za-z0-9_]*)
+      | (?P<name>%s)
       | (?P<op>[(){}|;,<>=])
-    """,
+    """ % NAME.pattern,
     re.VERBOSE,
 )
 
@@ -475,22 +478,17 @@ def parse_program_with_diagnostics(src: str):
             while cur.at("nl"):
                 cur.advance()
             t = cur.peek()
-            if t.kind == "name" and t.text == "site":
-                line = _Cursor(_line_slice(cur), diags)
-                try:
+            if t.kind != "name" or t.text not in ("site", "def"):
+                break
+            line = _Cursor(_line_slice(cur), diags)
+            try:
+                if t.text == "site":
                     _parse_site_decl(line, sites)
-                except _Bail:
-                    pass
-                continue
-            if t.kind == "name" and t.text == "def":
-                line = _Cursor(_line_slice(cur), diags)
-                try:
+                else:
                     _parse_def_decl(line, defs, diags, defnames, calls,
                                     var_spans)
-                except _Bail:
-                    pass
-                continue
-            break
+            except _Bail:
+                pass
         goal_tokens = [t for t in cur.tokens[cur.i:] if t.kind != "nl"]
         if not goal_tokens or goal_tokens[0].kind == "eof":
             end = cur.peek()

@@ -50,9 +50,9 @@ from operator import itemgetter
 from .errors import BoundExceeded
 from .mts import Lts
 from .orc_ast import (
-    SIGNAL, STOP, Asymmetric, DefCall, Emit, Expr, Otherwise, Parallel,
-    Pending, Program, Sequential, Signal, SiteCall, SiteSpec, Stop, Value,
-    Var, render_expr, render_value, substitute, value_sort_key,
+    BUILTIN_SITES, SIGNAL, STOP, Asymmetric, DefCall, Emit, Expr, Otherwise,
+    Parallel, Pending, Program, Sequential, Signal, SiteCall, SiteSpec, Stop,
+    Value, Var, render_expr, render_value, substitute, value_sort_key,
 )
 
 # ---------------------------------------------------------------------------
@@ -162,10 +162,6 @@ class Bounds:
     max_depth: int = 16
 
 
-class Deterministic:
-    """Always pick the lowest (rule, position) transition."""
-
-
 @dataclass(frozen=True)
 class SeededRandom:
     seed: int
@@ -245,14 +241,11 @@ def _resolve_call(site: str, args: tuple, clock: int, program: Program,
     return clock + spec.delay, value, cycled
 
 
-_BUILTIN_SITES = frozenset(("0", "Signal", "let", "if", "Rtimer"))
-
-
 def _cycle_site(site: str, program: Program):
     """The cycled site of ``_resolve_call`` without resolving the call:
     ``site`` if it is an external site with more than one response,
     else None."""
-    if site in _BUILTIN_SITES:
+    if site in BUILTIN_SITES:
         return None
     spec = program.site_env.get(site)
     if spec is None or not spec.responsive or len(spec.responses) < 2:
@@ -505,9 +498,9 @@ def is_halted(state: ExecState, program: Program) -> bool:
 def run(program: Program, policy=None, bounds: Bounds = Bounds()) -> Trace:
     """Execute one interleaving to quiescence.
 
-    The Deterministic policy always takes the lowest-numbered rule at
-    the leftmost position; SeededRandom draws uniformly from the
-    enabled set.  Each event costs one step walk and one rebuilt path:
+    Without a policy it always takes the lowest-numbered rule at the
+    leftmost position; SeededRandom draws uniformly from the enabled
+    set.  Each event costs one step walk and one rebuilt path:
     only the chosen step's successor state is built.
     Raises BoundExceeded (with the partial trace attached) when
     max_steps runs out.
@@ -700,8 +693,8 @@ def explore(program: Program, bounds: Bounds = Bounds(),
 
     The reduced graph is a subgraph of the full one, so it never hits
     ``max_states`` when the full one does not.  It drops interleavings,
-    so publication_sequences, path_call_site_sets, reachable_without
-    and lts_view need the full graph, the default.
+    so publication_sequences, path_call_site_sets and lts_view need
+    the full graph, the default.
     """
     init = initial_state(program)
     ids = {canonical_key(init): 0}
@@ -751,11 +744,6 @@ def explore(program: Program, bounds: Bounds = Bounds(),
     return result
 
 
-def publications(program: Program, bounds: Bounds = Bounds()) -> frozenset:
-    """Outcome summary: publication multisets of all halting paths."""
-    return explore(program, bounds, reduce=True).outcomes
-
-
 def publication_sequences(explored: ExploredLts) -> frozenset:
     """Ordered publication tuples of every completed maximal path."""
     return _fold_paths(explored, _publish_value,
@@ -767,25 +755,6 @@ def path_call_site_sets(explored: ExploredLts) -> frozenset:
     return _fold_paths(explored,
                        lambda ev: ev.site if isinstance(ev, Call) else None,
                        lambda site, sites: sites | {site}, frozenset())[0]
-
-
-def _reachable(succ: list, start: int, follow) -> set:
-    """State ids reachable from ``start`` along edges whose events all
-    satisfy ``follow``."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        for (ev, j) in succ[frontier.pop()]:
-            if follow(ev) and j not in seen:
-                seen.add(j)
-                frontier.append(j)
-    return seen
-
-
-def reachable_without(explored: ExploredLts, pred) -> set:
-    """State ids reachable from the start along edges whose events all
-    fail ``pred`` — e.g. everything reachable before a given Return."""
-    return _reachable(_successors(explored), 0, lambda ev: not pred(ev))
 
 
 def lts_view(explored: ExploredLts) -> Lts:

@@ -26,13 +26,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .corpus import fixture_text
 from .feature_model import FeatureModel, Requires
 from .orc_ast import (
-    Asymmetric, Expr, Otherwise, Parallel, Program, Sequential, SiteCall,
-    Var,
+    BUILTIN_SITES, Asymmetric, Expr, Otherwise, Parallel, Program,
+    Sequential, SiteCall, Var,
 )
-from .orc_parser import parse_program
+from .orc_parser import NAME, RESERVED
 
 
 class UnsupportedGroupSize(Exception):
@@ -63,19 +62,27 @@ def default_plan(model: FeatureModel) -> EncodingPlan:
     return EncodingPlan({name: name for name in model.features}, triggers)
 
 
+_PLAN_SHAPE = ('expected {"feature_to_site": {feature: site}, '
+               '"trigger_sites": {gid: [site, site]}}')
+
+
 def plan_from_json(text: str) -> EncodingPlan:
+    """The plan ``{"feature_to_site": {feature: site}, "trigger_sites":
+    {gid: [site, site]}}`` written as JSON, either field optional;
+    raises ValueError for text of any other shape."""
     data = json.loads(text)
-    triggers = {int(gid): tuple(pair)
-                for gid, pair in data.get("trigger_sites", {}).items()}
-    return EncodingPlan(dict(data.get("feature_to_site", {})), triggers)
-
-
-def plan_to_json(plan: EncodingPlan) -> str:
-    return json.dumps(
-        {"feature_to_site": plan.feature_to_site,
-         "trigger_sites": {str(gid): list(pair)
-                           for gid, pair in plan.trigger_sites.items()}},
-        indent=2, sort_keys=True) + "\n"
+    if not isinstance(data, dict):
+        raise ValueError(_PLAN_SHAPE)
+    sites = data.get("feature_to_site", {})
+    triggers = data.get("trigger_sites", {})
+    if not (isinstance(sites, dict) and isinstance(triggers, dict)
+            and all(isinstance(pair, list) and len(pair) == 2
+                    for pair in triggers.values())
+            and all(isinstance(site, str) for site in [
+                *sites.values(), *sum(triggers.values(), [])])):
+        raise ValueError(_PLAN_SHAPE)
+    return EncodingPlan(dict(sites), {int(gid): tuple(pair)
+                                      for gid, pair in triggers.items()})
 
 
 def encode_alternative(m: Expr, n: Expr, a: Expr, b: Expr,
@@ -117,6 +124,15 @@ def _check_plan(model: FeatureModel, plan: EncodingPlan):
         if not pair or len(pair) != 2:
             raise MissingTrigger(
                 f"alternative group {g.members} needs two trigger sites")
+    used = [plan.feature_to_site[name] for name in model.features]
+    used += [site for g in model.groups
+             for site in plan.trigger_sites[g.gid]]
+    for site in used:
+        if not (isinstance(site, str) and NAME.fullmatch(site)):
+            raise PlanMismatch(f"site {site!r} is not an Orc name")
+        if site in RESERVED or site in BUILTIN_SITES:
+            raise PlanMismatch(f"site {site!r} is reserved or built into "
+                               f"Orc, so the encoding cannot call it")
 
 
 class _Encoder:
@@ -236,17 +252,3 @@ def encode(model: FeatureModel, plan: EncodingPlan = None) -> Program:
             f"constraints {unapplied} touch features that never become "
             f"units of the composition (optional or group subtrees)")
     return Program(goal, {}, {})
-
-
-def demand_response_program() -> Program:
-    """The bundled ``dr.orc``: aggregate a load-shifting price
-    (real_time | day_ahead) and a trade decision (sell | buy),
-    publishing the first answer from each side as one tuple."""
-    return parse_program(fixture_text("dr.orc"))
-
-
-def demand_response_choice_program() -> Program:
-    """The bundled ``dr_alt.orc``, the committed variant: whichever
-    side answers first (pricing or trading) is the only one whose
-    follow-up computation runs."""
-    return parse_program(fixture_text("dr_alt.orc"))

@@ -9,6 +9,7 @@ from orcline.feature_model import FeatureModel, is_valid
 from orcline.orc_ast import (
     SIGNAL, Asymmetric, Otherwise, Parallel, Sequential, SiteCall, Var,
 )
+from orcline.orc_semantics import _successors
 
 SITES = ("A", "B", "C", "D", "E")
 VALUES = (0, 1, 7, True, False, SIGNAL, "hi")
@@ -157,3 +158,22 @@ def maximal_paths(explored, limit: int = 200000):
     Yields lists of events; paths ending in a truncated state are
     skipped, since they are not maximal executions."""
     return (path for (path, cut) in ended_paths(explored, limit) if not cut)
+
+
+def _reachable(succ: list, start: int, follow) -> set:
+    """State ids reachable from ``start`` along edges whose events all
+    satisfy ``follow``."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for (ev, j) in succ[frontier.pop()]:
+            if follow(ev) and j not in seen:
+                seen.add(j)
+                frontier.append(j)
+    return seen
+
+
+def reachable_without(explored, pred) -> set:
+    """State ids reachable from the start along edges whose events all
+    fail ``pred`` — e.g. everything reachable before a given Return."""
+    return _reachable(_successors(explored), 0, lambda ev: not pred(ev))

@@ -27,16 +27,12 @@ from orcline.orc_ast import (
     SIGNAL, Otherwise, Parallel, Program, Sequential, SiteCall, SiteSpec,
     Var,
 )
-from orcline.orc_semantics import (
-    Call, Publish, Return, path_call_site_sets, reachable_without,
-)
-from orcline.variability_encoding import (
-    demand_response_program, encode_alternative,
-)
+from orcline.orc_semantics import Call, Publish, Return, path_call_site_sets
+from orcline.variability_encoding import encode_alternative
 
 from generators import (
     brute_force_products, maximal_paths, random_expr, random_feature_model,
-    random_mts,
+    random_mts, reachable_without,
 )
 
 
@@ -142,7 +138,7 @@ def test_criterion_05_flag_pattern_mutual_exclusion():
 
 def test_criterion_06_demand_response_pair():
     with criterion(6, "demand-response-pair-publication", 5.0):
-        ex = explore(demand_response_program(), Bounds())
+        ex = explore(parse_program(corpus.fixture_text("dr.orc")), Bounds())
         assert ex.outcomes and not ex.truncated_outcomes
         for seq in ex.outcomes:
             assert len(seq) == 1

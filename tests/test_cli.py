@@ -481,6 +481,47 @@ def test_encode_bad_plan_file_exits_one(tmp_path, capsys):
     assert "bad plan file" in err
 
 
+PAIR_PLAN = {"feature_to_site": {"Root": "r", "A": "a", "B": "b"},
+             "trigger_sites": {"0": ["p", "q"]}}
+SHAPE = ('bad plan file: expected {"feature_to_site": {feature: site}, '
+         '"trigger_sites": {gid: [site, site]}}')
+
+
+@pytest.mark.parametrize("feature, plan, code, line", [
+    ("true", None, 3, "no encoding: site 'true' is reserved or built into "
+                      "Orc, so the encoding cannot call it"),
+    ("if", None, 3, "no encoding: site 'if' is reserved or built into Orc, "
+                    "so the encoding cannot call it"),
+    ("Rtimer", None, 3, "no encoding: site 'Rtimer' is reserved or built "
+                        "into Orc, so the encoding cannot call it"),
+    ("A", [], 1, SHAPE),
+    ("A", {"trigger_sites": []}, 1, SHAPE),
+    ("A", {"feature_to_site": {"Root": "r", "A": 5}}, 1, SHAPE),
+    ("A", {"feature_to_site": {"Root": "r", "A": ["x"]}}, 1, SHAPE),
+    ("A", {"feature_to_site": {"Root": "r", "A": "a b"}}, 3,
+     "no encoding: site 'a b' is not an Orc name"),
+    ("pair", dict(PAIR_PLAN, trigger_sites={"0": ["p"]}), 1, SHAPE),
+    ("pair", dict(PAIR_PLAN, trigger_sites={"0": ["p", "let"]}), 3,
+     "no encoding: site 'let' is reserved or built into Orc, so the "
+     "encoding cannot call it"),
+], ids=["true", "if", "Rtimer", "list", "trigger-list", "int-site",
+        "list-site", "spaced-site", "one-trigger", "let-trigger"])
+def test_encode_refuses_sites_its_output_cannot_call(tmp_path, capsys,
+                                                     feature, plan, code,
+                                                     line):
+    model = tmp_path / "m.fm"
+    body = "alternative { A, B }" if feature == "pair" \
+        else f"optional {feature}"
+    model.write_text(f"family Root {{\n  {body}\n}}\n")
+    argv = ["encode", str(model)]
+    if plan is not None:
+        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        argv += ["--plan", str(tmp_path / "plan.json")]
+        if code == 1:
+            line = f"error: {tmp_path / 'plan.json'}: {line}"
+    assert run_cli(capsys, *argv) == (code, "", line + "\n")
+
+
 # ---------------------------------------------------------------------------
 # fixtures / output redirection
 

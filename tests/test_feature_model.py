@@ -152,8 +152,10 @@ def test_enumeration_bound_is_enforced():
     b = ModelBuilder("R")
     for i in range(30):
         b.optional("R", f"O{i}")
-    with pytest.raises(BoundExceeded):
-        enumerate_products(b.build())
+    for enumerate_ in (enumerate_products, sorted_products,
+                       lambda m: joined_products(m, ", ")):
+        with pytest.raises(BoundExceeded):
+            enumerate_(b.build())
     b.requires("O0", "O1")
     with pytest.raises(BoundExceeded):
         product_count(b.build())

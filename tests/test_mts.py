@@ -4,7 +4,7 @@ import pytest
 
 from orcline import (
     ActionMismatch, BoundExceeded, ClauseFailure, Lts, Mts, derive_products,
-    export_dot, is_product, modality, parse_lts, parse_mts, underlying_lts,
+    export_dot, is_product, modality, parse_lts, parse_mts,
 )
 from orcline.corpus import fixture_text
 
@@ -60,12 +60,6 @@ def test_modality_partitions_triples():
                     else:
                         assert kind == "absent"
                         assert triple not in m.may
-
-
-def test_underlying_lts_is_the_may_relation():
-    m = chain_family()
-    l = underlying_lts(m)
-    assert l.trans == m.may and l.init == m.init
 
 
 # ---------------------------------------------------------------------------

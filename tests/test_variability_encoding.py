@@ -1,22 +1,22 @@
+import json
+import random
+
 import pytest
 
 from orcline import (
-    Bounds, ModelBuilder, explore, parse_program, render_expr,
+    Bounds, ModelBuilder, corpus, explore, parse_program, render_expr,
+    render_program,
 )
 from orcline.orc_ast import (
     Asymmetric, Otherwise, Parallel, Program, Sequential, SiteCall,
 )
-from orcline.orc_semantics import (
-    Call, Publish, Return, path_call_site_sets, reachable_without,
-)
+from orcline.orc_semantics import Call, Publish, Return, path_call_site_sets
 from orcline.variability_encoding import (
     EncodingPlan, MissingTrigger, PlanMismatch, UnsupportedGroupSize,
-    default_plan, demand_response_choice_program,
-    demand_response_program, encode, encode_alternative, plan_from_json,
-    plan_to_json,
+    default_plan, encode, encode_alternative, plan_from_json,
 )
 
-from generators import maximal_paths
+from generators import maximal_paths, random_feature_model, reachable_without
 
 
 def explored(program: Program):
@@ -148,6 +148,20 @@ def test_missing_plan_entries_are_reported():
         encode(model2, plan)
 
 
+def test_encoding_parses_back_to_itself():
+    rng = random.Random(1401)
+    encoded = 0
+    for _ in range(300):
+        model = random_feature_model(rng)
+        try:
+            program = encode(model)
+        except PlanMismatch:   # a constraint with no combinator encoding
+            continue
+        assert parse_program(render_program(program)) == program
+        encoded += 1
+    assert encoded >= 50
+
+
 def test_encoding_notes_name_each_rule():
     b = ModelBuilder("Root")
     b.mandatory("Root", "P")
@@ -168,7 +182,10 @@ def test_plan_json_round_trip():
     b = ModelBuilder("Root")
     b.alternative("Root", "X", "Y")
     plan = default_plan(b.build())
-    again = plan_from_json(plan_to_json(plan))
+    again = plan_from_json(json.dumps(
+        {"feature_to_site": plan.feature_to_site,
+         "trigger_sites": {str(gid): list(pair)
+                           for gid, pair in plan.trigger_sites.items()}}))
     assert again.feature_to_site == plan.feature_to_site
     assert again.trigger_sites == plan.trigger_sites
 
@@ -224,7 +241,7 @@ def test_alternative_group_encoding_is_exclusive_end_to_end():
 # demand-response programs
 
 def test_demand_response_publishes_one_pair():
-    ex = explored(demand_response_program())
+    ex = explored(parse_program(corpus.fixture_text("dr.orc")))
     assert all(len(seq) == 1 for seq in ex.outcomes)
     values = {seq[0] for seq in ex.outcomes}
     assert values == {("real_time", "sell"), ("real_time", "buy"),
@@ -236,7 +253,7 @@ def test_demand_response_pair_waits_for_both_sides():
     # *and* one from the trading race.  Path enumeration blows up here,
     # but the property is equivalent to: no state reachable without a
     # pricing (resp. trading) response has an outgoing publication.
-    ex = explored(demand_response_program())
+    ex = explored(parse_program(corpus.fixture_text("dr.orc")))
     publishing = {i for (i, ev, j) in ex.edges if isinstance(ev, Publish)}
     for side in ({"real_time", "day_ahead"}, {"sell", "buy"}):
         early = reachable_without(
@@ -245,7 +262,7 @@ def test_demand_response_pair_waits_for_both_sides():
 
 
 def test_demand_response_choice_commits_to_one_side():
-    ex = explored(demand_response_choice_program())
+    ex = explored(parse_program(corpus.fixture_text("dr_alt.orc")))
     assert ex.outcomes == {("Load_shift",), ("Agreement",)}
     for sites in path_call_site_sets(ex):
         assert len(sites & {"Load_shift", "Agreement"}) == 1

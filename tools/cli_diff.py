@@ -12,21 +12,24 @@ the jobs of the benchmark's product-line and orc workloads for each
 seed (chain ``mts check`` in three verdicts, ``mts products``, ``fm
 products``, ``fm count``, ``fm validate``, ``encode``; ``orc explore``
 on let ladders, a timer race, the fixtures and the encoded pipeline,
-seeded ``orc run`` on fan-outs), every ``mts check`` again with
-``--format json``, ``mts check``/``products``/``dot`` and the ``fm``
-commands on the bundled fixtures and on broken variants of the
-fixture product, ``fm products`` (text and json) and ``fm count`` on
-generated feature models (the benchmark's 14- and 15-feature
-families, one of 19 features, an alternative group under an optional
-feature, ``requires`` into group members, a lone root, and
-``excludes`` between two mandatory features), and ``orc explore`` in
+seeded ``orc run`` on fan-outs), every ``mts check`` and ``fm
+validate`` again with ``--format json``, ``mts check``/``products``/
+``dot`` and the ``fm`` commands on the bundled fixtures and on broken
+variants of the fixture product, ``mts dot`` on the fixture product,
+``fixtures list`` and ``fixtures show``, ``fm products`` (text and
+json), ``fm count`` and ``encode`` on the bundled and on generated
+feature models (the benchmark's 14- and 15-feature families, one of 19
+features, an alternative group under an optional feature,
+``requires`` into group members, a lone root, ``excludes`` between two
+mandatory features and a feature named ``true``), ``encode --plan``
+with a good plan and with malformed ones, and ``orc explore`` in
 all four formats and ``orc run`` with and without ``--seed`` on every
 ``.orc`` fixture and on probes of quiescence (a call waiting for a
 variable, a definition at the depth bound, a pending timer, a call on a
 variable that nothing binds), of a label holding ``--`` and of ``|``
 nested on either side of another ``|``, ``orc run`` with and without
-``--seed`` on two 64-branch fan-outs (the
-benchmark's ``S_i() >x> let(x)`` and one mixing ``>x>``, ``<x<`` and
+``--seed`` on two 64-branch fan-outs (the benchmark's ``S_i() >x>
+let(x)`` and one mixing ``>x>``, ``<x<`` and
 ``;``) and ``orc explore --format json|lts`` on their 3-branch
 versions, and the error paths: ``orc explore`` cut by ``--max-depth``
 (text and json) and by ``--max-states``, ``orc run`` cut by
@@ -110,6 +113,29 @@ FM_PROBES = [
     ("alone.fm", "family Alone {\n}\n"),
     ("dead.fm",
      "family Dead {\n  mandatory A\n  mandatory B\n  excludes A B\n}\n"),
+    ("true.fm", "family Root {\n  optional true\n}\n"),
+]
+
+# (file name, JSON or text) of the plans ``encode --plan`` reads for
+# PAIR_FM: a good one, then malformed ones (not JSON, not an object, a
+# field that is not an object, sites that are not strings or not Orc
+# names, a trigger entry that is not a pair, a builtin trigger).
+PAIR_FM = "family Root {\n  mandatory A\n  alternative { B, C }\n}\n"
+_SITES = {"Root": "r", "A": "a", "B": "b", "C": "c"}
+PLANS = [
+    ("good.json", {"feature_to_site": _SITES,
+                   "trigger_sites": {"0": ["p", "q"]}}),
+    ("not_json.json", "{not json"),
+    ("list.json", []),
+    ("trigger_list.json", {"trigger_sites": []}),
+    ("int_site.json", {"feature_to_site": dict(_SITES, A=5)}),
+    ("list_site.json", {"feature_to_site": dict(_SITES, A=["x"])}),
+    ("spaced_site.json", {"feature_to_site": dict(_SITES, A="a b"),
+                          "trigger_sites": {"0": ["p", "q"]}}),
+    ("one_trigger.json", {"feature_to_site": _SITES,
+                          "trigger_sites": {"0": ["p"]}}),
+    ("builtin_trigger.json", {"feature_to_site": _SITES,
+                              "trigger_sites": {"0": ["p", "let"]}}),
 ]
 
 # Fan-outs as (name, program of n branches): orc run takes them at
@@ -134,16 +160,23 @@ def fixture_commands(workdir: str) -> list:
             handle.write(text)
     commands = [["mts", "check", fx("drh_family.mts"), p] for p in products]
     commands += [["mts", "products", fx("drh_family.mts")],
-                 ["mts", "dot", fx("drh_family.mts")]]
-    for fm in ("smartgrid.fm", "no_renewables.fm"):
-        commands += [["fm", "products", fx(fm)], ["fm", "count", fx(fm)]]
+                 ["mts", "dot", fx("drh_family.mts")],
+                 ["mts", "dot", fx("drh_product.lts")],
+                 ["fixtures", "list"], ["fixtures", "show", "dr.orc"]]
+    fms = [fx("smartgrid.fm"), fx("no_renewables.fm")]
     commands.append(["fm", "validate", fx("smartgrid.fm"), "--select",
                      "SmartGrid,DemandResponse"])
-    for name, text in FM_PROBES:
+    for name, text in FM_PROBES + PLANS + [("pair.fm", PAIR_FM)]:
         path = os.path.join(workdir, name)
         with open(path, "w") as handle:
-            handle.write(text)
-        commands += [["fm", "products", path], ["fm", "count", path]]
+            handle.write(text if isinstance(text, str) else json.dumps(text))
+        if name.endswith(".fm"):
+            fms.append(path)
+    for path in fms:
+        commands += [["fm", "products", path], ["fm", "count", path],
+                     ["encode", path]]
+    commands += [["encode", os.path.join(workdir, "pair.fm"), "--plan",
+                  os.path.join(workdir, name)] for name, _ in PLANS]
     programs = [(fx(name), []) for name in sorted(os.listdir(FIXTURES))
                 if name.endswith(".orc")]
     for name, text, flags in PROBES:
@@ -184,7 +217,7 @@ def with_json(commands: list) -> list:
     for argv in commands:
         out.append(argv)
         if argv[:2] in (["mts", "check"], ["mts", "products"],
-                        ["fm", "products"]):
+                        ["fm", "products"], ["fm", "validate"]):
             out.append(argv + ["--format", "json"])
     return out
 
