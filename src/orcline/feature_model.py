@@ -111,13 +111,30 @@ class ModelBuilder:
         self._add(parent, name, "optional")
         return name
 
+    def group(self, parent: str) -> int:
+        """Open an empty alternative group under ``parent`` and return
+        its id.  ``member`` adds the members one at a time, so each can
+        get its children before the next is added; the caller checks
+        that a group gets at least two, as ``alternative`` does."""
+        if parent not in self._features:
+            raise UnknownFeature(parent)
+        self._groups.append(AltGroup(len(self._groups), parent, ()))
+        return len(self._groups) - 1
+
+    def member(self, gid: int, name: str) -> str:
+        """Add ``name`` as the next member of group ``gid``; raises
+        ValueError if the name is taken."""
+        g = self._groups[gid]
+        self._add(g.parent, name, "member", gid)
+        self._groups[gid] = AltGroup(gid, g.parent, g.members + (name,))
+        return name
+
     def alternative(self, parent: str, *members: str) -> int:
         if len(members) < 2:
             raise ValueError("an alternative group needs at least two members")
-        gid = len(self._groups)
+        gid = self.group(parent)
         for m in members:
-            self._add(parent, m, "member", gid)
-        self._groups.append(AltGroup(gid, parent, tuple(members)))
+            self.member(gid, m)
         return gid
 
     def requires(self, a: str, b: str):

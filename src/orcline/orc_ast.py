@@ -178,12 +178,11 @@ class SiteSpec:
     """Behaviour of an external site.
 
     ``responses`` are produced cyclically across successive calls (most
-    sites have exactly one).  A site with ``responsive=False`` accepts
-    calls but never responds.  ``delay`` is in virtual clock ticks.
+    sites have exactly one).  A site with no responses accepts calls but
+    never responds.  ``delay`` is in virtual clock ticks.
     """
 
     responses: tuple = (SIGNAL,)
-    responsive: bool = True
     delay: int = 0
 
 

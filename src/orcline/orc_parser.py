@@ -11,7 +11,8 @@ Orc expressions, tightest to loosest binding::
     prim      := NAME "(" args ")" | NAME | "0" | "(" expr ")"
 
 A program is zero or more ``site``/``def`` declaration lines followed
-by the goal expression.  ``--`` starts a comment in every format.
+by the goal expression; a newline inside parentheses does not end a
+declaration.  ``--`` starts a comment in every format.
 """
 
 from __future__ import annotations
@@ -86,6 +87,11 @@ class _Token:
     def span(self) -> SourceSpan:
         return SourceSpan(self.line, self.col, max(1, len(self.text)))
 
+    @property
+    def shown(self) -> str:
+        """The token as a diagnostic's "found" text."""
+        return "end of input" if self.kind in ("nl", "eof") else self.text
+
 
 _TOKEN_RE = re.compile(
     r"""(?P<comment>--[^\n]*)
@@ -101,8 +107,11 @@ _TOKEN_RE = re.compile(
 
 
 def _lex(src: str, diags: list) -> list:
+    """Tokens of ``src``, ending in an eof token.  A newline is a token
+    only outside parentheses, so a declaration continues across one
+    inside them; a stray ')' leaves the depth at 0."""
     tokens = []
-    pos, line, line_start = 0, 1, 0
+    pos, line, line_start, depth = 0, 1, 0, 0
     while pos < len(src):
         m = _TOKEN_RE.match(src, pos)
         if m is None:
@@ -116,7 +125,8 @@ def _lex(src: str, diags: list) -> list:
         text = m.group()
         col = pos - line_start + 1
         if kind == "nl":
-            tokens.append(_Token("nl", "\n", None, line, col))
+            if depth == 0:
+                tokens.append(_Token("nl", "\n", None, line, col))
             line += 1
             line_start = m.end()
         elif kind == "string":
@@ -133,6 +143,10 @@ def _lex(src: str, diags: list) -> list:
         elif kind == "name":
             tokens.append(_Token("name", text, text, line, col))
         elif kind == "op":
+            if text == "(":
+                depth += 1
+            elif text == ")":
+                depth = max(0, depth - 1)
             tokens.append(_Token(text, text, text, line, col))
         pos = m.end()
     tokens.append(_Token("eof", "", None, line,
@@ -146,9 +160,8 @@ class _Cursor:
         self.i = 0
         self.diags = diags
 
-    def peek(self, k=0) -> _Token:
-        j = min(self.i + k, len(self.tokens) - 1)
-        return self.tokens[j]
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
 
     def advance(self) -> _Token:
         t = self.tokens[self.i]
@@ -159,6 +172,10 @@ class _Cursor:
     def at(self, kind) -> bool:
         return self.peek().kind == kind
 
+    def at_end(self) -> bool:
+        """At the newline that ends a declaration, or at the end of input."""
+        return self.peek().kind in ("nl", "eof")
+
     def error(self, span, message):
         self.diags.append(ParseDiagnostic(span, message, "error"))
 
@@ -166,29 +183,36 @@ class _Cursor:
         if self.at(kind):
             return self.advance()
         t = self.peek()
-        shown = t.text if t.kind != "eof" else "end of input"
-        self.error(t.span, f"expected {what}, found {shown!r}")
+        self.error(t.span, f"expected {what}, found {t.shown!r}")
         raise _Bail()
+
+    def name(self, what, role) -> _Token:
+        """Expect a name; a reserved word is reported as one that cannot
+        ``role`` (e.g. "name a site") and still returned."""
+        t = self.expect("name", what)
+        if t.text in RESERVED:
+            self.error(t.span, f"{t.text!r} is reserved and cannot {role}")
+        return t
 
 
 class _ExprParser(_Cursor):
-    """Parses one expression over a newline-free token slice.
+    """Parses a program's declarations and goal on one token stream.
 
     A call to one of ``defnames`` becomes a ``DefCall``, any other call
     a ``SiteCall``.  Records every call (for definition arity checks)
-    and every variable occurrence (for unbound-variable warnings); the
-    program parser owns both lists.
+    and every variable occurrence (for unbound-variable warnings).
     """
 
-    def __init__(self, tokens, diags, defnames, calls, var_spans):
+    def __init__(self, tokens, diags, defnames):
         super().__init__(tokens, diags)
         self.defnames = defnames
-        self.calls = calls
-        self.var_spans = var_spans
+        self.calls = []       # (name, number of arguments, span)
+        self.var_spans = []   # (name, span)
 
     def parse(self) -> Expr:
+        """One expression, up to the end of its declaration or input."""
         e = self.otherwise()
-        if not self.at("eof"):
+        if not self.at_end():
             t = self.peek()
             self.error(t.span, f"unexpected {t.text!r} after expression")
             raise _Bail()
@@ -228,11 +252,7 @@ class _ExprParser(_Cursor):
 
     def _binder(self):
         if self.at("name"):
-            t = self.advance()
-            if t.text in RESERVED:
-                self.error(t.span, f"{t.text!r} is reserved and cannot "
-                                   f"be a binder name")
-            return t.text
+            return self.name("a binder name", "be a binder name").text
         return None
 
     def prim(self) -> Expr:
@@ -252,7 +272,7 @@ class _ExprParser(_Cursor):
                 if not self.at(")"):
                     self.error(self.peek().span,
                                "the halt site 0 takes no arguments")
-                    while not self.at(")") and not self.at("eof"):
+                    while not self.at(")") and not self.at_end():
                         self.advance()
                 self.expect(")", "')'")
             return SiteCall("0", ())
@@ -277,20 +297,17 @@ class _ExprParser(_Cursor):
             if t.text in self.defnames:
                 return DefCall(t.text, args)
             return SiteCall(t.text, args)
-        shown = t.text if t.kind != "eof" else "end of input"
-        self.error(t.span, f"expected an expression, found {shown!r}")
+        self.error(t.span, f"expected an expression, found {t.shown!r}")
         raise _Bail()
 
     def _args(self) -> tuple:
         self.expect("(", "'('")
         args = []
         if not self.at(")"):
-            while True:
+            args.append(self._arg())
+            while self.at(","):
+                self.advance()
                 args.append(self._arg())
-                if self.at(","):
-                    self.advance()
-                    continue
-                break
         self.expect(")", "')' closing the argument list")
         return tuple(args)
 
@@ -313,7 +330,7 @@ class _ExprParser(_Cursor):
 
     def _skip_balanced(self):
         depth = 0
-        while not self.at("eof"):
+        while not self.at_end():
             t = self.advance()
             if t.kind == "(":
                 depth += 1
@@ -321,54 +338,6 @@ class _ExprParser(_Cursor):
                 depth -= 1
                 if depth == 0:
                     return
-
-
-def _line_slice(cur: _Cursor) -> list:
-    """Tokens up to the next newline at parenthesis depth 0, newlines
-    inside parentheses dropped, terminated by a synthetic eof."""
-    out = []
-    depth = 0
-    while True:
-        t = cur.peek()
-        if t.kind == "eof":
-            break
-        if t.kind == "nl" and depth == 0:
-            break
-        cur.advance()
-        if t.kind == "nl":
-            continue
-        if t.kind == "(":
-            depth += 1
-        elif t.kind == ")":
-            depth = max(0, depth - 1)
-        out.append(t)
-    end = cur.peek()
-    out.append(_Token("eof", "", None, end.line, end.col))
-    return out
-
-
-def _brace_slice(cur: _Cursor) -> list:
-    """Tokens inside a balanced { ... }, terminated by a synthetic eof;
-    consumes both braces.  The cursor must be at the opening brace."""
-    cur.advance()
-    out = []
-    depth = 1
-    while True:
-        t = cur.peek()
-        if t.kind == "eof":
-            cur.error(t.span, "unclosed '{'")
-            break
-        cur.advance()
-        if t.kind == "{":
-            depth += 1
-        elif t.kind == "}":
-            depth -= 1
-            if depth == 0:
-                break
-        out.append(t)
-    end = cur.peek()
-    out.append(_Token("eof", "", None, end.line, end.col))
-    return out
 
 
 _LITERALS = {"true": True, "false": False, "signal": SIGNAL}
@@ -382,86 +351,66 @@ def _literal_arg(cur: _Cursor, what: str = "a literal value"):
     if t.kind == "name" and t.text in _LITERALS:
         cur.advance()
         return _LITERALS[t.text]
-    shown = t.text if t.kind != "eof" else "end of input"
-    cur.error(t.span, f"expected {what}, found {shown!r}")
+    cur.error(t.span, f"expected {what}, found {t.shown!r}")
     raise _Bail()
 
 
-def _parse_site_decl(line: _Cursor, sites: dict):
-    line.advance()  # "site"
-    name_tok = line.expect("name", "a site name")
-    if name_tok.text in RESERVED:
-        line.error(name_tok.span,
-                   f"{name_tok.text!r} is reserved and cannot name a site")
+def _parse_site_decl(p: _ExprParser, sites: dict):
+    p.advance()  # "site"
+    name_tok = p.name("a site name", "name a site")
     if name_tok.text in sites:
-        line.error(name_tok.span,
-                   f"site {name_tok.text!r} is declared twice")
-    responsive = True
+        p.error(name_tok.span, f"site {name_tok.text!r} is declared twice")
     delay = 0
     responses = (SIGNAL,)
-    if line.at("name") and line.peek().text == "silent":
-        line.advance()
-        responsive = False
+    if p.at("name") and p.peek().text == "silent":
+        p.advance()
         responses = ()
     else:
-        if line.at("name") and line.peek().text == "delay":
-            line.advance()
-            delay_tok = line.expect("int", "a delay in ticks")
+        if p.at("name") and p.peek().text == "delay":
+            p.advance()
+            delay_tok = p.expect("int", "a delay in ticks")
             if delay_tok.value < 0:
-                line.error(delay_tok.span, "delay cannot be negative")
+                p.error(delay_tok.span, "delay cannot be negative")
             delay = max(0, delay_tok.value)
-        if line.at("name") and line.peek().text == "responds":
-            line.advance()
-            values = [_literal_arg(line)]
-            while line.at(","):
-                line.advance()
-                values.append(_literal_arg(line))
+        if p.at("name") and p.peek().text == "responds":
+            p.advance()
+            values = [_literal_arg(p)]
+            while p.at(","):
+                p.advance()
+                values.append(_literal_arg(p))
             responses = tuple(values)
-    if not line.at("eof"):
-        line.error(line.peek().span,
-                   f"unexpected {line.peek().text!r} in site declaration")
+    if not p.at_end():
+        p.error(p.peek().span,
+                f"unexpected {p.peek().text!r} in site declaration")
         raise _Bail()
-    sites[name_tok.text] = SiteSpec(responses, responsive, delay)
+    sites[name_tok.text] = SiteSpec(responses, delay)
 
 
-def _parse_def_decl(line: _Cursor, defs: dict, diags, defnames, calls,
-                    var_spans):
-    line.advance()  # "def"
-    name_tok = line.expect("name", "a definition name")
-    if name_tok.text in RESERVED:
-        line.error(name_tok.span, f"{name_tok.text!r} is reserved and "
-                                  f"cannot name a definition")
+def _parse_def_decl(p: _ExprParser, defs: dict):
+    p.advance()  # "def"
+    name_tok = p.name("a definition name", "name a definition")
     if name_tok.text in defs:
-        line.error(name_tok.span,
-                   f"definition {name_tok.text!r} is declared twice")
-    line.expect("(", "'(' starting the parameter list")
+        p.error(name_tok.span,
+                f"definition {name_tok.text!r} is declared twice")
+    p.expect("(", "'(' starting the parameter list")
     params = []
-    if not line.at(")"):
+    if not p.at(")"):
         while True:
-            p = line.expect("name", "a parameter name")
-            if p.text in RESERVED:
-                line.error(p.span, f"{p.text!r} is reserved and cannot be "
-                                   f"a parameter")
-            if p.text in params:
-                line.error(p.span, f"duplicate parameter {p.text!r}")
-            params.append(p.text)
-            if line.at(","):
-                line.advance()
-                continue
-            break
-    line.expect(")", "')' closing the parameter list")
-    line.expect("=", "'=' before the definition body")
-    body_tokens = line.tokens[line.i:]
-    body = _ExprParser(body_tokens, diags, defnames, calls,
-                       var_spans).parse()
-    defs[name_tok.text] = Definition(tuple(params), body)
+            t = p.name("a parameter name", "be a parameter")
+            if t.text in params:
+                p.error(t.span, f"duplicate parameter {t.text!r}")
+            params.append(t.text)
+            if not p.at(","):
+                break
+            p.advance()
+    p.expect(")", "')' closing the parameter list")
+    p.expect("=", "'=' before the definition body")
+    defs[name_tok.text] = Definition(tuple(params), p.parse())
 
 
 def parse_program_with_diagnostics(src: str):
     """Parse a full program; returns (Program or None, diagnostics)."""
     diags: list = []
-    calls: list = []
-    var_spans: list = []
     tokens = _lex(src, diags)
     # Every definition's name is known before any body is parsed, so a
     # call to a definition declared further down is a DefCall too.
@@ -469,34 +418,30 @@ def parse_program_with_diagnostics(src: str):
     defnames = frozenset(
         name.text for (word, name) in zip(tokens, tokens[1:])
         if word.text == "def" and word.kind == "name" and name.kind == "name")
-    cur = _Cursor(tokens, diags)
-    defs: dict = {}
-    sites: dict = {}
-    goal = None
+    p = _ExprParser(tokens, diags, defnames)
+    defs, sites, goal = {}, {}, None
     try:
         while True:
-            while cur.at("nl"):
-                cur.advance()
-            t = cur.peek()
+            while p.at("nl"):
+                p.advance()
+            t = p.peek()
             if t.kind != "name" or t.text not in ("site", "def"):
                 break
-            line = _Cursor(_line_slice(cur), diags)
             try:
                 if t.text == "site":
-                    _parse_site_decl(line, sites)
+                    _parse_site_decl(p, sites)
                 else:
-                    _parse_def_decl(line, defs, diags, defnames, calls,
-                                    var_spans)
+                    _parse_def_decl(p, defs)
             except _Bail:
-                pass
-        goal_tokens = [t for t in cur.tokens[cur.i:] if t.kind != "nl"]
-        if not goal_tokens or goal_tokens[0].kind == "eof":
-            end = cur.peek()
-            cur.error(SourceSpan(end.line, end.col, 1),
-                      "a program needs a goal expression")
+                while not p.at_end():
+                    p.advance()
+        # The goal runs to the end of the input, across newlines.
+        p.tokens = [t for t in p.tokens[p.i:] if t.kind != "nl"]
+        p.i = 0
+        if p.at("eof"):
+            p.error(p.peek().span, "a program needs a goal expression")
         else:
-            goal = _ExprParser(goal_tokens, diags, defnames, calls,
-                               var_spans).parse()
+            goal = p.parse()
     except _Bail:
         pass
 
@@ -505,7 +450,7 @@ def parse_program_with_diagnostics(src: str):
             SourceSpan(1, 1, 1),
             f"{name!r} is both a declared site and a definition",
             "error"))
-    for (name, nargs, span) in calls:
+    for (name, nargs, span) in p.calls:
         if name in defs and nargs != len(defs[name].params):
             diags.append(ParseDiagnostic(
                 span,
@@ -519,7 +464,7 @@ def parse_program_with_diagnostics(src: str):
     for d in defs.values():
         unbound |= set(free_vars(d.body)) - set(d.params)
     reported = set()
-    for (name, span) in var_spans:
+    for (name, span) in p.var_spans:
         if name in unbound and name not in reported:
             reported.add(name)
             diags.append(ParseDiagnostic(
@@ -547,7 +492,7 @@ def parse_expr(src: str) -> Expr:
 # Rendering
 
 def _render_site_decl(name: str, spec: SiteSpec) -> str:
-    if not spec.responsive or not spec.responses:
+    if not spec.responses:
         return f"site {name} silent"
     parts = [f"site {name}"]
     if spec.delay:
@@ -600,37 +545,33 @@ def _fm_items(cur: _Cursor, builder: fm.ModelBuilder, parent: str):
                 _fm_items(cur, builder, name.text)
                 cur.expect("}", "'}' closing the feature block")
         elif t.text == "alternative":
+            # Each member is registered, then its block read in place;
+            # the first error in a group ends the parse.
             cur.advance()
             cur.expect("{", "'{' opening the alternative group")
-            members = []      # (name token, deferred block tokens or None)
+            gid = builder.group(parent)
+            members = 0
             while True:
                 name = _fm_name(cur, "a member feature name")
-                block = _brace_slice(cur) if cur.at("{") else None
-                members.append((name, block))
-                if cur.at(","):
+                try:
+                    builder.member(gid, name.text)
+                except ValueError as exc:
+                    cur.error(name.span, str(exc))
+                    raise _Bail()
+                members += 1
+                if cur.at("{"):
                     cur.advance()
-                    continue
-                break
+                    _fm_items(cur, builder, name.text)
+                    cur.expect("}", f"'}}' closing the block of member "
+                                    f"{name.text!r}")
+                if not cur.at(","):
+                    break
+                cur.advance()
             cur.expect("}", "'}' closing the alternative group")
-            if len(members) < 2:
+            if members < 2:
                 cur.error(t.span,
                           "an alternative group needs at least two members")
-            else:
-                try:
-                    builder.alternative(parent,
-                                        *[m.text for (m, _) in members])
-                except ValueError as exc:
-                    cur.error(members[0][0].span, str(exc))
-                    continue
-                for (name, block) in members:
-                    if block is not None:
-                        inner = _Cursor(block, cur.diags)
-                        _fm_items(inner, builder, name.text)
-                        if not inner.at("eof"):
-                            cur.error(inner.peek().span,
-                                      f"unexpected "
-                                      f"{inner.peek().text!r} in the "
-                                      f"block of member {name.text!r}")
+                raise _Bail()
         elif t.text in ("requires", "excludes"):
             cur.advance()
             a = _fm_name(cur, "a feature name")

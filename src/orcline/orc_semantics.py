@@ -234,7 +234,7 @@ def _resolve_call(site: str, args: tuple, clock: int, program: Program,
             return clock + args[0], SIGNAL, None
         return None, None, None
     spec = program.site_env.get(site, SiteSpec())
-    if not spec.responsive or not spec.responses:
+    if not spec.responses:
         return None, None, None
     value = spec.responses[cycles.get(site, 0) % len(spec.responses)]
     cycled = site if len(spec.responses) > 1 else None
@@ -248,7 +248,7 @@ def _cycle_site(site: str, program: Program):
     if site in BUILTIN_SITES:
         return None
     spec = program.site_env.get(site)
-    if spec is None or not spec.responsive or len(spec.responses) < 2:
+    if spec is None or len(spec.responses) < 2:
         return None
     return site
 

@@ -115,9 +115,9 @@ def test_criterion_04_interleaving_outcomes():
 def _flag_pattern(silent=None) -> Program:
     goal = encode_alternative(SiteCall("M", ()), SiteCall("N", ()),
                               SiteCall("A", ()), SiteCall("B", ()))
-    env = {name: SiteSpec((name,), True, 0) for name in "MNAB"}
+    env = {name: SiteSpec((name,), 0) for name in "MNAB"}
     if silent:
-        env[silent] = SiteSpec((), False, 0)
+        env[silent] = SiteSpec((), 0)
     return Program(goal, {}, env)
 
 

@@ -47,6 +47,17 @@ def test_run_emits_one_json_object_per_event(capsys):
     assert "published" in err
 
 
+def test_run_reports_a_clock_advance_as_a_tick_event(tmp_path, capsys):
+    path = tmp_path / "timer.orc"
+    path.write_text("Rtimer(2) >> let(1)\n")
+    code, out, err = run_cli(capsys, "orc", "run", str(path))
+    assert code == 0
+    events = [json.loads(line) for line in out.splitlines()]
+    assert {"clock": 0, "kind": "tick", "to": 2} in events
+    assert events[-1] == {"clock": 2, "kind": "publish",
+                          "value": {"t": "int", "v": 1}}
+
+
 def test_run_seeded_output_is_byte_identical(capsys):
     first = run_cli(capsys, "orc", "run", fx("mutex.orc"), "--seed", "7")
     second = run_cli(capsys, "orc", "run", fx("mutex.orc"), "--seed", "7")
@@ -116,6 +127,16 @@ def test_explore_json_has_the_outcomes_of_full_exploration(capsys, name):
     assert got == want
 
 
+def test_explore_json_writes_the_signal_value_as_plain_text(tmp_path,
+                                                            capsys):
+    path = tmp_path / "signal.orc"
+    path.write_text("let(signal) | Signal\n")
+    code, out, err = run_cli(capsys, "orc", "explore", str(path),
+                             "--format", "json")
+    assert code == 0
+    assert json.loads(out)["outcomes"] == [["signal", "signal"]]
+
+
 def test_explore_lts_round_trips(capsys):
     code, out, err = run_cli(capsys, "orc", "explore", fx("par.orc"),
                              "--format", "lts")
@@ -169,6 +190,29 @@ def test_parse_error_exits_one(tmp_path, capsys):
     code, out, err = run_cli(capsys, "orc", "run", str(bad))
     assert code == 1
     assert "bad.orc" in err
+
+
+@pytest.mark.parametrize("argv, name, text, diagnostic", [
+    (["fm", "count", "BAD"], "bad.fm", "family F { optional }",
+     "1:21: error: expected a feature name, found '}'"),
+    (["mts", "check", "BAD", fx("drh_product.lts")], "bad.mts",
+     "mts M\nstates s0\ninit s1\n",
+     "3:6: error: init state 's1' is not declared"),
+    (["mts", "check", fx("drh_family.mts"), "BAD"], "bad.lts",
+     "lts L\nstates s0\ninit s0\ntrans s0 a\n",
+     "4:1: error: expected 'trans SRC ACTION DST'"),
+    (["mts", "dot", "BAD"], "bad.lts", "lts L\nstates s0\ninit s0\nfoo s0\n",
+     "4:1: error: unknown directive 'foo'"),
+], ids=["fm-count", "mts-check-family", "mts-check-product", "mts-dot"])
+def test_a_malformed_input_file_prints_its_diagnostics_and_exits_one(
+        tmp_path, capsys, argv, name, text, diagnostic):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *[str(path) if a == "BAD" else a
+                                       for a in argv])
+    assert (code, out) == (1, "")
+    assert err == (f"{path}:{diagnostic}\n"
+                   f"error: {path}: parsing failed\n")
 
 
 @pytest.mark.parametrize("command", ["run", "explore"])
@@ -399,6 +443,21 @@ def test_mts_check_foreign_action_is_an_alphabet_failure(tmp_path, capsys):
     assert "alphabet" in out
 
 
+def test_mts_check_json_reports_a_foreign_action_as_the_alphabet_clause(
+        tmp_path, capsys):
+    foreign = tmp_path / "foreign.lts"
+    foreign.write_text(corpus.fixture_text("drh_product.lts")
+                       + "trans s4 Meltdown s4\n")
+    code, out, err = run_cli(capsys, "mts", "check", fx("drh_family.mts"),
+                             str(foreign), "--format", "json")
+    assert code == 3
+    assert json.loads(out) == {
+        "product": False, "witness": None,
+        "failure": {"clause": "alphabet",
+                    "message": "product actions not in the family "
+                               "alphabet: ['Meltdown']"}}
+
+
 def test_mts_products_text(capsys):
     code, out, err = run_cli(capsys, "mts", "products",
                              fx("drh_family.mts"))
@@ -549,6 +608,11 @@ def test_fixtures_export_writes_files(tmp_path, capsys):
     written = out.splitlines()
     assert len(written) == len(corpus.fixture_names())
     assert all((dest / name).exists() for name in corpus.fixture_names())
+
+
+def test_fixtures_export_needs_a_directory(capsys):
+    assert run_cli(capsys, "fixtures", "export") == (
+        1, "", "error: fixtures export needs a destination directory\n")
 
 
 def test_fixtures_export_into_an_uncreatable_directory_exits_one(

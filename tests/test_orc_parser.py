@@ -12,8 +12,11 @@ from orcline.orc_ast import (
     SIGNAL, Asymmetric, DefCall, Otherwise, Parallel, Program, Sequential,
     SiteCall, SiteSpec, Var,
 )
-from orcline.orc_parser import parse_program_with_diagnostics
+from orcline.orc_parser import (
+    format_diagnostic, parse_program_with_diagnostics,
+)
 
+from diagnostic_cases import CASES
 from generators import random_expr, random_feature_model, random_mts
 
 
@@ -132,8 +135,8 @@ def test_program_round_trip_with_declarations():
         'def Twice(x) = let(x) | let(x)\n'
         'Twice(4) >y> slow(y)\n')
     p = parse_program(src)
-    assert p.site_env["slow"] == SiteSpec((1, 2), True, 3)
-    assert p.site_env["mute"] == SiteSpec((), False, 0)
+    assert p.site_env["slow"] == SiteSpec((1, 2), 3)
+    assert p.site_env["mute"] == SiteSpec((), 0)
     assert p.definitions["Twice"].params == ("x",)
     again = parse_program(render_program(p))
     assert again == p
@@ -202,6 +205,24 @@ def test_nested_calls_in_arguments_are_rejected_with_hint():
     assert errs and ">x>" in errs[0].message
 
 
+READERS = {"fm": parse_feature_model, "mts": parse_mts, "lts": parse_lts}
+
+
+@pytest.mark.parametrize("fmt, src, lines", CASES,
+                         ids=[f"{fmt}-{i}" for i, (fmt, _, _) in
+                              enumerate(CASES)])
+def test_every_diagnostic_is_pinned(fmt, src, lines):
+    if fmt == "orc":
+        program, diags = parse_program_with_diagnostics(src)
+        assert (program is None) == any(d.severity == "error"
+                                        for d in diags)
+    else:
+        with pytest.raises(ParseError) as info:
+            READERS[fmt](src)
+        diags = info.value.diagnostics
+    assert [format_diagnostic(d) for d in diags] == lines
+
+
 def test_parse_error_collects_several_diagnostics():
     with pytest.raises(ParseError) as info:
         parse_program("M(N()) | 5\n")
@@ -242,6 +263,8 @@ def test_alternative_members_can_carry_subtrees():
            "}\n")
     m = parse_feature_model(src)
     assert m.features["Deep"].parent == "X"
+    # A member's block is read in place, so features keep source order.
+    assert list(m.features) == ["F", "X", "Deep", "Y"]
     assert parse_feature_model(render_feature_model(m)).features \
         == m.features
 

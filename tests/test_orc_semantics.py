@@ -377,8 +377,8 @@ def test_explore_covers_every_deterministic_run():
                 assert key in got
 
 
-SITE_ENV = {"A": SiteSpec((1, 2, 3)), "B": SiteSpec((True, 0), True, 2),
-            "C": SiteSpec((7,), False)}
+SITE_ENV = {"A": SiteSpec((1, 2, 3)), "B": SiteSpec((True, 0), 2),
+            "C": SiteSpec(())}
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -616,8 +616,8 @@ def reduction_inputs():
     mixing in the builtins, the recursive definitions at several depth
     bounds, and every fixture."""
     rng = random.Random(35)
-    env = {"A": SiteSpec((1, 2, 3)), "B": SiteSpec((True, 0), True, 2),
-           "C": SiteSpec((7,), False), "D": SiteSpec((5,), True, 1)}
+    env = {"A": SiteSpec((1, 2, 3)), "B": SiteSpec((True, 0), 2),
+           "C": SiteSpec(()), "D": SiteSpec((5,), 1)}
     mixed = ("A", "D", "Rtimer", "if", "let", "0", "Signal")
     bounds = Bounds(max_states=600)
     for k in range(300):
@@ -901,7 +901,7 @@ def test_flat_parallel_explores_and_runs_as_the_binary_walk(
         bounds = Bounds(max_states=10, max_steps=60)
     else:
         rng = random.Random(seed)
-        env = {"A": SiteSpec((1, 2, 3)), "B": SiteSpec((True, 0), True, 2)}
+        env = {"A": SiteSpec((1, 2, 3)), "B": SiteSpec((True, 0), 2)}
         p = Program(random_expr(rng, 2 + seed % 4), {}, env if mixed else {})
         bounds = Bounds(max_states=400)
     assert _printed(explore_partial(p, bounds)) \

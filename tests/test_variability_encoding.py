@@ -197,9 +197,9 @@ def pattern_program(silent=None) -> Program:
     from orcline.orc_ast import SiteSpec
     goal = encode_alternative(SiteCall("M", ()), SiteCall("N", ()),
                               SiteCall("A", ()), SiteCall("B", ()))
-    env = {name: SiteSpec((name,), True, 0) for name in "MNAB"}
+    env = {name: SiteSpec((name,), 0) for name in "MNAB"}
     if silent:
-        env[silent] = SiteSpec((), False, 0)
+        env[silent] = SiteSpec((), 0)
     return Program(goal, {}, env)
 
 

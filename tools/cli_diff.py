@@ -31,7 +31,11 @@ nested on either side of another ``|``, ``orc run`` with and without
 ``--seed`` on two 64-branch fan-outs (the benchmark's ``S_i() >x>
 let(x)`` and one mixing ``>x>``, ``<x<`` and
 ``;``) and ``orc explore --format json|lts`` on their 3-branch
-versions, and the error paths: ``orc explore`` cut by ``--max-depth``
+versions, every source of the parser's diagnostic table
+(``tests/diagnostic_cases.py``: Orc through ``orc explore``, feature
+models through ``fm count``, ``.mts`` through ``mts products`` and
+``.lts`` through ``mts dot``), and the error paths: ``orc explore`` cut
+by ``--max-depth``
 (text and json) and by ``--max-states``, ``orc run`` cut by
 ``--max-steps``, a negative bound, an unknown subcommand and ``--out``
 into a missing directory.  A job that writes a file another job reads
@@ -56,7 +60,9 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(ROOT, "src", "orcline", "fixtures")
 sys.path.insert(0, os.path.join(ROOT, "bench"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
+import diagnostic_cases  # noqa: E402
 import workloads  # noqa: E402
 
 # (file name, program, extra flags) of the quiescence, label and nesting
@@ -143,6 +149,10 @@ PLANS = [
 FANOUTS = [("fanout", lambda n: workloads.fanout_program(n, random.Random(n))),
            ("mixed", mixed_fanout)]
 
+# The command that reads a diagnostic-table source of each format.
+DIAGNOSTIC_COMMANDS = {"orc": ["orc", "explore"], "fm": ["fm", "count"],
+                       "mts": ["mts", "products"], "lts": ["mts", "dot"]}
+
 
 def fixture_commands(workdir: str) -> list:
     def fx(name):
@@ -209,6 +219,11 @@ def fixture_commands(workdir: str) -> list:
                  ["orc", "frobnicate"],
                  ["fm", "count", fx("smartgrid.fm"), "--out",
                   os.path.join(workdir, "missing", "x")]]
+    for i, (fmt, src, _) in enumerate(diagnostic_cases.CASES):
+        path = os.path.join(workdir, f"diagnostic{i}.{fmt}")
+        with open(path, "w") as handle:
+            handle.write(src)
+        commands.append(DIAGNOSTIC_COMMANDS[fmt] + [path])
     return commands
 
 
