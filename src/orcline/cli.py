@@ -370,12 +370,15 @@ def _bound(text: str) -> int:
 
 
 def _add_bounds(parser):
-    parser.add_argument("--max-steps", type=_bound, default=10000,
-                        help="run-length bound (default 10000)")
-    parser.add_argument("--max-states", type=_bound, default=100000,
-                        help="exploration state bound (default 100000)")
-    parser.add_argument("--max-depth", type=_bound, default=16,
-                        help="definition expansion bound (default 16)")
+    d = sem.Bounds()
+    parser.add_argument("--max-steps", type=_bound, default=d.max_steps,
+                        help=f"run-length bound (default {d.max_steps})")
+    parser.add_argument("--max-states", type=_bound, default=d.max_states,
+                        help=f"exploration state bound "
+                             f"(default {d.max_states})")
+    parser.add_argument("--max-depth", type=_bound, default=d.max_depth,
+                        help=f"definition expansion bound "
+                             f"(default {d.max_depth})")
 
 
 def _add_out(parser):

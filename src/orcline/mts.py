@@ -27,6 +27,9 @@ from dataclasses import dataclass
 
 from .errors import BoundExceeded
 
+#: Cap on the optional transitions ``derive_products`` toggles.
+MAX_OPTIONAL_TRANSITIONS = 20
+
 
 class ActionMismatch(Exception):
     """The candidate product uses actions the family does not know."""
@@ -286,7 +289,7 @@ def _canonical_reachable(init, trans) -> Lts:
     return Lts(frozenset(rename.values()), actions, "s0", kept)
 
 
-def derive_products(family: Mts, max_optional: int = 20) -> list:
+def derive_products(family: Mts) -> list:
     """All products obtained by toggling each may-only transition.
 
     Each candidate keeps every must-transition plus one subset of the
@@ -296,15 +299,16 @@ def derive_products(family: Mts, max_optional: int = 20) -> list:
     witnesses it).  Only the may-only transitions whose source is
     reachable from the initial state under may are toggled: no
     candidate reaches the others, so they never change a product.
-    ``max_optional`` bounds the number of toggled transitions.
+    ``MAX_OPTIONAL_TRANSITIONS`` bounds how many are toggled.
     """
     reachable = _visit_order(family.init, family.may)
     optional = sorted(t for t in family.may - family.must
                       if t[0] in reachable)
-    if len(optional) > max_optional:
+    if len(optional) > MAX_OPTIONAL_TRANSITIONS:
         raise BoundExceeded(
             f"{len(optional)} optional transitions reachable from "
-            f"{family.init} under may, derivation bound is {max_optional}")
+            f"{family.init} under may, derivation bound is "
+            f"{MAX_OPTIONAL_TRANSITIONS}")
 
     seen = {}
     for mask in range(1 << len(optional)):

@@ -25,7 +25,7 @@ from . import feature_model as fm
 from . import mts as mts_mod
 from .orc_ast import (
     SIGNAL, Arg, Asymmetric, DefCall, Definition, Expr, Otherwise, Parallel,
-    Program, Sequential, SiteCall, SiteSpec, Var, free_vars, render_expr,
+    Program, Sequential, SiteCall, SiteSpec, Var, render_expr,
     render_value,
 )
 
@@ -200,14 +200,20 @@ class _ExprParser(_Cursor):
 
     A call to one of ``defnames`` becomes a ``DefCall``, any other call
     a ``SiteCall``.  Records every call (for definition arity checks)
-    and every variable occurrence (for unbound-variable warnings).
+    and every variable occurrence (for unbound-variable warnings),
+    which a closing scope of its name marks bound.
     """
 
     def __init__(self, tokens, diags, defnames):
         super().__init__(tokens, diags)
         self.defnames = defnames
         self.calls = []       # (name, number of arguments, span)
-        self.var_spans = []   # (name, span)
+        self.var_spans = []   # [name, span, bound]
+
+    def bind(self, names, start: int):
+        """Mark the occurrences of ``names`` since ``start`` bound."""
+        for occurrence in self.var_spans[start:]:
+            occurrence[2] = occurrence[2] or occurrence[0] in names
 
     def parse(self) -> Expr:
         """One expression, up to the end of its declaration or input."""
@@ -226,10 +232,12 @@ class _ExprParser(_Cursor):
         return e
 
     def asym(self) -> Expr:
+        start = len(self.var_spans)
         left = self.par()
         if self.at("<"):
             self.advance()
             binder = self._binder()
+            self.bind((binder,), start)
             self.expect("<", "'<' closing the binder")
             return Asymmetric(left, binder, self.asym())
         return left
@@ -247,7 +255,10 @@ class _ExprParser(_Cursor):
             self.advance()
             binder = self._binder()
             self.expect(">", "'>' closing the binder")
-            return Sequential(left, binder, self.seq())
+            start = len(self.var_spans)
+            right = self.seq()
+            self.bind((binder,), start)
+            return Sequential(left, binder, right)
         return left
 
     def _binder(self):
@@ -325,7 +336,7 @@ class _ExprParser(_Cursor):
             self.error(t.span, f"{t.text!r} is reserved and cannot be "
                                f"an argument")
         else:
-            self.var_spans.append((t.text, t.span))
+            self.var_spans.append([t.text, t.span, False])
         return Var(t.text)
 
     def _skip_balanced(self):
@@ -405,7 +416,9 @@ def _parse_def_decl(p: _ExprParser, defs: dict):
             p.advance()
     p.expect(")", "')' closing the parameter list")
     p.expect("=", "'=' before the definition body")
+    start = len(p.var_spans)
     defs[name_tok.text] = Definition(tuple(params), p.parse())
+    p.bind(params, start)
 
 
 def parse_program_with_diagnostics(src: str):
@@ -414,10 +427,11 @@ def parse_program_with_diagnostics(src: str):
     tokens = _lex(src, diags)
     # Every definition's name is known before any body is parsed, so a
     # call to a definition declared further down is a DefCall too.
-    # "def" is reserved: anywhere but in a head it is an error.
-    defnames = frozenset(
-        name.text for (word, name) in zip(tokens, tokens[1:])
-        if word.text == "def" and word.kind == "name" and name.kind == "name")
+    # "def" is reserved: anywhere but in a head it is an error.  Each
+    # name maps to the span of its last head.
+    defnames = {
+        name.text: name.span for (word, name) in zip(tokens, tokens[1:])
+        if word.text == "def" and word.kind == "name" and name.kind == "name"}
     p = _ExprParser(tokens, diags, defnames)
     defs, sites, goal = {}, {}, None
     try:
@@ -447,7 +461,7 @@ def parse_program_with_diagnostics(src: str):
 
     for name in sorted(set(defs) & set(sites)):
         diags.append(ParseDiagnostic(
-            SourceSpan(1, 1, 1),
+            defnames[name],
             f"{name!r} is both a declared site and a definition",
             "error"))
     for (name, nargs, span) in p.calls:
@@ -460,12 +474,9 @@ def parse_program_with_diagnostics(src: str):
     if any(d.severity == "error" for d in diags) or goal is None:
         return None, diags
 
-    unbound = set(free_vars(goal))
-    for d in defs.values():
-        unbound |= set(free_vars(d.body)) - set(d.params)
     reported = set()
-    for (name, span) in p.var_spans:
-        if name in unbound and name not in reported:
+    for (name, span, bound) in p.var_spans:
+        if not bound and name not in reported:
             reported.add(name)
             diags.append(ParseDiagnostic(
                 span,
@@ -607,7 +618,10 @@ def parse_feature_model(src: str) -> fm.FeatureModel:
         try:
             model = builder.build()
         except fm.UnknownFeature as exc:
-            cur.error(SourceSpan(1, 1, 1),
+            # Point at the first constraint end that names it.
+            ends = [t for (word, a, b) in zip(tokens, tokens[1:], tokens[2:])
+                    if word.text in ("requires", "excludes") for t in (a, b)]
+            cur.error(next(t.span for t in ends if t.text == str(exc)),
                       f"constraint references unknown feature {exc}")
     except _Bail:
         pass

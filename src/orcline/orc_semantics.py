@@ -33,8 +33,9 @@ response is due later, no call waits for an unbound variable, and no
 definition call waits at the depth bound.  One walk, ``_expr_steps``,
 finds both the steps and the waits.  A step names the node it rewrites
 by its path from the root, one index per node passed: the branch
-number under ``|``, 0 or 1 under the binary combinators.  ``_apply``
-builds its successor by rebuilding that one path.  Paths order steps
+number under ``|``, 0 or 1 under the binary combinators.  The walk
+builds nothing; ``_apply`` builds the event and the successor of the
+step taken, rebuilding that one path.  Paths order steps
 of one rule left to right, so the order is the same as when ``|`` was
 a binary node.
 """
@@ -171,8 +172,6 @@ class SeededRandom:
 class Transition:
     event: object
     state: ExecState
-    priority: int      # rule number, for the deterministic policy
-    position: tuple    # path of the node that produced the event
 
 
 @dataclass
@@ -242,15 +241,12 @@ def _resolve_call(site: str, args: tuple, clock: int, program: Program,
 
 
 def _cycle_site(site: str, program: Program):
-    """The cycled site of ``_resolve_call`` without resolving the call:
-    ``site`` if it is an external site with more than one response,
-    else None."""
-    if site in BUILTIN_SITES:
-        return None
+    """The cycled site of ``_resolve_call`` without resolving the call,
+    for ``_safe``: ``site`` if it is an external site with more than one
+    response, else None."""
     spec = program.site_env.get(site)
-    if spec is None or len(spec.responses) < 2:
-        return None
-    return site
+    cycled = spec is not None and len(spec.responses) > 1
+    return site if cycled and site not in BUILTIN_SITES else None
 
 
 # Why a stuck node cannot move yet, besides a Pending's due tick.
@@ -258,24 +254,19 @@ _UNBOUND = "unbound"   # a call with a variable argument
 _DEPTH = "depth"       # a definition call at the depth bound
 
 
-def _expr_steps(e: Expr, path: tuple, state: ExecState, program: Program,
-                bounds: Bounds, waits: list, steps: list) -> None:
+def _expr_steps(e: Expr, path: tuple, state: ExecState, bounds: Bounds,
+                waits: list, steps: list) -> None:
     """Append the enabled steps of subterm ``e`` at ``path`` to
     ``steps``, unsorted.
 
-    A step is a plain tuple ``(priority, position, event, leaf_path,
-    leaf_expr, def_name, cycle_site)``.  ``leaf_path`` is the path of
-    the node that the local rule rewrites, and ``leaf_expr`` replaces
-    it: an Emit for a Return, Stop for a Publish, the expanded body for
-    an Expand, the right operand for a fallback.  A Call's
-    ``leaf_expr`` is the program instead, against whose sites
-    ``_apply`` resolves the call it takes into a Pending.  ``def_name``
-    is the definition expanded and ``cycle_site`` the multi-response
-    site called, or None.  The walk builds no term and resolves no
-    call: ``_apply`` does both for the one step taken.  A ``>x>``
-    that spawns, or a ``<x<`` that binds, on a publication of its
-    operand rewrites only the first three fields (its rule, its own
-    position, INTERNAL) and leaves the substitution to ``_apply``.
+    A step is a plain tuple ``(priority, position, leaf_path, node)``:
+    ``node`` is the active leaf at ``leaf_path`` that the local rule
+    rewrites (a SiteCall, Pending, Emit or DefCall, or the Otherwise
+    that falls back).  The walk only finds steps: it builds no term and
+    no event, reads no program and resolves no call; ``_apply`` does
+    all of that for the one step taken.  A ``>x>`` that spawns, or a
+    ``<x<`` that binds, on a publication of its operand rewrites only
+    the first two fields, to its rule and its own position.
 
     Each active node that cannot move yet appends to ``waits`` why: a
     Pending its due tick, a call with a variable argument ``_UNBOUND``
@@ -284,101 +275,74 @@ def _expr_steps(e: Expr, path: tuple, state: ExecState, program: Program,
     a step nor a wait is halted.
     """
     kind = type(e)
-    if kind is SiteCall:
+    if kind is SiteCall or kind is DefCall:
         if any(isinstance(a, Var) for a in e.args):
             waits.append(_UNBOUND)
-            return
-        steps.append((_PRIO_CALL, path,
-                      Call(e.site, state.next_handle, e.args), path,
-                      program, None, _cycle_site(e.site, program)))
+        elif kind is SiteCall:
+            steps.append((_PRIO_CALL, path, path, e))
+        elif state.def_depth.get(e.name, 0) >= bounds.max_depth:
+            waits.append(_DEPTH)  # surfaces as truncation, not as halting
+        else:
+            steps.append((_PRIO_EXPAND, path, path, e))
 
-    elif kind is Pending:
-        if e.due is None:
-            return  # never responds
+    elif kind is Pending and e.due is not None:  # None never responds
         if e.due <= state.clock:
-            steps.append((_PRIO_RETURN, path,
-                          Return(e.site, e.handle, e.value), path,
-                          Emit(e.value), None, None))
+            steps.append((_PRIO_RETURN, path, path, e))
         else:
             waits.append(e.due)
 
     elif kind is Emit:
-        steps.append((_PRIO_PUBLISH, path, Publish(e.value), path, STOP,
-                      None, None))
-
-    elif kind is DefCall:
-        if any(isinstance(a, Var) for a in e.args):
-            waits.append(_UNBOUND)
-            return
-        d = program.definitions[e.name]
-        if state.def_depth.get(e.name, 0) >= bounds.max_depth:
-            waits.append(_DEPTH)  # surfaces as truncation, not as halting
-            return
-        body = d.body
-        for p, a in zip(d.params, e.args):
-            body = substitute(body, p, a)
-        steps.append((_PRIO_EXPAND, path, INTERNAL, path, body, e.name,
-                      None))
+        steps.append((_PRIO_PUBLISH, path, path, e))
 
     elif kind is Parallel:
         for k, branch in enumerate(e.branches):
-            _expr_steps(branch, path + (k,), state, program, bounds, waits,
-                        steps)
+            _expr_steps(branch, path + (k,), state, bounds, waits, steps)
 
     elif kind is Sequential:
         start = len(steps)
-        _expr_steps(e.left, path + (0,), state, program, bounds, waits,
-                    steps)
-        if len(steps) > start:
-            _hide_publications(steps, start, _PRIO_SEQ_SPAWN, path)
+        _expr_steps(e.left, path + (0,), state, bounds, waits, steps)
+        _hide_publications(steps, start, _PRIO_SEQ_SPAWN, path)
 
     elif kind is Asymmetric:
-        _expr_steps(e.left, path + (0,), state, program, bounds, waits,
-                    steps)
+        _expr_steps(e.left, path + (0,), state, bounds, waits, steps)
         start = len(steps)
-        _expr_steps(e.right, path + (1,), state, program, bounds, waits,
-                    steps)
-        if len(steps) > start:
-            _hide_publications(steps, start, _PRIO_BIND, path)
+        _expr_steps(e.right, path + (1,), state, bounds, waits, steps)
+        _hide_publications(steps, start, _PRIO_BIND, path)
 
     elif kind is Otherwise:
         # A publication of A passes up and settles the choice (_apply
         # discards B); A halted falls back to B.
         waiting, start = len(waits), len(steps)
-        _expr_steps(e.left, path + (0,), state, program, bounds, waits,
-                    steps)
+        _expr_steps(e.left, path + (0,), state, bounds, waits, steps)
         if len(steps) == start and len(waits) == waiting:  # A is halted
-            steps.append((_PRIO_FALLBACK, path, INTERNAL, path, e.right,
-                          None, None))
+            steps.append((_PRIO_FALLBACK, path, path, e))
 
 
 def _hide_publications(steps: list, start: int, priority: int,
                        path: tuple) -> None:
-    """Make each publication among ``steps[start:]`` an INTERNAL step
-    of rule ``priority`` at ``path``, the spawn of ``>x>`` or the bind
-    of ``<x<``; its leaf fields stay, for ``_apply``."""
+    """Make each publication among ``steps[start:]`` a step of rule
+    ``priority`` at ``path``, the spawn of ``>x>`` or the bind of
+    ``<x<``; its leaf fields stay, for ``_apply``."""
     for i in range(start, len(steps)):
-        s = steps[i]
-        if type(s[2]) is Publish:
-            steps[i] = (priority, path, INTERNAL) + s[3:]
+        if steps[i][0] == _PRIO_PUBLISH:
+            steps[i] = (priority, path) + steps[i][2:]
 
 
-def _enabled(state: ExecState, program: Program, bounds: Bounds) -> tuple:
+def _enabled(state: ExecState, bounds: Bounds) -> tuple:
     """``(steps, waits)``: the state's steps sorted by (rule, position),
     stably, and why its stuck nodes wait (see ``_expr_steps``).  In a
-    quiescent state the steps are the one Tick step to the earliest due
-    tick in ``waits``, if a response is still due.  Only calls still in
-    the term wait: a terminated branch took its calls along."""
+    quiescent state the steps are the one Tick step, to the earliest due
+    tick in ``waits`` (its node), if a response is still due.  Only calls
+    still in the term wait: a terminated branch took its calls along."""
     steps: list = []
     waits: list = []
-    _expr_steps(state.expr, (), state, program, bounds, waits, steps)
+    _expr_steps(state.expr, (), state, bounds, waits, steps)
     if steps:
         steps.sort(key=itemgetter(0, 1))
     else:
         target = min((w for w in waits if type(w) is int), default=None)
         if target is not None:
-            steps = [(_PRIO_TICK, (), Tick(target), (), state.expr, None,
-                      None)]
+            steps = [(_PRIO_TICK, (), (), target)]
     return steps, waits
 
 
@@ -445,30 +409,44 @@ def _rebuild(expr: Expr, leaf_path: tuple, leaf_expr: Expr) -> Expr:
     return x
 
 
-def _apply(state: ExecState, s: tuple) -> ExecState:
-    """The successor state that step ``s`` leads to.  Its term is
-    rebuilt once, along the step's leaf path (``_rebuild``); a Tick
-    keeps the term.  A Call is resolved here, so that only the call
-    taken is."""
-    priority, _, event, leaf_path, leaf_expr, def_name, cycle_site = s
+def _apply(state: ExecState, s: tuple, program: Program) -> tuple:
+    """``(event, successor)`` of step ``s``.  The only place that builds
+    an event, resolves a call against the program's sites, substitutes
+    a definition body or counts ``def_depth`` and ``cycles``.  The term
+    is rebuilt once, along the step's leaf path (``_rebuild``); a Tick
+    keeps it."""
+    priority, _, leaf_path, node = s
     clock, next_handle = state.clock, state.next_handle
+    def_depth, cycles = state.def_depth, state.cycles
     if priority == _PRIO_CALL:
+        due, value, cycled = _resolve_call(node.site, node.args, clock,
+                                           program, cycles)
+        event = Call(node.site, next_handle, node.args)
+        leaf = Pending(next_handle, node.site, due, value)
         next_handle += 1
-        due, value, _ = _resolve_call(event.site, event.args, clock,
-                                      leaf_expr, state.cycles)
-        leaf_expr = Pending(event.handle, event.site, due, value)
-    elif priority == _PRIO_TICK:
-        clock = event.clock
-    def_depth = state.def_depth
-    if def_name is not None:
+        if cycled is not None:
+            cycles = dict(cycles)
+            cycles[cycled] = cycles.get(cycled, 0) + 1
+    elif priority == _PRIO_RETURN:
+        event = Return(node.site, node.handle, node.value)
+        leaf = Emit(node.value)
+    elif priority == _PRIO_EXPAND:
+        d = program.definitions[node.name]
+        leaf = d.body
+        for p, a in zip(d.params, node.args):
+            leaf = substitute(leaf, p, a)
         def_depth = dict(def_depth)
-        def_depth[def_name] = def_depth.get(def_name, 0) + 1
-    cycles = state.cycles
-    if cycle_site is not None:
-        cycles = dict(cycles)
-        cycles[cycle_site] = cycles.get(cycle_site, 0) + 1
-    return ExecState(_rebuild(state.expr, leaf_path, leaf_expr), clock,
-                     next_handle, def_depth, cycles)
+        def_depth[node.name] = def_depth.get(node.name, 0) + 1
+        event = INTERNAL
+    elif priority == _PRIO_FALLBACK:
+        event, leaf = INTERNAL, node.right
+    elif priority == _PRIO_TICK:
+        event, leaf, clock = Tick(node), state.expr, node
+    else:   # a publication, or the spawn or bind that hides it
+        event = Publish(node.value) if priority == _PRIO_PUBLISH else INTERNAL
+        leaf = STOP
+    return event, ExecState(_rebuild(state.expr, leaf_path, leaf), clock,
+                            next_handle, def_depth, cycles)
 
 
 def step(state: ExecState, program: Program,
@@ -480,18 +458,18 @@ def step(state: ExecState, program: Program,
     lies in the future; it advances the clock exactly to the earliest
     due tick.
     """
-    return [Transition(s[2], _apply(state, s), s[0], s[1])
-            for s in _enabled(state, program, bounds)[0]]
+    return [Transition(*_apply(state, s, program))
+            for s in _enabled(state, bounds)[0]]
 
 
-def is_halted(state: ExecState, program: Program) -> bool:
+def is_halted(state: ExecState) -> bool:
     """True iff no step is enabled and nothing waits: no response due
     later, no call waiting for a variable, no definition call at the
     depth bound (so no bound changes the answer).  ``;`` asks this of
     its left side.  ``let(x)`` waits for ``x`` forever, so it is not
     halted here, while ``run`` and ``explore`` call every quiescent
     state halted that no definition waits in at the depth bound."""
-    steps, waits = _enabled(state, program, Bounds())
+    steps, waits = _enabled(state, Bounds())
     return not steps and not waits
 
 
@@ -511,14 +489,13 @@ def run(program: Program, policy=None, bounds: Bounds = Bounds()) -> Trace:
     state = initial_state(program)
     events: list = []
     publications: list = []
-    taken = 0
     while True:
-        steps, waits = _enabled(state, program, bounds)
+        steps, waits = _enabled(state, bounds)
         if not steps:
             blocked = _DEPTH in waits
             return Trace(events, publications, halted=not blocked,
                          truncated=blocked)
-        if taken >= bounds.max_steps:
+        if len(events) >= bounds.max_steps:
             raise BoundExceeded(
                 f"--max-steps {bounds.max_steps} reached after "
                 f"{len(events)} events, {len(publications)} publications",
@@ -526,12 +503,11 @@ def run(program: Program, policy=None, bounds: Bounds = Bounds()) -> Trace:
                               truncated=True))
         chosen = steps[0] if rng is None else \
             steps[rng.randrange(len(steps))]
-        event = chosen[2]
-        events.append((state.clock, event))
+        clock = state.clock
+        event, state = _apply(state, chosen, program)
+        events.append((clock, event))
         if isinstance(event, Publish):
             publications.append(event.value)
-        state = _apply(state, chosen)
-        taken += 1
 
 
 # ---------------------------------------------------------------------------
@@ -649,12 +625,12 @@ def _insert_sorted(value, multiset: tuple) -> tuple:
     return multiset[:i] + (value,) + multiset[i:]
 
 
-def _safe(s: tuple) -> bool:
+def _safe(s: tuple, program: Program) -> bool:
     """Is step ``s`` safe: a Return, or a Call with no cycle site, i.e.
     to a site with at most one response (every builtin, a
     single-response or silent site)?"""
-    kind = type(s[2])
-    return kind is Return or (kind is Call and s[6] is None)
+    return s[0] == _PRIO_RETURN or (
+        s[0] == _PRIO_CALL and _cycle_site(s[3].site, program) is None)
 
 
 def explore(program: Program, bounds: Bounds = Bounds(),
@@ -707,9 +683,9 @@ def explore(program: Program, bounds: Bounds = Bounds(),
     while queue:
         i = queue.popleft()
         state = states[i]
-        steps, waits = _enabled(state, program, bounds)
+        steps, waits = _enabled(state, bounds)
         if reduce:
-            steps = next(([s] for s in steps if _safe(s)), steps)
+            steps = next(([s] for s in steps if _safe(s, program)), steps)
         if not steps:
             if _DEPTH in waits:
                 truncated.add(i)
@@ -717,7 +693,7 @@ def explore(program: Program, bounds: Bounds = Bounds(),
                 halted.add(i)
             continue
         for s in steps:
-            succ = _apply(state, s)
+            event, succ = _apply(state, s, program)
             key = canonical_key(succ)
             j = ids.get(key)
             if j is None:
@@ -729,7 +705,7 @@ def explore(program: Program, bounds: Bounds = Bounds(),
                 ids[key] = j
                 states.append(succ)
                 queue.append(j)
-            edges.append((i, s[2], j))
+            edges.append((i, event, j))
 
     result = ExploredLts(states, edges, frozenset(halted),
                          frozenset(truncated), frozenset(), frozenset(),

@@ -51,6 +51,16 @@ CASES = [
     ("orc", "let(x)\n",
      ["<input>:1:5: warning: variable 'x' is never bound; calls using it "
       "will block forever"]),
+    # the first occurrence outside every scope of its name
+    ("orc", "(let(1) >x> let(x)) | let(x)\n",
+     ["<input>:1:27: warning: variable 'x' is never bound; calls using it "
+      "will block forever"]),
+    ("orc", "let(x) <x< let(x)\n",
+     ["<input>:1:16: warning: variable 'x' is never bound; calls using it "
+      "will block forever"]),
+    ("orc", "def F(x) = let(x)\nlet(x)\n",
+     ["<input>:2:5: warning: variable 'x' is never bound; calls using it "
+      "will block forever"]),
     # Orc: site declarations
     ("orc", "site S delay -1\nS()\n",
      ["<input>:1:14: error: delay cannot be negative"]),
@@ -88,7 +98,7 @@ CASES = [
      ["<input>:1:11: error: expected an expression, found 'end of input'"]),
     # Orc: the program
     ("orc", "site F silent\ndef F() = let(1)\nF()\n",
-     ["<input>:1:1: error: 'F' is both a declared site and a definition"]),
+     ["<input>:2:5: error: 'F' is both a declared site and a definition"]),
     ("orc", "def F(x) = let(x)\nF(1, 2)\n",
      ["<input>:2:1: error: definition 'F' takes 1 argument(s), "
       "called with 2"]),
@@ -126,7 +136,7 @@ CASES = [
     ("fm", "family F { mandatory A optional A }",
      ["<input>:1:33: error: duplicate feature 'A'"]),
     ("fm", "family F { mandatory A requires A Ghost }",
-     ["<input>:1:1: error: constraint references unknown feature Ghost"]),
+     ["<input>:1:35: error: constraint references unknown feature Ghost"]),
     ("fm", "family F { mandatory A { optional B }",
      ["<input>:1:38: error: expected '}' closing the family block, "
       "found 'end of input'"]),

@@ -6,6 +6,7 @@ from orcline import (
     ActionMismatch, BoundExceeded, ClauseFailure, Lts, Mts, derive_products,
     export_dot, is_product, modality, parse_lts, parse_mts,
 )
+from orcline import mts
 from orcline.corpus import fixture_text
 
 import oracles
@@ -183,20 +184,22 @@ def test_derivation_bound():
                      for i in range(8) for j in range(8)})
     family = Mts(states, frozenset(), "q0", frozenset(), may)
     with pytest.raises(BoundExceeded):
-        derive_products(family, max_optional=10)
+        derive_products(family)
 
 
-def test_derivation_bound_counts_only_reachable_optional_transitions():
+def test_derivation_bound_counts_only_reachable_optional_transitions(
+        monkeypatch):
     # 12 optional transitions among states nothing reaches, 2 reachable.
     unreachable = {(f"u{i}", "a", f"u{(i + 1) % 12}") for i in range(12)}
     family = Mts(frozenset({"q0", "q1"} | {f"u{i}" for i in range(12)}),
                  frozenset(), "q0", frozenset({("q0", "a", "q1")}),
                  frozenset({("q0", "b", "q0"), ("q1", "b", "q0")})
                  | unreachable)
-    assert len(derive_products(family, max_optional=2)) == 4
+    assert len(derive_products(family)) == 4
+    monkeypatch.setattr(mts, "MAX_OPTIONAL_TRANSITIONS", 1)
     with pytest.raises(BoundExceeded, match="2 optional transitions "
                                             "reachable from q0 under may"):
-        derive_products(family, max_optional=1)
+        derive_products(family)
 
 
 # ---------------------------------------------------------------------------

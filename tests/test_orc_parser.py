@@ -10,7 +10,7 @@ from orcline import (
 from orcline.feature_model import enumerate_products
 from orcline.orc_ast import (
     SIGNAL, Asymmetric, DefCall, Otherwise, Parallel, Program, Sequential,
-    SiteCall, SiteSpec, Var,
+    SiteCall, SiteSpec, Var, free_vars, substitute,
 )
 from orcline.orc_parser import (
     format_diagnostic, parse_program_with_diagnostics,
@@ -162,6 +162,52 @@ def test_unbound_variable_is_a_warning_not_error():
 def test_binder_bound_variables_are_not_warned():
     _, diags = parse_program_with_diagnostics("let(1) >x> let(x)")
     assert diags == []
+
+
+def _scoped_term(rng, depth: int) -> str:
+    """Source of a term over the variables x, y and z, the binders x
+    and y and calls of a two-parameter F."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.8:
+            return f"let({rng.choice('xyz1')})"
+        return f"F({rng.choice('xyz')}, 1)"
+    op = rng.choice(["|", ";", ">x>", ">y>", "<x<", "<y<", ">>"])
+    return (f"({_scoped_term(rng, depth - 1)} {op} "
+            f"{_scoped_term(rng, depth - 1)})")
+
+
+def _free_occurrences(program: Program, name: str) -> int:
+    """The occurrences of ``name`` that no binder of it encloses."""
+    terms = [program.goal] + [d.body for d in program.definitions.values()
+                              if name not in d.params]
+    return sum(render_expr(substitute(e, name, "?")).count('"?"')
+               for e in terms)
+
+
+def test_unbound_warnings_point_at_a_free_occurrence():
+    # free_vars is the oracle for the names warned.  Each warning points
+    # at an occurrence that no binder of its name encloses: a literal
+    # written there leaves one free occurrence fewer.
+    rng = random.Random(17)
+    warned = 0
+    for _ in range(500):
+        src = f"def F(x, w) = {_scoped_term(rng, 3)}\n" \
+              f"{_scoped_term(rng, 4)}\n"
+        program, diags = parse_program_with_diagnostics(src)
+        free = set(free_vars(program.goal))
+        free |= set(free_vars(program.definitions["F"].body)) - {"x", "w"}
+        names = [d.message.split("'")[1] for d in diags]
+        assert sorted(names) == sorted(free)
+        for d, name in zip(diags, names):
+            lines = src.split("\n")
+            line, col = lines[d.span.line - 1], d.span.column - 1
+            assert line[col] == name
+            lines[d.span.line - 1] = line[:col] + "7" + line[col + 1:]
+            edited = parse_program("\n".join(lines))
+            assert _free_occurrences(edited, name) \
+                == _free_occurrences(program, name) - 1
+            warned += 1
+    assert warned > 300, warned
 
 
 def test_unknown_definition_arity_is_an_error():

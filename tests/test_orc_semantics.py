@@ -58,7 +58,7 @@ def test_signal_call_return_publish():
     kinds = [type(e) for e in events]
     assert kinds == [Call, Return, Publish]
     assert events[2].value == SIGNAL
-    assert is_halted(state, p)
+    assert is_halted(state)
 
 
 def test_zero_site_blocks_forever():
@@ -66,7 +66,7 @@ def test_zero_site_blocks_forever():
     events, state = drive(p)
     assert [type(e) for e in events] == [Call]
     assert state.expr == Pending(0, "0", None, None)
-    assert is_halted(state, p)
+    assert is_halted(state)
 
 
 def test_call_with_unbound_variable_has_no_transition():
@@ -200,15 +200,15 @@ def test_multi_response_sites_cycle_in_call_order():
 def test_halted_examples():
     p = program("if(false)")
     [t] = step(initial_state(p), p)
-    assert is_halted(t.state, p)
+    assert is_halted(t.state)
 
     p = program("Rtimer(5)")
     [t] = step(initial_state(p), p)
-    assert not is_halted(t.state, p)
+    assert not is_halted(t.state)
 
     p = program("if(false) | if(false)")
     _, state = drive(p)
-    assert is_halted(state, p)
+    assert is_halted(state)
 
 
 def test_blocked_variable_is_not_considered_halted():
@@ -231,7 +231,7 @@ def test_let_of_an_unbound_variable_halts_for_run_and_explore_only():
     ex = explore(p)
     assert ex.halted_states == {0} and not ex.truncated_states
     assert ex.outcomes == {()}
-    assert not is_halted(initial_state(p), p)
+    assert not is_halted(initial_state(p))
 
 
 def test_the_step_walk_agrees_with_the_oracle_walks(monkeypatch):
@@ -244,9 +244,10 @@ def test_the_step_walk_agrees_with_the_oracle_walks(monkeypatch):
     walked = []   # (state, step events) in the order explore walks them
     enabled = orc_semantics._enabled
 
-    def recording_enabled(state, program, bounds):
-        steps, waits = enabled(state, program, bounds)
-        walked.append((state, [s[2] for s in steps]))
+    def recording_enabled(state, bounds):
+        steps, waits = enabled(state, bounds)
+        walked.append((state, [orc_semantics._apply(state, s, p)[0]
+                               for s in steps]))
         return steps, waits
 
     seen = {"halted": 0, "tick": 0, "truncated": 0}
@@ -258,7 +259,7 @@ def test_the_step_walk_agrees_with_the_oracle_walks(monkeypatch):
         assert [s for (s, _) in walked] == ex.states   # BFS order
         for i, (state, events) in enumerate(walked):
             halted = oracles._halted(state.expr)
-            assert is_halted(state, p) == halted
+            assert is_halted(state) == halted
             if events and type(events[0]) is not Tick:
                 continue
             due = oracles._next_due(state.expr, state.clock)
@@ -694,9 +695,9 @@ def test_explore_walks_each_state_once(monkeypatch):
         counts["walks"] += path == ()
         return expr_steps(e, path, *rest)
 
-    def counting_apply(state, s):
+    def counting_apply(state, s, program):
         counts["applies"] += 1
-        return apply(state, s)
+        return apply(state, s, program)
 
     def followed(state, p, bounds, reduce):
         transitions = step(state, p, bounds)
@@ -798,14 +799,14 @@ def test_steps_and_successors_agree_with_the_rebuilding_walk():
     compared = {"steps": 0, "runs": 0}
     for p, bounds in cases:
         for state in explore_partial(p, bounds).states:
-            steps, waits = orc_semantics._enabled(state, p, bounds)
+            steps, waits = orc_semantics._enabled(state, bounds)
             old_steps, old_waits = oracles._enabled(state, p, bounds)
-            assert [(s[0], s[2]) for s in steps] \
+            applied = [orc_semantics._apply(state, s, p) for s in steps]
+            assert [(s[0], event) for s, (event, _) in zip(steps, applied)] \
                 == [(s[0], s[2]) for s in old_steps]
             assert waits == old_waits
-            for s, old in zip(steps, old_steps):
-                assert orc_semantics._apply(state, s) \
-                    == oracles._apply(state, old)
+            for (_, successor), old in zip(applied, old_steps):
+                assert successor == oracles._apply(state, old)
             compared["steps"] += len(steps)
         for policy in policies:
             try:
@@ -873,10 +874,38 @@ def test_run_resolves_only_the_calls_it_takes(monkeypatch):
             assert resolved == calls
 
 
+def test_run_substitutes_only_the_expansions_it_takes(monkeypatch):
+    # Eight parallel calls of one two-parameter recursive definition
+    # share its depth counter.  The step walk offers every enabled
+    # expansion; only the one step taken substitutes its arguments into
+    # the body, one substitution per parameter, and each spawn
+    # substitutes the value it publishes, once.
+    p = program("def R(a, b) = let(a) >x> R(b, x)\n"
+                + " | ".join(f"R({i}, {i + 1})" for i in range(8)) + "\n")
+    substituted = []
+    substitute = orc_semantics.substitute
+
+    def counting_substitute(e, name, value):
+        substituted.append(name)
+        return substitute(e, name, value)
+
+    monkeypatch.setattr(orc_semantics, "substitute", counting_substitute)
+    for seed in (1, 4, 7):
+        substituted.clear()
+        trace = run(p, SeededRandom(seed), Bounds(max_depth=64))
+        assert trace.truncated
+        internal = sum(isinstance(ev, Internal) for (_, ev) in trace.events)
+        assert internal == 64 + 64   # 64 expansions, 64 spawns
+        assert len(substituted) == 2 * 64 + 64
+        assert sorted(set(substituted)) == ["a", "b", "x"]
+
+
 def _oracle_explore(p: Program, bounds: Bounds):
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(orc_semantics, "_enabled", oracles._enabled)
-        patched.setattr(orc_semantics, "_apply", oracles._apply)
+        patched.setattr(orc_semantics, "_enabled",
+                        lambda state, b: oracles._enabled(state, p, b))
+        patched.setattr(orc_semantics, "_apply",
+                        lambda state, s, _: (s[2], oracles._apply(state, s)))
         return explore_partial(p, bounds)
 
 

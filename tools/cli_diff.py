@@ -26,8 +26,10 @@ with a good plan and with malformed ones, and ``orc explore`` in
 all four formats and ``orc run`` with and without ``--seed`` on every
 ``.orc`` fixture and on probes of quiescence (a call waiting for a
 variable, a definition at the depth bound, a pending timer, a call on a
-variable that nothing binds), of a label holding ``--`` and of ``|``
-nested on either side of another ``|``, ``orc run`` with and without
+variable that nothing binds), of a label holding ``--``, of ``|``
+nested on either side of another ``|`` and of eight parallel calls of
+one two-parameter recursive definition (``--max-depth 64``, explored
+up to ``--max-states 2000``), ``orc run`` with and without
 ``--seed`` on two 64-branch fan-outs (the benchmark's ``S_i() >x>
 let(x)`` and one mixing ``>x>``, ``<x<`` and
 ``;``) and ``orc explore --format json|lts`` on their 3-branch
@@ -65,8 +67,8 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 import diagnostic_cases  # noqa: E402
 import workloads  # noqa: E402
 
-# (file name, program, extra flags) of the quiescence, label and nesting
-# probes.
+# (file name, program, extra flags) of the quiescence, label, nesting
+# and recursion probes.
 PROBES = [
     ("var_blocked.orc",
      "def F(x) = let(x)\n(F(y) ; let(9)) <y< (Rtimer(1) >> let(2))\n", []),
@@ -79,6 +81,10 @@ PROBES = [
     ("nested_par.orc",
      "(let(1) | let(2) >x> (let(x) | let(3)))"
      " | (let(4) | let(y) <y< (let(5) | Rtimer(1) >> let(6)))\n", []),
+    ("recursive.orc",
+     "def R(a, b) = let(a) >x> R(b, x)\n"
+     + " | ".join(f"R({i}, {i + 1})" for i in range(8)) + "\n",
+     ["--max-depth", "64", "--max-states", "2000"]),
 ]
 
 
