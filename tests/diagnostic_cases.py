@@ -51,16 +51,6 @@ CASES = [
     ("orc", "let(x)\n",
      ["<input>:1:5: warning: variable 'x' is never bound; calls using it "
       "will block forever"]),
-    # the first occurrence outside every scope of its name
-    ("orc", "(let(1) >x> let(x)) | let(x)\n",
-     ["<input>:1:27: warning: variable 'x' is never bound; calls using it "
-      "will block forever"]),
-    ("orc", "let(x) <x< let(x)\n",
-     ["<input>:1:16: warning: variable 'x' is never bound; calls using it "
-      "will block forever"]),
-    ("orc", "def F(x) = let(x)\nlet(x)\n",
-     ["<input>:2:5: warning: variable 'x' is never bound; calls using it "
-      "will block forever"]),
     # Orc: site declarations
     ("orc", "site S delay -1\nS()\n",
      ["<input>:1:14: error: delay cannot be negative"]),
@@ -184,4 +174,15 @@ CASES = [
      ["<input>:4:1: error: expected 'trans SRC ACTION DST'"]),
     ("lts", "lts L\nstates s0\ninit s0\nmust s0 a s0\n",
      ["<input>:4:1: error: unknown directive 'must'"]),
+    # Orc: an unbound variable is warned at its first occurrence outside
+    # every scope of its name (rows appended so earlier row numbers stay)
+    ("orc", "(let(1) >x> let(x)) | let(x)\n",
+     ["<input>:1:27: warning: variable 'x' is never bound; calls using it "
+      "will block forever"]),
+    ("orc", "let(x) <x< let(x)\n",
+     ["<input>:1:16: warning: variable 'x' is never bound; calls using it "
+      "will block forever"]),
+    ("orc", "def F(x) = let(x)\nlet(x)\n",
+     ["<input>:2:5: warning: variable 'x' is never bound; calls using it "
+      "will block forever"]),
 ]
