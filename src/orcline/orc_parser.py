@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from . import feature_model as fm
 from . import mts as mts_mod
 from .orc_ast import (
-    SIGNAL, Arg, Asymmetric, DefCall, Definition, Expr, Otherwise, Parallel,
-    Program, Sequential, SiteCall, SiteSpec, Var, render_expr,
-    render_value,
+    BUILTIN_SITES, SIGNAL, Arg, Asymmetric, DefCall, Definition, Expr,
+    Otherwise, Parallel, Program, Sequential, SiteCall, SiteSpec, Var,
+    render_expr, render_value,
 )
 
 RESERVED = frozenset(
@@ -369,7 +369,10 @@ def _literal_arg(cur: _Cursor, what: str = "a literal value"):
 def _parse_site_decl(p: _ExprParser, sites: dict):
     p.advance()  # "site"
     name_tok = p.name("a site name", "name a site")
-    if name_tok.text in sites:
+    if name_tok.text in BUILTIN_SITES:
+        p.error(name_tok.span, f"{name_tok.text!r} is a builtin site and "
+                "cannot be declared")
+    elif name_tok.text in sites:
         p.error(name_tok.span, f"site {name_tok.text!r} is declared twice")
     delay = 0
     responses = (SIGNAL,)

@@ -46,6 +46,7 @@ import random
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
 from .errors import BoundExceeded
@@ -538,16 +539,29 @@ class ExploredLts:
     ``outcomes`` holds, per maximal path that genuinely ends (halts),
     the multiset of published values as a sorted tuple;
     ``truncated_outcomes`` collects the publication prefixes of paths
-    cut off by the depth bound or the state bound.
+    cut off by the depth bound or the state bound.  Both come from one
+    path fold, made on the first read of either, so a caller that only
+    reads the graph pays for no fold.
     """
 
     states: list                  # ExecState per id; 0 is initial
     edges: list                   # (src id, Event, dst id)
     halted_states: frozenset      # as Trace.halted, not is_halted
     truncated_states: frozenset
-    outcomes: frozenset           # sorted tuples of Values
-    truncated_outcomes: frozenset
     truncated: bool               # state bound was hit
+
+    @cached_property
+    def _outcome_sets(self) -> tuple:
+        return _fold_paths(self, _publish_value, _insert_sorted, ())
+
+    @property
+    def outcomes(self) -> frozenset:
+        """Sorted tuples of Values."""
+        return self._outcome_sets[0]
+
+    @property
+    def truncated_outcomes(self) -> frozenset:
+        return self._outcome_sets[1]
 
 
 def _successors(explored: ExploredLts) -> list:
@@ -582,6 +596,9 @@ def _fold_paths(explored: ExploredLts, extract, add, empty) -> tuple:
     raises pi, so the spawn rule, which turns an Emit of A into Stop
     and adds a copy of B, still lowers mu.  canonical_key encodes the
     clock, def_depth and the term's shape, so no canonical state recurs.
+    This pi holds only until an Expand, so it is not the upper bound on
+    publications that ``_safe`` uses (``_publication_bound``, where a
+    DefCall is unbounded and ``;`` takes the max).
     """
     succ = _successors(explored)
     memo: list = [None] * len(succ)
@@ -625,12 +642,49 @@ def _insert_sorted(value, multiset: tuple) -> tuple:
     return multiset[:i] + (value,) + multiset[i:]
 
 
-def _safe(s: tuple, program: Program) -> bool:
-    """Is step ``s`` safe: a Return, or a Call with no cycle site, i.e.
-    to a site with at most one response (every builtin, a
-    single-response or silent site)?"""
-    return s[0] == _PRIO_RETURN or (
-        s[0] == _PRIO_CALL and _cycle_site(s[3].site, program) is None)
+def _publication_bound(e: Expr) -> int:
+    """How many more times ``e`` can publish, where 2 stands for two or
+    more: 1 for a SiteCall, Pending or Emit, 0 for Stop and 2 for a
+    DefCall, which an expansion makes unbounded; the sum over ``|``, the
+    max over ``;``, the left operand's for ``<x<`` and the product for
+    ``>x>``, each capped at 2."""
+    kind = type(e)
+    if kind is Parallel:
+        return min(2, sum(map(_publication_bound, e.branches)))
+    if kind is Sequential:
+        left = _publication_bound(e.left)
+        return left and min(2, left * _publication_bound(e.right))
+    if kind is Otherwise:
+        return max(_publication_bound(e.left), _publication_bound(e.right))
+    if kind is Asymmetric:
+        return _publication_bound(e.left)
+    if kind is Stop:
+        return 0
+    return 2 if kind is DefCall else 1
+
+
+def _node_at(expr: Expr, path: tuple) -> Expr:
+    """The node of ``expr`` at ``path`` (see ``_expr_steps``)."""
+    for i in path:
+        if type(expr) is Parallel:
+            expr = expr.branches[i]
+        else:
+            expr = expr.right if i else expr.left
+    return expr
+
+
+def _safe(s: tuple, expr: Expr, program: Program) -> bool:
+    """Is step ``s`` of term ``expr`` safe (see ``explore``): a Return,
+    a publication, a fallback, a Call with no cycle site, i.e. to a
+    site with at most one response (every builtin, a single-response or
+    silent site), or the spawn of an ``A >x> B`` whose A can publish at
+    most once more?"""
+    rule = s[0]
+    if rule == _PRIO_CALL:
+        return _cycle_site(s[3].site, program) is None
+    if rule == _PRIO_SEQ_SPAWN:
+        return _publication_bound(_node_at(expr, s[1]).left) <= 1
+    return rule in (_PRIO_RETURN, _PRIO_PUBLISH, _PRIO_FALLBACK)
 
 
 def explore(program: Program, bounds: Bounds = Bounds(),
@@ -644,24 +698,55 @@ def explore(program: Program, bounds: Bounds = Bounds(),
     With ``reduce``, a state whose transitions include a *safe* one
     follows only the first safe one in (rule, position) order, and
     otherwise all of them (a partial-order reduction with singleton
-    ample sets; Godefroid, LNCS 1032, 1996).  A safe step is a Return
-    or a Call to a site with at most one response.  A multi-response
-    call is not safe, since it reads and advances the shared ``cycles``
-    counter, nor is an Expand, which shares ``def_depth``.  The result
-    keeps ``outcomes``, the halted states, and the truncated outcomes
-    and states of the depth bound exact:
+    ample sets; Godefroid, LNCS 1032, 1996).  A safe step is a Return,
+    a Call to a site with at most one response, a publication (a step
+    keeps that rule only if its publication reaches the root), a
+    fallback of ``;``, or the spawn of an ``A >x> B`` whose A can
+    publish at most once more (``_publication_bound``).  A
+    multi-response call is not safe, since it reads and advances the
+    shared ``cycles`` counter, nor is an Expand, which shares
+    ``def_depth``, nor a bind, which discards its right operand.  The
+    result keeps ``outcomes``, the halted states, and the truncated
+    outcomes and states of the depth bound exact.  The clock is fixed
+    until Tick, and Tick waits for quiescence, so no Tick comes before
+    an enabled safe step; canonical_key ignores handles and
+    ``next_handle``.  Per kind of safe step:
 
-    * a safe step reads only its own node, the clock, which is fixed
-      until Tick (and Tick waits for quiescence), and ``next_handle``,
-      which only names its fresh handle;
-    * it writes only its node and ``next_handle``, and canonical_key
-      ignores handles and ``next_handle``, so it commutes with every
+    * Return and Call: a step reads only its own node, the clock and
+      ``next_handle``, which only names its fresh handle.  It writes
+      only its node and ``next_handle``, so it commutes with every
       other step up to canonical equality, and no other step disables
-      it;
-    * only the right operand of ``<x<`` can be discarded while it can
-      still step.  If a publication discards the safe step's branch,
-      taking the safe step first and then that publication reaches the
-      same canonical state; calls and returns publish nothing;
+      it, except that the right operand of ``<x<`` can be discarded
+      while it can still step.  If a bind discards the safe step's
+      branch, taking the safe step first and then that bind reaches the
+      same canonical state.  Calls and returns publish nothing;
+    * Publish: the step writes only its Emit, which becomes Stop, and
+      the B of each ``A ; B`` it passes, which it discards; B is not
+      active, and the fallback cannot fire while A holds the Emit.  It
+      reads only its value, which no other step writes: a bind's
+      substitution leaves a value alone.  No ``<x<`` right operand and
+      no ``>x>`` left operand lies on its path, so nothing hides it or
+      discards it, and no other step disables it.  It changes the order
+      of publications, but not their multiset;
+    * Fallback of ``A ; B``: the step writes only its own node, which
+      becomes B.  It reads only A's halting, and no step restarts a
+      halted A: it has no active node, no response due and no call
+      waiting for a variable.  Only a bind whose right operand holds
+      the ``;`` can disable it, and that bind discards the ``;`` or B
+      alike, so it reaches the same canonical state before or after the
+      step.  It publishes nothing;
+    * Spawn of ``A >x> B``: the step writes only its Emit, which becomes
+      Stop, and its ``>x>``, which it wraps in a ``|`` that holds the
+      new copy ``[v/x]B``.  It reads its value and B, which only a
+      bind above can write, and a bind substitutes into B and its
+      copies alike (``x`` shadows its own name), so the two commute.
+      Only a bind that discards the ``>x>``'s whole subtree can disable
+      it, and that bind reaches the same canonical state before or
+      after the step.  It publishes nothing.  Two spawns of one ``>x>``
+      do not commute, because their copies' branch order differs; the
+      guard, at most one more publication of A, leaves the step's own
+      Emit as A's last, so no second spawn can follow.  The bound
+      counts a DefCall as unbounded, since an expansion can raise it;
     * so, by induction along the acyclicity order of ``_fold_paths``,
       every maximal path of the full graph has a path in the reduced
       graph that ends in the same terminal state with the same
@@ -685,7 +770,8 @@ def explore(program: Program, bounds: Bounds = Bounds(),
         state = states[i]
         steps, waits = _enabled(state, bounds)
         if reduce:
-            steps = next(([s] for s in steps if _safe(s, program)), steps)
+            steps = next((
+                [s] for s in steps if _safe(s, state.expr, program)), steps)
         if not steps:
             if _DEPTH in waits:
                 truncated.add(i)
@@ -708,10 +794,7 @@ def explore(program: Program, bounds: Bounds = Bounds(),
             edges.append((i, event, j))
 
     result = ExploredLts(states, edges, frozenset(halted),
-                         frozenset(truncated), frozenset(), frozenset(),
-                         hit_state_bound)
-    result.outcomes, result.truncated_outcomes = _fold_paths(
-        result, _publish_value, _insert_sorted, ())
+                         frozenset(truncated), hit_state_bound)
     if hit_state_bound:
         raise BoundExceeded(
             f"--max-states {bounds.max_states} reached after "

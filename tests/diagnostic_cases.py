@@ -185,4 +185,18 @@ CASES = [
     ("orc", "def F(x) = let(x)\nlet(x)\n",
      ["<input>:2:5: warning: variable 'x' is never bound; calls using it "
       "will block forever"]),
+    # Orc: a site declaration cannot redefine a builtin site ("0" is
+    # not a name)
+    ("orc", "site let responds 1, 2\nlet(5) | let(6)\n",
+     ["<input>:1:6: error: 'let' is a builtin site and cannot be declared"]),
+    ("orc", "site Signal silent\nSignal()\n",
+     ["<input>:1:6: error: 'Signal' is a builtin site and cannot be "
+      "declared"]),
+    ("orc", "site if responds true\nif(true)\n",
+     ["<input>:1:6: error: 'if' is a builtin site and cannot be declared"]),
+    ("orc", "site Rtimer delay 3\nRtimer(1)\n",
+     ["<input>:1:6: error: 'Rtimer' is a builtin site and cannot be "
+      "declared"]),
+    ("orc", "site 0 silent\nlet(1)\n",
+     ["<input>:1:6: error: expected a site name, found '0'"]),
 ]

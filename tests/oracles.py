@@ -17,6 +17,9 @@ truncation; the step walk now reports all three through its waits.
 ``_expr_steps``, ``_enabled``, ``_apply`` and ``run`` are the step walk
 that built every enabled step's successor term; steps now name the
 node they rewrite, and ``_apply`` builds the one successor taken.
+``safe`` picks the steps of that walk that a reduced exploration may
+follow alone, with a publication bound of its own (unbounded as inf,
+not capped).
 
 These walks are binary: they read a ``|`` of n branches as the
 left-nested spine it flattens, through ``_sides``, build ``|`` with the
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from operator import itemgetter
 
@@ -411,6 +415,44 @@ def _apply(state: ExecState, s: tuple) -> ExecState:
         cycles = dict(cycles)
         cycles[cycle_site] = cycles.get(cycle_site, 0) + 1
     return ExecState(expr, clock, next_handle, def_depth, cycles)
+
+
+def _publications(e: Expr):
+    """At most how many more times ``e`` can publish: inf for a
+    definition call, whose expansions are unknown."""
+    if isinstance(e, (SiteCall, Pending, Emit)):
+        return 1
+    if isinstance(e, DefCall):
+        return math.inf
+    if isinstance(e, Stop):
+        return 0
+    left, right = _sides(e)
+    if isinstance(e, Parallel):
+        return _publications(left) + _publications(right)
+    if isinstance(e, Otherwise):
+        return max(_publications(left), _publications(right))
+    if isinstance(e, Asymmetric):
+        return _publications(left)
+    left, right = _publications(left), _publications(right)  # >x>
+    return left * right if left and right else 0
+
+
+def safe(state: ExecState, s: tuple) -> bool:
+    """Is step ``s`` of ``_enabled`` one that a reduced exploration may
+    follow alone: a Return, a publication, a fallback, a Call that
+    advances no response counter, or the spawn of a ``>x>`` whose left
+    operand can publish at most once more?"""
+    priority, position, *_, cycle_site = s
+    if priority in (_PRIO_RETURN, _PRIO_PUBLISH, _PRIO_FALLBACK):
+        return True
+    if priority == _PRIO_CALL:
+        return cycle_site is None
+    if priority != _PRIO_SEQ_SPAWN:
+        return False
+    node = state.expr
+    for i in position:
+        node = _sides(node)[i]
+    return _publications(node.left) <= 1
 
 
 def run(program: Program, policy=None, bounds: Bounds = Bounds()) -> tuple:

@@ -15,9 +15,11 @@ import sys
 import pytest
 
 import orcline
-from orcline import cli, corpus, orc_parser
+from orcline import cli, corpus, orc_parser, orc_semantics
 from orcline import feature_model as fm_mod
-from orcline.orc_ast import free_vars, render_expr, substitute
+from orcline.orc_ast import (
+    BUILTIN_SITES, free_vars, render_expr, substitute,
+)
 
 from generators import random_feature_model
 
@@ -45,6 +47,17 @@ def test_run_emits_one_json_object_per_event(capsys):
     assert sorted(published) == [1, 2]
     assert "quiescent" in err
     assert "published" in err
+
+
+def test_a_builtin_site_cannot_be_declared(tmp_path, capsys):
+    path = tmp_path / "builtin.orc"
+    for site in sorted(BUILTIN_SITES):
+        path.write_text(f"site {site} responds 7\n{site}()\n")
+        code, out, err = run_cli(capsys, "orc", "run", str(path))
+        assert (code, out) == (1, "")
+        if site != "0":   # the halt site lexes as a number, not a name
+            assert (f"1:6: error: '{site}' is a builtin site and cannot "
+                    "be declared") in err
 
 
 def test_run_reports_a_clock_advance_as_a_tick_event(tmp_path, capsys):
@@ -97,8 +110,8 @@ def test_explore_text_lists_outcomes(capsys):
     assert code == 0
     lines = out.splitlines()
     # text and json count the reduced graph; lts keeps all 16 states
-    assert lines[0] == "states 8"
-    assert lines[1] == "edges 8"
+    assert lines[0] == "states 7"
+    assert lines[1] == "edges 6"
     assert lines[2] == "outcomes 1"
     assert lines[3] == "  {1, 2}"
 
@@ -110,8 +123,32 @@ def test_explore_json_has_sorted_outcomes(capsys):
     payload = json.loads(out)
     assert payload["outcomes"] == [[1, 2]]
     assert payload["truncated"] is False
-    assert payload["states"] == 8
-    assert payload["edges"] == 8
+    assert payload["states"] == 7
+    assert payload["edges"] == 6
+
+
+def test_explore_folds_paths_only_for_outcomes(capsys, monkeypatch):
+    # lts and dot print the graph and read no outcomes; text and json
+    # fold once, for outcomes and truncated outcomes together.
+    folds = []
+    fold = orc_semantics._fold_paths
+
+    def counting_fold(*args):
+        folds.append(args[0])
+        return fold(*args)
+
+    monkeypatch.setattr(orc_semantics, "_fold_paths", counting_fold)
+    for fmt, want in (("lts", 0), ("dot", 0), ("json", 1), ("text", 1)):
+        folds.clear()
+        code, out, err = run_cli(capsys, "orc", "explore", fx("par.orc"),
+                                 "--format", fmt)
+        assert (code, len(folds)) == (0, want)
+    folds.clear()
+    explored = orcline.explore(orcline.parse_program("let(1) | let(2)"))
+    assert not folds
+    assert explored.outcomes == {(1, 2)} and not explored.truncated_outcomes
+    assert explored.outcomes == {(1, 2)}
+    assert folds == [explored]
 
 
 @pytest.mark.parametrize("name", [n for n in corpus.fixture_names()

@@ -7,13 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 from orcline import (
     Bounds, BoundExceeded, Call, Internal, Publish, Return, SeededRandom,
     Tick, corpus, explore, initial_state, is_halted, lts_view,
-    orc_semantics, parse_expr, parse_program, publication_sequences, run,
-    step,
+    orc_semantics, parse_program, publication_sequences, run, step,
 )
 from orcline.orc_ast import (
     SIGNAL, Asymmetric, DefCall, Definition, Emit, Otherwise, Parallel,
-    Pending, Program, Sequential, SiteCall, SiteSpec, Stop, Var,
-    value_sort_key,
+    Pending, Program, Sequential, SiteCall, SiteSpec, Stop, value_sort_key,
 )
 from orcline.orc_parser import parse_lts, render_lts
 from orcline.orc_semantics import (
@@ -611,11 +609,21 @@ def test_fold_rejects_a_state_reached_from_itself():
 # ---------------------------------------------------------------------------
 # Safe-step reduction against full exploration
 
+# In each, the left operand of >x> publishes twice (in the second, once
+# F() expands), so no spawn there is safe: the copies' branch order
+# tells the two spawn orders apart, and following one alone loses a
+# halted state.
+SPAWN_PROBES = [
+    "site C silent\n(let(1) | let(2)) >x> (C() >> let(x))\n",
+    "def F() = let(2)\nsite C silent\n(let(1) | F()) >x> (C() >> let(x))\n",
+]
+
+
 def reduction_inputs():
     """Random terms with and without a site env (multi-response,
     delayed, silent and single-response delayed sites), random terms
     mixing in the builtins, the recursive definitions at several depth
-    bounds, and every fixture."""
+    bounds, the spawn probes, and every fixture."""
     rng = random.Random(35)
     env = {"A": SiteSpec((1, 2, 3)), "B": SiteSpec((True, 0), 2),
            "C": SiteSpec(()), "D": SiteSpec((5,), 1)}
@@ -632,6 +640,8 @@ def reduction_inputs():
     # The two expansions compete for the one allowed by the depth bound.
     yield program("def Pick(x) = let(x)\nPick(1) | Pick(2)\n"), \
         Bounds(max_depth=1)
+    for src in SPAWN_PROBES:
+        yield program(src), Bounds()
     for name in corpus.fixture_names():
         if name.endswith(".orc"):
             yield program(corpus.fixture_text(name)), Bounds()
@@ -678,10 +688,13 @@ def test_reduction_follows_one_safe_step_per_state():
     full = explore(program("let(1) | let(2)"))
     reduced = explore(program("let(1) | let(2)"), reduce=True)
     assert (len(full.states), len(full.edges)) == (16, 24)
-    assert (len(reduced.states), len(reduced.edges)) == (8, 8)
-    # only the two publications branch: they are not safe
-    assert [ev for (i, ev, j) in reduced.edges if i == 4] \
-        == [Publish(1), Publish(2)]
+    assert (len(reduced.states), len(reduced.edges)) == (7, 6)
+    # calls, returns and publications are all safe: one path
+    assert reduced.edges == [
+        (0, Call("let", 0, (1,)), 1), (1, Call("let", 1, (2,)), 2),
+        (2, Return("let", 0, 1), 3), (3, Return("let", 1, 2), 4),
+        (4, Publish(1), 5), (5, Publish(2), 6)]
+    assert reduced.halted_states == {6}
 
 
 def test_explore_walks_each_state_once(monkeypatch):
@@ -700,15 +713,14 @@ def test_explore_walks_each_state_once(monkeypatch):
         return apply(state, s, program)
 
     def followed(state, p, bounds, reduce):
-        transitions = step(state, p, bounds)
-        safe = [t for t in transitions if isinstance(t.event, Return)
-                or (isinstance(t.event, Call)
-                    and t.state.cycles == state.cycles)]
-        return len(safe[:1] if reduce and safe else transitions)
+        steps = oracles._enabled(state, p, bounds)[0]
+        safe = [s for s in steps if oracles.safe(state, s)]
+        return len(safe[:1] if reduce and safe else steps)
 
     dr_alt = program(corpus.fixture_text("dr_alt.orc"))
     cases = [(dr_alt, Bounds()), (dr_alt, Bounds(max_states=60)),
              (program("let(1) | let(2)"), Bounds())]
+    cases += [(program(src), Bounds()) for src in SPAWN_PROBES]
     cut_off = 0
     for p, bounds in cases:
         for reduce in (False, True):
