@@ -76,9 +76,8 @@ def _depth_note(args) -> str:
 
 
 def _bounds(args) -> sem.Bounds:
-    return sem.Bounds(max_steps=args.max_steps,
-                      max_states=args.max_states,
-                      max_depth=args.max_depth)
+    return sem.Bounds(**{name: getattr(args, name) for name in _BOUND_HELP
+                         if hasattr(args, name)})
 
 
 def _load_program(path: str):
@@ -369,16 +368,19 @@ def _bound(text: str) -> int:
     return int(text)
 
 
-def _add_bounds(parser):
-    d = sem.Bounds()
-    parser.add_argument("--max-steps", type=_bound, default=d.max_steps,
-                        help=f"run-length bound (default {d.max_steps})")
-    parser.add_argument("--max-states", type=_bound, default=d.max_states,
-                        help=f"exploration state bound "
-                             f"(default {d.max_states})")
-    parser.add_argument("--max-depth", type=_bound, default=d.max_depth,
-                        help=f"definition expansion bound "
-                             f"(default {d.max_depth})")
+_BOUND_HELP = {"max_steps": "run-length bound",
+               "max_states": "exploration state bound",
+               "max_depth": "definition expansion bound"}
+
+
+def _add_bounds(parser, *names):
+    """Add the ``--max-*`` flag of each ``Bounds`` field in ``names``."""
+    defaults = sem.Bounds()
+    for name in names:
+        default = getattr(defaults, name)
+        parser.add_argument("--" + name.replace("_", "-"), type=_bound,
+                            default=default,
+                            help=f"{_BOUND_HELP[name]} (default {default})")
 
 
 def _add_out(parser):
@@ -399,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--seed", type=int, default=None,
                    help="randomise scheduling with this seed")
-    _add_bounds(p)
+    _add_bounds(p, "max_steps", "max_depth")
     _add_out(p)
     p.set_defaults(handler="orc_run")
     p = orc_sub.add_parser("explore", help="explore all interleavings")
@@ -409,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="text and json count a reduced graph with the "
                         "same outcomes; dot and lts show every "
                         "interleaving")
-    _add_bounds(p)
+    _add_bounds(p, "max_states", "max_depth")
     _add_out(p)
     p.set_defaults(handler="orc_explore")
 

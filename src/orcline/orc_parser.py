@@ -155,10 +155,11 @@ def _lex(src: str, diags: list) -> list:
 
 
 class _Cursor:
-    def __init__(self, tokens, diags):
+    def __init__(self, tokens, diags, reserved):
         self.tokens = tokens
         self.i = 0
         self.diags = diags
+        self.reserved = reserved   # the words ``name`` refuses
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -190,7 +191,7 @@ class _Cursor:
         """Expect a name; a reserved word is reported as one that cannot
         ``role`` (e.g. "name a site") and still returned."""
         t = self.expect("name", what)
-        if t.text in RESERVED:
+        if t.text in self.reserved:
             self.error(t.span, f"{t.text!r} is reserved and cannot {role}")
         return t
 
@@ -205,7 +206,7 @@ class _ExprParser(_Cursor):
     """
 
     def __init__(self, tokens, diags, defnames):
-        super().__init__(tokens, diags)
+        super().__init__(tokens, diags, RESERVED)
         self.defnames = defnames
         self.calls = []       # (name, number of arguments, span)
         self.var_spans = []   # [name, span, bound]
@@ -531,14 +532,6 @@ def render_program(p: Program) -> str:
 # ---------------------------------------------------------------------------
 # Feature-model format
 
-def _fm_name(cur: _Cursor, what: str) -> _Token:
-    t = cur.expect("name", what)
-    if t.text in _FM_KEYWORDS:
-        cur.error(t.span, f"{t.text!r} is a keyword and cannot be "
-                          f"a feature name")
-    return t
-
-
 def _fm_items(cur: _Cursor, builder: fm.ModelBuilder, parent: str):
     while True:
         t = cur.peek()
@@ -546,7 +539,7 @@ def _fm_items(cur: _Cursor, builder: fm.ModelBuilder, parent: str):
             return
         if t.text in ("mandatory", "optional"):
             cur.advance()
-            name = _fm_name(cur, "a feature name")
+            name = cur.name("a feature name", "be a feature name")
             try:
                 if t.text == "mandatory":
                     builder.mandatory(parent, name.text)
@@ -566,7 +559,7 @@ def _fm_items(cur: _Cursor, builder: fm.ModelBuilder, parent: str):
             gid = builder.group(parent)
             members = 0
             while True:
-                name = _fm_name(cur, "a member feature name")
+                name = cur.name("a member feature name", "be a feature name")
                 try:
                     builder.member(gid, name.text)
                 except ValueError as exc:
@@ -588,8 +581,8 @@ def _fm_items(cur: _Cursor, builder: fm.ModelBuilder, parent: str):
                 raise _Bail()
         elif t.text in ("requires", "excludes"):
             cur.advance()
-            a = _fm_name(cur, "a feature name")
-            b = _fm_name(cur, "a feature name")
+            a = cur.name("a feature name", "be a feature name")
+            b = cur.name("a feature name", "be a feature name")
             if t.text == "requires":
                 builder.requires(a.text, b.text)
             else:
@@ -602,14 +595,14 @@ def _fm_items(cur: _Cursor, builder: fm.ModelBuilder, parent: str):
 def parse_feature_model(src: str) -> fm.FeatureModel:
     diags: list = []
     tokens = [t for t in _lex(src, diags) if t.kind != "nl"]
-    cur = _Cursor(tokens, diags)
+    cur = _Cursor(tokens, diags, _FM_KEYWORDS)
     model = None
     try:
         head = cur.expect("name", "'family'")
         if head.text != "family":
             cur.error(head.span, f"expected 'family', found {head.text!r}")
             raise _Bail()
-        root = _fm_name(cur, "the family name")
+        root = cur.name("the family name", "be a feature name")
         cur.expect("{", "'{' opening the family block")
         builder = fm.ModelBuilder(root.text)
         _fm_items(cur, builder, root.text)

@@ -52,9 +52,9 @@ from operator import itemgetter
 from .errors import BoundExceeded
 from .mts import Lts
 from .orc_ast import (
-    BUILTIN_SITES, SIGNAL, STOP, Asymmetric, DefCall, Emit, Expr, Otherwise,
-    Parallel, Pending, Program, Sequential, Signal, SiteCall, SiteSpec, Stop,
-    Value, Var, render_expr, render_value, substitute, value_sort_key,
+    SIGNAL, STOP, Asymmetric, DefCall, Emit, Expr, Otherwise, Parallel,
+    Pending, Program, Sequential, Signal, SiteCall, SiteSpec, Stop, Value,
+    Var, render_expr, render_value, substitute, value_sort_key,
 )
 
 # ---------------------------------------------------------------------------
@@ -241,33 +241,29 @@ def _resolve_call(site: str, args: tuple, clock: int, program: Program,
     return clock + spec.delay, value, cycled
 
 
-def _cycle_site(site: str, program: Program):
-    """The cycled site of ``_resolve_call`` without resolving the call,
-    for ``_safe``: ``site`` if it is an external site with more than one
-    response, else None."""
-    spec = program.site_env.get(site)
-    cycled = spec is not None and len(spec.responses) > 1
-    return site if cycled and site not in BUILTIN_SITES else None
-
-
 # Why a stuck node cannot move yet, besides a Pending's due tick.
 _UNBOUND = "unbound"   # a call with a variable argument
 _DEPTH = "depth"       # a definition call at the depth bound
 
 
 def _expr_steps(e: Expr, path: tuple, state: ExecState, bounds: Bounds,
-                waits: list, steps: list) -> None:
+                waits: list, steps: list, capture=None) -> None:
     """Append the enabled steps of subterm ``e`` at ``path`` to
     ``steps``, unsorted.
 
     A step is a plain tuple ``(priority, position, leaf_path, node)``:
-    ``node`` is the active leaf at ``leaf_path`` that the local rule
-    rewrites (a SiteCall, Pending, Emit or DefCall, or the Otherwise
-    that falls back).  The walk only finds steps: it builds no term and
-    no event, reads no program and resolves no call; ``_apply`` does
-    all of that for the one step taken.  A ``>x>`` that spawns, or a
-    ``<x<`` that binds, on a publication of its operand rewrites only
-    the first two fields, to its rule and its own position.
+    ``node`` is the active node at ``position`` that the rule rewrites,
+    and ``leaf_path`` leads to the active leaf (a SiteCall, Pending,
+    Emit or DefCall, or the Otherwise that falls back).  The walk only
+    finds steps: it builds no term and no event, reads no program and
+    resolves no call; ``_apply`` does all of that for the one step
+    taken.
+
+    ``capture`` is ``(rule, position, node)`` of the nearest ``A >x>
+    B`` above with ``e`` in A, or ``A <x< B`` with ``e`` in B, and None
+    when a publication of ``e`` reaches the root.  So a spawn or bind
+    step names its ``>x>`` or ``<x<`` and, by ``leaf_path``, its Emit;
+    every other step names its leaf twice.
 
     Each active node that cannot move yet appends to ``waits`` why: a
     Pending its due tick, a call with a variable argument ``_UNBOUND``
@@ -293,40 +289,32 @@ def _expr_steps(e: Expr, path: tuple, state: ExecState, bounds: Bounds,
             waits.append(e.due)
 
     elif kind is Emit:
-        steps.append((_PRIO_PUBLISH, path, path, e))
+        rule, position, node = capture or (_PRIO_PUBLISH, path, e)
+        steps.append((rule, position, path, node))
 
     elif kind is Parallel:
         for k, branch in enumerate(e.branches):
-            _expr_steps(branch, path + (k,), state, bounds, waits, steps)
+            _expr_steps(branch, path + (k,), state, bounds, waits, steps,
+                        capture)
 
     elif kind is Sequential:
-        start = len(steps)
-        _expr_steps(e.left, path + (0,), state, bounds, waits, steps)
-        _hide_publications(steps, start, _PRIO_SEQ_SPAWN, path)
+        _expr_steps(e.left, path + (0,), state, bounds, waits, steps,
+                    (_PRIO_SEQ_SPAWN, path, e))
 
     elif kind is Asymmetric:
-        _expr_steps(e.left, path + (0,), state, bounds, waits, steps)
-        start = len(steps)
-        _expr_steps(e.right, path + (1,), state, bounds, waits, steps)
-        _hide_publications(steps, start, _PRIO_BIND, path)
+        _expr_steps(e.left, path + (0,), state, bounds, waits, steps,
+                    capture)
+        _expr_steps(e.right, path + (1,), state, bounds, waits, steps,
+                    (_PRIO_BIND, path, e))
 
     elif kind is Otherwise:
         # A publication of A passes up and settles the choice (_apply
         # discards B); A halted falls back to B.
         waiting, start = len(waits), len(steps)
-        _expr_steps(e.left, path + (0,), state, bounds, waits, steps)
+        _expr_steps(e.left, path + (0,), state, bounds, waits, steps,
+                    capture)
         if len(steps) == start and len(waits) == waiting:  # A is halted
             steps.append((_PRIO_FALLBACK, path, path, e))
-
-
-def _hide_publications(steps: list, start: int, priority: int,
-                       path: tuple) -> None:
-    """Make each publication among ``steps[start:]`` a step of rule
-    ``priority`` at ``path``, the spawn of ``>x>`` or the bind of
-    ``<x<``; its leaf fields stay, for ``_apply``."""
-    for i in range(start, len(steps)):
-        if steps[i][0] == _PRIO_PUBLISH:
-            steps[i] = (priority, path) + steps[i][2:]
 
 
 def _enabled(state: ExecState, bounds: Bounds) -> tuple:
@@ -663,27 +651,18 @@ def _publication_bound(e: Expr) -> int:
     return 2 if kind is DefCall else 1
 
 
-def _node_at(expr: Expr, path: tuple) -> Expr:
-    """The node of ``expr`` at ``path`` (see ``_expr_steps``)."""
-    for i in path:
-        if type(expr) is Parallel:
-            expr = expr.branches[i]
-        else:
-            expr = expr.right if i else expr.left
-    return expr
-
-
-def _safe(s: tuple, expr: Expr, program: Program) -> bool:
-    """Is step ``s`` of term ``expr`` safe (see ``explore``): a Return,
-    a publication, a fallback, a Call with no cycle site, i.e. to a
-    site with at most one response (every builtin, a single-response or
+def _safe(s: tuple, program: Program) -> bool:
+    """Is step ``s`` safe (see ``explore``): a Return, a publication, a
+    fallback, a Call that resolves with no cycled site, i.e. to a site
+    with at most one response (every builtin, a single-response or
     silent site), or the spawn of an ``A >x> B`` whose A can publish at
-    most once more?"""
-    rule = s[0]
+    most once more?  It reads only the step: a spawn's node is its
+    ``>x>``."""
+    rule, node = s[0], s[3]
     if rule == _PRIO_CALL:
-        return _cycle_site(s[3].site, program) is None
+        return _resolve_call(node.site, node.args, 0, program, {})[2] is None
     if rule == _PRIO_SEQ_SPAWN:
-        return _publication_bound(_node_at(expr, s[1]).left) <= 1
+        return _publication_bound(node.left) <= 1
     return rule in (_PRIO_RETURN, _PRIO_PUBLISH, _PRIO_FALLBACK)
 
 
@@ -770,8 +749,7 @@ def explore(program: Program, bounds: Bounds = Bounds(),
         state = states[i]
         steps, waits = _enabled(state, bounds)
         if reduce:
-            steps = next((
-                [s] for s in steps if _safe(s, state.expr, program)), steps)
+            steps = next(([s] for s in steps if _safe(s, program)), steps)
         if not steps:
             if _DEPTH in waits:
                 truncated.add(i)

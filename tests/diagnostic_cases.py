@@ -119,7 +119,7 @@ CASES = [
     ("fm", "family F { } x",
      ["<input>:1:14: error: unexpected 'x' after the family block"]),
     ("fm", "family F { mandatory optional }",
-     ["<input>:1:22: error: 'optional' is a keyword and cannot be a "
+     ["<input>:1:22: error: 'optional' is reserved and cannot be a "
       "feature name"]),
     ("fm", "family F { optional }",
      ["<input>:1:21: error: expected a feature name, found '}'"]),

@@ -685,8 +685,11 @@ def test_out_into_a_missing_directory_exits_one(tmp_path, capsys, argv):
     ("orc", "run", fx("par.orc"), "--max-steps", "-1"),
     ("orc", "explore", fx("par.orc"), "--max-states", "-1"),
     ("orc", "explore", fx("loop.orc"), "--max-depth", "-1"),
+    ("orc", "run", fx("par.orc"), "--max-states", "5"),
+    ("orc", "explore", fx("par.orc"), "--max-steps", "5"),
 ], ids=["unknown-command", "missing-file", "not-a-number",
-        "negative-steps", "negative-states", "negative-depth"])
+        "negative-steps", "negative-states", "negative-depth",
+        "run-states", "explore-steps"])
 def test_usage_errors_exit_one(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1

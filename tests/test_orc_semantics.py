@@ -793,14 +793,21 @@ def fanout(n: int, mixed: bool = False) -> str:
                               for i in range(n)) + "\n"
 
 
+# The node a publication, spawn or bind step names: its Emit, or the
+# >x> or <x< that hides it.
+NAMED_NODE = {orc_semantics._PRIO_PUBLISH: Emit,
+              orc_semantics._PRIO_SEQ_SPAWN: Sequential,
+              orc_semantics._PRIO_BIND: Asymmetric}
+
+
 def test_steps_and_successors_agree_with_the_rebuilding_walk():
     # The step walk used to build every step's successor term (kept in
     # oracles.py, on binary | nodes); now a step names the node it
     # rewrites and _apply rebuilds the term along that path.  Same
     # rules and events in the same order, the same waits, the same
-    # successor for every step, and the same runs, deterministic and
-    # seeded.  Positions differ: a branch of an n-ary | is one index
-    # where the binary spine took one index per level.
+    # successor and safety for every step, and the same runs,
+    # deterministic and seeded.  Positions differ: a branch of an n-ary
+    # | is one index where the binary spine took one index per level.
     fixtures = [program(corpus.fixture_text(name))
                 for name in corpus.fixture_names() if name.endswith(".orc")]
     cases = list(fold_inputs()) + list(reduction_inputs())
@@ -817,8 +824,11 @@ def test_steps_and_successors_agree_with_the_rebuilding_walk():
             assert [(s[0], event) for s, (event, _) in zip(steps, applied)] \
                 == [(s[0], s[2]) for s in old_steps]
             assert waits == old_waits
-            for (_, successor), old in zip(applied, old_steps):
+            for s, (_, successor), old in zip(steps, applied, old_steps):
                 assert successor == oracles._apply(state, old)
+                assert orc_semantics._safe(s, p) == oracles.safe(state, old)
+                if s[0] in NAMED_NODE:
+                    assert type(s[3]) is NAMED_NODE[s[0]]
             compared["steps"] += len(steps)
         for policy in policies:
             try:

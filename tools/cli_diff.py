@@ -39,13 +39,15 @@ models through ``fm count``, ``.mts`` through ``mts products`` and
 ``.lts`` through ``mts dot``), and the error paths: ``orc explore`` cut
 by ``--max-depth``
 (text and json) and by ``--max-states``, ``orc run`` cut by
-``--max-steps``, a negative bound, an unknown subcommand and ``--out``
-into a missing directory.  A job that writes a file another job reads
+``--max-steps``, a negative bound, a bound flag that the command does
+not take, an unknown subcommand and ``--out`` into a missing
+directory.  A job that writes a file another job reads
 (``encode`` for the orc workload) writes it once, with this checkout,
 before the comparison.
-``--ignore-key K`` drops top-level key K from JSON stdout, and every
-line ``K <number>`` from other stdout, before comparing.  Exits 1 when
-anything differs.
+``--ignore-key K`` drops top-level key K from JSON stdout and every
+line ``K <number>`` from other stdout, and masks the number of each
+``<number> K`` on stderr (as in the ``truncated: --max-states`` line),
+before comparing.  Exits 1 when anything differs.
 """
 
 from __future__ import annotations
@@ -84,8 +86,10 @@ PROBES = [
     ("recursive.orc",
      "def R(a, b) = let(a) >x> R(b, x)\n"
      + " | ".join(f"R({i}, {i + 1})" for i in range(8)) + "\n",
-     ["--max-depth", "64", "--max-states", "2000"]),
+     ["--max-depth", "64"]),
 ]
+# Further flags of a probe that only orc explore takes.
+EXPLORE_FLAGS = {"recursive.orc": ["--max-states", "2000"]}
 
 
 def mixed_fanout(n: int) -> str:
@@ -200,7 +204,8 @@ def fixture_commands(workdir: str) -> list:
         with open(programs[-1][0], "w") as handle:
             handle.write(text)
     for path, flags in programs:
-        commands += [["orc", "explore", path, "--format", fmt] + flags
+        explore_flags = flags + EXPLORE_FLAGS.get(os.path.basename(path), [])
+        commands += [["orc", "explore", path, "--format", fmt] + explore_flags
                      for fmt in ("text", "json", "lts", "dot")]
         commands.append(["orc", "run", path] + flags)
         commands += [["orc", "run", path, "--seed", str(seed)] + flags
@@ -222,6 +227,8 @@ def fixture_commands(workdir: str) -> list:
                  ["orc", "run", fx("loop.orc"), "--max-steps", "5",
                   "--max-depth", "1000"],
                  ["orc", "explore", fx("par.orc"), "--max-states", "-1"],
+                 ["orc", "run", fx("par.orc"), "--max-states", "5"],
+                 ["orc", "explore", fx("par.orc"), "--max-steps", "5"],
                  ["orc", "frobnicate"],
                  ["fm", "count", fx("smartgrid.fm"), "--out",
                   os.path.join(workdir, "missing", "x")]]
@@ -248,8 +255,10 @@ def run(checkout: str, argv: list, workdir: str, ignore: list) -> tuple:
     done = subprocess.run([sys.executable, "-m", "orcline"] + argv,
                           capture_output=True, text=True, cwd=workdir,
                           env=env)
-    out = done.stdout
+    out, err = done.stdout, done.stderr
     if ignore:
+        keys = "|".join(map(re.escape, ignore))
+        err = re.sub(rf"\d+ (?=({keys})\b)", "N ", err)
         try:
             data = json.loads(out)
         except json.JSONDecodeError:   # text, or one JSON object per line
@@ -259,11 +268,10 @@ def run(checkout: str, argv: list, workdir: str, ignore: list) -> tuple:
                 data.pop(key, None)
             out = json.dumps(data, sort_keys=True, indent=2) + "\n"
         else:
-            counts = re.compile(f"({'|'.join(map(re.escape, ignore))}) "
-                                r"\d+\n")
+            counts = re.compile(rf"({keys}) \d+\n")
             out = "".join(line for line in out.splitlines(keepends=True)
                           if not counts.fullmatch(line))
-    return done.returncode, out, done.stderr
+    return done.returncode, out, err
 
 
 def main() -> int:
