@@ -52,9 +52,9 @@ from operator import itemgetter
 from .errors import BoundExceeded
 from .mts import Lts
 from .orc_ast import (
-    SIGNAL, STOP, Asymmetric, DefCall, Emit, Expr, Otherwise, Parallel,
-    Pending, Program, Sequential, Signal, SiteCall, SiteSpec, Stop, Value,
-    Var, render_expr, render_value, substitute, value_sort_key,
+    BUILTIN_SITES, SIGNAL, STOP, Asymmetric, DefCall, Emit, Expr, Otherwise,
+    Parallel, Pending, Program, Sequential, Signal, SiteCall, SiteSpec, Stop,
+    Value, Var, render_expr, render_value, substitute, value_sort_key,
 )
 
 # ---------------------------------------------------------------------------
@@ -209,36 +209,28 @@ def _resolve_call(site: str, args: tuple, clock: int, program: Program,
                   cycles: dict):
     """(due, value, cycled_site) for a call made now.
 
-    A due of None means the call never responds — the halt site, a
-    false guard, an ill-typed builtin call, or a silent external site.
+    A builtin site (``BUILTIN_SITES``) answers by its own rule, and any
+    other site by its declaration in ``program.site_env``.  A due of
+    None means the call never responds — the halt site ``0``, a false
+    guard, an ill-typed builtin call, or a silent external site.
     """
-    if site == "0":
-        return None, None, None
-    if site == "Signal":
-        if not args:
-            return clock, SIGNAL, None
-        return None, None, None
+    if site not in BUILTIN_SITES:
+        spec = program.site_env.get(site, SiteSpec())
+        if not spec.responses:
+            return None, None, None
+        value = spec.responses[cycles.get(site, 0) % len(spec.responses)]
+        cycled = site if len(spec.responses) > 1 else None
+        return clock + spec.delay, value, cycled
     if site == "let":
-        if not args:
-            return clock, SIGNAL, None
-        if len(args) == 1:
-            return clock, args[0], None
-        return clock, tuple(args), None
-    if site == "if":
-        if len(args) == 1 and isinstance(args[0], bool) and args[0]:
-            return clock, SIGNAL, None
-        return None, None, None
-    if site == "Rtimer":
-        if (len(args) == 1 and isinstance(args[0], int)
-                and not isinstance(args[0], bool) and args[0] >= 0):
-            return clock + args[0], SIGNAL, None
-        return None, None, None
-    spec = program.site_env.get(site, SiteSpec())
-    if not spec.responses:
-        return None, None, None
-    value = spec.responses[cycles.get(site, 0) % len(spec.responses)]
-    cycled = site if len(spec.responses) > 1 else None
-    return clock + spec.delay, value, cycled
+        value = args[0] if len(args) == 1 else tuple(args) or SIGNAL
+        return clock, value, None
+    if (site == "Signal" and not args
+            or site == "if" and len(args) == 1 and args[0] is True):
+        return clock, SIGNAL, None
+    if (site == "Rtimer" and len(args) == 1 and type(args[0]) is int
+            and args[0] >= 0):
+        return clock + args[0], SIGNAL, None
+    return None, None, None
 
 
 # Why a stuck node cannot move yet, besides a Pending's due tick.
@@ -262,8 +254,10 @@ def _expr_steps(e: Expr, path: tuple, state: ExecState, bounds: Bounds,
     ``capture`` is ``(rule, position, node)`` of the nearest ``A >x>
     B`` above with ``e`` in A, or ``A <x< B`` with ``e`` in B, and None
     when a publication of ``e`` reaches the root.  So a spawn or bind
-    step names its ``>x>`` or ``<x<`` and, by ``leaf_path``, its Emit;
-    every other step names its leaf twice.
+    step names its ``>x>`` or ``<x<`` and a publication the root ``()``
+    and its Emit; each names its Emit by ``leaf_path``, and every other
+    step names its leaf twice.  Publications tie at ``(rule, ())``, so
+    the stable sort keeps their walk order, which is leaf-path order.
 
     Each active node that cannot move yet appends to ``waits`` why: a
     Pending its due tick, a call with a variable argument ``_UNBOUND``
@@ -289,7 +283,7 @@ def _expr_steps(e: Expr, path: tuple, state: ExecState, bounds: Bounds,
             waits.append(e.due)
 
     elif kind is Emit:
-        rule, position, node = capture or (_PRIO_PUBLISH, path, e)
+        rule, position, node = capture or (_PRIO_PUBLISH, (), e)
         steps.append((rule, position, path, node))
 
     elif kind is Parallel:
@@ -347,64 +341,68 @@ def _replace_branch(node: Parallel, k: int, x: Expr) -> Expr:
     return Parallel(*rest) if len(rest) > 1 else rest[0]
 
 
-def _rebuild(expr: Expr, leaf_path: tuple, leaf_expr: Expr) -> Expr:
-    """``expr`` with the node at ``leaf_path`` replaced by ``leaf_expr``
-    and every node above it rebuilt, bottom up, by the rule the step
-    passes through.  ``|`` drops a Stop branch and ``stop >x> B``
-    becomes Stop (``_replace_branch``, ``_seq``).  When the node at
-    ``leaf_path`` is an Emit, the step publishes its value v.  The
-    publication passes up through ``|``, the left of ``<x<`` and the
-    left of ``;``, which it discards B of, until the first ``A >x> B``
-    with A on the path spawns ``[v/x]B`` in parallel or the first ``A
-    <x< B`` with B on the path becomes ``[v/x]A``; above that node the
-    step is INTERNAL.  Costs one node per level of ``leaf_path``, plus
-    a copy of the branch tuple at each ``|``."""
+def _rebuild(expr: Expr, s: tuple, leaf: Expr) -> Expr:
+    """``expr`` after step ``s``: the node at its leaf path replaced by
+    ``leaf`` and every node above it rebuilt, bottom up.  ``|`` drops a
+    Stop branch and ``stop >x> B`` becomes Stop (``_replace_branch``,
+    ``_seq``).  The value v of a publication, spawn or bind step's Emit
+    passes up through ``|``, the left of ``<x<`` and the left of ``;``,
+    whose B it discards, to the step's position: the root, the ``A >x>
+    B`` that spawns ``[v/x]B`` in parallel, or the ``A <x< B`` that
+    becomes ``[v/x]A``.  Costs one node per level of the leaf path,
+    plus a copy of the branch tuple at each ``|``."""
+    rule, position, leaf_path, node = s
     spine = []
-    node = expr
+    e = expr
     for i in leaf_path:
-        spine.append(node)
-        if type(node) is Parallel:
-            node = node.branches[i]
-        else:
-            node = node.right if i else node.left
-    publishing = type(node) is Emit
-    value = node.value if publishing else None
-    x = leaf_expr
-    for node, i in zip(reversed(spine), reversed(leaf_path)):
-        kind = type(node)
-        if kind is Parallel:
-            x = _replace_branch(node, i, x)
-        elif kind is Sequential:
+        spine.append(e)
+        e = e.branches[i] if type(e) is Parallel else e.right if i else e.left
+    x = leaf
+    top = len(position)
+    if _PRIO_PUBLISH <= rule <= _PRIO_BIND:
+        # v passes up to the spawn or the bind, or out through the root.
+        for i in reversed(leaf_path[top + (rule != _PRIO_PUBLISH):]):
+            level = spine.pop()
+            kind = type(level)
+            if kind is Parallel:
+                x = _replace_branch(level, i, x)
+            elif kind is Asymmetric:
+                x = Asymmetric(x, level.binder, level.right)
+            # else the left of a ``;``: the publication discards B
+        if rule == _PRIO_SEQ_SPAWN:
             x = _seq(x, node.binder, node.right)
-            if publishing:
-                publishing = False
-                spawned = node.right
-                if node.binder is not None:
-                    spawned = substitute(spawned, node.binder, value)
-                if type(spawned) is not Stop:
-                    x = spawned if type(x) is Stop else Parallel(x, spawned)
+            spawned = node.right
+            if node.binder is not None:
+                spawned = substitute(spawned, node.binder, e.value)
+            if type(spawned) is not Stop:
+                x = spawned if type(x) is Stop else Parallel(x, spawned)
+        elif rule == _PRIO_BIND:
+            x = node.left
+            if node.binder is not None:
+                x = substitute(x, node.binder, e.value)
+        del spine[top:]
+    for level, i in zip(reversed(spine), reversed(position)):
+        kind = type(level)
+        if kind is Parallel:
+            x = _replace_branch(level, i, x)
+        elif kind is Sequential:
+            x = _seq(x, level.binder, level.right)
         elif kind is Asymmetric:
-            if not i:
-                x = Asymmetric(x, node.binder, node.right)
-            elif publishing:
-                publishing = False
-                x = node.left
-                if node.binder is not None:
-                    x = substitute(x, node.binder, value)
-            else:
-                x = Asymmetric(node.left, node.binder, x)
-        elif not publishing:   # Otherwise, with A on the path
-            x = Otherwise(x, node.right)
+            x = (Asymmetric(level.left, level.binder, x) if i
+                 else Asymmetric(x, level.binder, level.right))
+        else:
+            x = Otherwise(x, level.right)
     return x
 
 
 def _apply(state: ExecState, s: tuple, program: Program) -> tuple:
     """``(event, successor)`` of step ``s``.  The only place that builds
     an event, resolves a call against the program's sites, substitutes
-    a definition body or counts ``def_depth`` and ``cycles``.  The term
-    is rebuilt once, along the step's leaf path (``_rebuild``); a Tick
-    keeps it."""
-    priority, _, leaf_path, node = s
+    a definition body or counts ``def_depth`` and ``cycles``.  It picks
+    the new leaf; ``_rebuild`` puts it in once, along the step's leaf
+    path, and takes a publication where the step's position says.  A
+    Tick keeps the term."""
+    priority, _, _, node = s
     clock, next_handle = state.clock, state.next_handle
     def_depth, cycles = state.def_depth, state.cycles
     if priority == _PRIO_CALL:
@@ -434,7 +432,7 @@ def _apply(state: ExecState, s: tuple, program: Program) -> tuple:
     else:   # a publication, or the spawn or bind that hides it
         event = Publish(node.value) if priority == _PRIO_PUBLISH else INTERNAL
         leaf = STOP
-    return event, ExecState(_rebuild(state.expr, leaf_path, leaf), clock,
+    return event, ExecState(_rebuild(state.expr, s, leaf), clock,
                             next_handle, def_depth, cycles)
 
 
@@ -675,11 +673,11 @@ def explore(program: Program, bounds: Bounds = Bounds(),
     max_states is hit; paths cut off that way are flagged, not lost.
 
     With ``reduce``, a state whose transitions include a *safe* one
-    follows only the first safe one in (rule, position) order, and
-    otherwise all of them (a partial-order reduction with singleton
-    ample sets; Godefroid, LNCS 1032, 1996).  A safe step is a Return,
-    a Call to a site with at most one response, a publication (a step
-    keeps that rule only if its publication reaches the root), a
+    follows only the first safe one in step order, and otherwise all of
+    them (a partial-order reduction with singleton ample sets;
+    Godefroid, LNCS 1032, 1996).  A safe step is a Return, a Call to a
+    site with at most one response, a publication (the rule of an Emit
+    that no ``>x>`` or ``<x<`` takes, so its position is the root), a
     fallback of ``;``, or the spawn of an ``A >x> B`` whose A can
     publish at most once more (``_publication_bound``).  A
     multi-response call is not safe, since it reads and advances the

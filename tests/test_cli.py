@@ -782,3 +782,102 @@ def test_a_command_patched_after_the_first_call_is_the_one_that_runs(
     assert seen == [fx("smartgrid.fm")]
     assert run_cli(capsys, "fm", "count", fx("smartgrid.fm")) \
         == (0, "4\n", "")
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract on mutated inputs
+
+# Tokens of the four input grammars that a mutant may gain.
+GRAMMAR_TOKENS = ["(", ")", "{", "}", ",", ";", "|", ">x>", "<x<", ">>",
+                  "<<", "=", '"', "\n", "--", "0", "x", "true", "def",
+                  "site", "responds", "delay", "silent", "family",
+                  "mandatory", "optional", "alternative", "requires",
+                  "excludes", "mts", "lts", "states", "init", "must", "may",
+                  "trans"]
+
+# A selection that the unmutated feature model accepts.
+SELECTIONS = {
+    "smartgrid.fm": "SmartGrid,IntegrationOfRenewables,Storage,"
+                    "VehicleToGrid,ElectricVehicles,DemandResponse,"
+                    "GridMonitoring",
+    "no_renewables.fm": "NoRenewables,DemandResponse,FlexibleTariffs,"
+                        "TwoWayPricing,ExceptionPricing,GridMonitoring",
+}
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """``text`` after one to three edits, each deleting a character,
+    inserting a grammar token, swapping two characters or duplicating a
+    span of up to eight."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text))
+        edit = rng.randrange(4)
+        if edit == 0:
+            text = text[:i] + text[i + 1:]
+        elif edit == 1:
+            text = text[:i] + rng.choice(GRAMMAR_TOKENS) + text[i:]
+        elif edit == 2:
+            chars = list(text)
+            j = rng.randrange(len(text))
+            chars[i], chars[j] = chars[j], chars[i]
+            text = "".join(chars)
+        else:
+            j = i + rng.randint(1, 8)
+            text = text[:j] + text[i:j] + text[j:]
+    return text
+
+
+def _mutant_commands(name: str, path: str) -> list:
+    """Every command line that reads the format of fixture ``name``,
+    applied to ``path``."""
+    if name.endswith(".orc"):
+        run = ["orc", "run", path, "--max-steps", "60", "--max-depth", "3"]
+        explore = ["orc", "explore", path, "--max-states", "60",
+                   "--max-depth", "3", "--format"]
+        return [run, run + ["--seed", "7"]] + [
+            explore + [fmt] for fmt in ("text", "json", "lts", "dot")]
+    if name.endswith(".fm"):
+        return [["fm", "validate", path, "--select", SELECTIONS[name]],
+                ["fm", "products", path], ["fm", "count", path],
+                ["encode", path]]
+    if name.endswith(".mts"):
+        return [["mts", "check", path, fx("drh_product.lts")],
+                ["mts", "products", path], ["mts", "dot", path]]
+    return [["mts", "check", fx("drh_family.mts"), path],
+            ["mts", "dot", path]]
+
+
+def test_mutated_fixtures_keep_the_exit_code_contract(tmp_path, capsys):
+    # Seeded mutants of every bundled fixture through every command
+    # that reads its format: no exception escapes main, the exit code
+    # is one of 0 ok, 1 bad input, 2 bound hit, 3 negative verdict, and
+    # a second call gives the same code, output file and stderr.
+    rng = random.Random(20)
+    out = tmp_path / "out"
+    codes: dict = {}
+
+    def call(argv):
+        if out.exists():
+            out.unlink()
+        code = cli.main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        written = out.read_text() if out.exists() else None
+        return code, written, captured.out, captured.err
+
+    for name in corpus.fixture_names():
+        text = corpus.fixture_text(name)
+        path = tmp_path / f"mutant.{name.rsplit('.', 1)[1]}"
+        for _ in range(24):
+            path.write_text(_mutate(text, rng))
+            for argv in _mutant_commands(name, str(path)):
+                first = call(argv)
+                assert first[0] in (0, 1, 2, 3), (argv, path.read_text())
+                assert call(argv) == first, (argv, path.read_text())
+                command = " ".join(argv).replace(str(path), "MUTANT")
+                codes.setdefault(command, set()).add(first[0])
+    # 6 orc command lines, 5 fm (one fm validate per model) and 4 mts
+    # (mts check with the mutant on either side); each ends in at least
+    # two ways, and all four codes occur.
+    assert len(codes) == 15
+    assert all(len(seen) >= 2 for seen in codes.values()), codes
+    assert set().union(*codes.values()) == {0, 1, 2, 3}

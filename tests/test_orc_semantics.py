@@ -10,8 +10,9 @@ from orcline import (
     orc_semantics, parse_program, publication_sequences, run, step,
 )
 from orcline.orc_ast import (
-    SIGNAL, Asymmetric, DefCall, Definition, Emit, Otherwise, Parallel,
-    Pending, Program, Sequential, SiteCall, SiteSpec, Stop, value_sort_key,
+    BUILTIN_SITES, SIGNAL, Asymmetric, DefCall, Definition, Emit, Otherwise,
+    Parallel, Pending, Program, Sequential, SiteCall, SiteSpec, Stop,
+    value_sort_key,
 )
 from orcline.orc_parser import parse_lts, render_lts
 from orcline.orc_semantics import (
@@ -190,6 +191,33 @@ def test_site_declarations_control_responses():
 def test_multi_response_sites_cycle_in_call_order():
     p = program("site toggle responds 1, 2\ntoggle() | toggle()\n")
     assert sorted(run(p).publications) == [1, 2]
+
+
+# Calls of each builtin site, well and ill typed.
+BUILTIN_CALLS = {
+    "0": "0() | let(1)",
+    "Signal": "Signal() | Signal(1)",
+    "let": "let() | let(5) | let(1, true)",
+    "if": "if(true) | if(false) | if(1)",
+    "Rtimer": 'Rtimer(2) >> let(3) | Rtimer(true) | Rtimer("1")',
+}
+
+
+def test_a_builtin_site_ignores_a_site_env_entry():
+    # The parser refuses to declare a builtin site, so build the
+    # Program directly: an entry for a builtin changes nothing, while
+    # any other name answers as its entry says.
+    assert set(BUILTIN_CALLS) == BUILTIN_SITES
+    declared = SiteSpec((99,), 7)
+    for name, src in BUILTIN_CALLS.items():
+        p = program(src)
+        p_declared = Program(p.goal, p.definitions, {name: declared})
+        for policy in (None, SeededRandom(1), SeededRandom(4)):
+            assert run(p_declared, policy) == run(p, policy)
+        assert explore(p_declared).outcomes == explore(p).outcomes
+    trace = run(Program(SiteCall("S", ()), site_env={"S": declared}))
+    assert trace.publications == [99]
+    assert trace.events[-1] == (7, Publish(99))
 
 
 # ---------------------------------------------------------------------------
@@ -863,10 +891,11 @@ def test_run_rebuilds_one_path_per_event(monkeypatch):
     rebuilt = []
     rebuild = orc_semantics._rebuild
 
-    def counting_rebuild(expr, leaf_path, leaf_expr):
+    def counting_rebuild(expr, s, leaf_expr):
+        leaf_path = s[2]
         assert len(leaf_path) <= _depth(expr)
         rebuilt.append(len(leaf_path))
-        return rebuild(expr, leaf_path, leaf_expr)
+        return rebuild(expr, s, leaf_expr)
 
     monkeypatch.setattr(orc_semantics, "_rebuild", counting_rebuild)
     trace = run(program(text), SeededRandom(1))

@@ -27,9 +27,14 @@ all four formats and ``orc run`` with and without ``--seed`` on every
 ``.orc`` fixture and on probes of quiescence (a call waiting for a
 variable, a definition at the depth bound, a pending timer, a call on a
 variable that nothing binds), of a label holding ``--``, of ``|``
-nested on either side of another ``|`` and of eight parallel calls of
+nested on either side of another ``|``, of eight parallel calls of
 one two-parameter recursive definition (``--max-depth 64``, explored
-up to ``--max-states 2000``), ``orc run`` with and without
+up to ``--max-states 2000``) and of each place a publication can be
+taken (at the root through a ``;``, by a ``>x>`` through one and
+through two ``;``, by a ``<x<`` through ``;`` and ``|``, by a ``<x<``
+inside a spawn's left operand, by a ``>x>`` inside a bind's right
+operand, by a ``<x<`` over a spawn whose left operand becomes
+``stop``, and by a ``>x>`` that sits under a ``;``), ``orc run`` with and without
 ``--seed`` on two 64-branch fan-outs (the benchmark's ``S_i() >x>
 let(x)`` and one mixing ``>x>``, ``<x<`` and
 ``;``) and ``orc explore --format json|lts`` on their 3-branch
@@ -70,7 +75,8 @@ import diagnostic_cases  # noqa: E402
 import workloads  # noqa: E402
 
 # (file name, program, extra flags) of the quiescence, label, nesting
-# and recursion probes.
+# and recursion probes, and one probe per shape of a publication's
+# capture.
 PROBES = [
     ("var_blocked.orc",
      "def F(x) = let(x)\n(F(y) ; let(9)) <y< (Rtimer(1) >> let(2))\n", []),
@@ -87,6 +93,16 @@ PROBES = [
      "def R(a, b) = let(a) >x> R(b, x)\n"
      + " | ".join(f"R({i}, {i + 1})" for i in range(8)) + "\n",
      ["--max-depth", "64"]),
+    ("root_through_fallback.orc", "(let(1) ; let(2)) | let(3)\n", []),
+    ("spawn_through_fallback.orc", "(let(1) ; let(2)) >x> let(x)\n", []),
+    ("spawn_through_fallbacks.orc",
+     "((let(1) ; let(2)) ; let(3)) >x> let(x)\n", []),
+    ("bind_through_fallback.orc",
+     "let(x) <x< ((let(1) ; let(9)) | Rtimer(1) >> let(2))\n", []),
+    ("bind_in_spawn.orc", "(let(x) <x< let(1)) >y> let(y)\n", []),
+    ("spawn_in_bind.orc", "let(y) <y< (let(1) >x> let(x))\n", []),
+    ("bind_into_stop.orc", "let(1) <x< (Rtimer(1) >> let(2))\n", []),
+    ("spawn_under_fallback.orc", "(let(1) >x> let(x)) ; let(9)\n", []),
 ]
 # Further flags of a probe that only orc explore takes.
 EXPLORE_FLAGS = {"recursive.orc": ["--max-states", "2000"]}
