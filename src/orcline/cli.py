@@ -80,13 +80,22 @@ def _bounds(args) -> sem.Bounds:
                          if hasattr(args, name)})
 
 
-def _load_program(path: str):
-    src = _read(path)
-    program, diagnostics = orc_parser.parse_program_with_diagnostics(src)
+def _report(path: str, diagnostics, ok: bool):
+    """Print the diagnostics and fail unless ``ok``; parentheses nested
+    too deeply fail in one line, as a term past the recursion limit."""
     for d in diagnostics:
+        if isinstance(d, orc_parser.NestingTooDeep):
+            raise _CliError(EXIT_INPUT, f"{path}:{d.span.line}:"
+                            f"{d.span.column}: {d.message}")
         _diag(orc_parser.format_diagnostic(d, path))
-    if program is None:
+    if not ok:
         raise _CliError(EXIT_INPUT, f"{path}: parsing failed")
+
+
+def _load_program(path: str):
+    program, diagnostics = orc_parser.parse_program_with_diagnostics(
+        _read(path))
+    _report(path, diagnostics, program is not None)
     return program
 
 
@@ -94,9 +103,7 @@ def _load(path: str, parse):
     try:
         return parse(_read(path))
     except orc_parser.ParseError as exc:
-        for d in exc.diagnostics:
-            _diag(orc_parser.format_diagnostic(d, path))
-        raise _CliError(EXIT_INPUT, f"{path}: parsing failed")
+        _report(path, exc.diagnostics, False)
 
 
 def _plain(value):

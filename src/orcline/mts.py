@@ -262,67 +262,74 @@ def _first_failure(product, family, p_out, f_must, f_may) -> ClauseFailure:
         passing.add(actions)
 
 
-def _visit_order(init, trans) -> dict:
-    """The states reachable from ``init``, each mapped to its position
-    in breadth-first visit order (neighbours taken in sorted
-    label/target order, so the order is deterministic)."""
-    out = {}
-    for (src, action, dst) in trans:
-        out.setdefault(src, []).append((action, dst))
-    order = {init: 0}
-    queue = [init]
-    for src in queue:
-        for (_, dst) in sorted(out.get(src, [])):
-            if dst not in order:
-                order[dst] = len(order)
-                queue.append(dst)
-    return order
-
-
-def _canonical_reachable(init, trans) -> Lts:
-    """Restrict to the part reachable from ``init`` and rename states
-    to s0, s1, ... in breadth-first visit order."""
-    rename = {s: f"s{i}" for s, i in _visit_order(init, trans).items()}
-    kept = frozenset((rename[src], action, rename[dst])
-                     for (src, action, dst) in trans if src in rename)
-    actions = frozenset(a for (_, a, _) in kept)
-    return Lts(frozenset(rename.values()), actions, "s0", kept)
-
-
 def derive_products(family: Mts) -> list:
     """All products obtained by toggling each may-only transition.
 
-    Each candidate keeps every must-transition plus one subset of the
-    may-only ones, restricted to its reachable part and renamed to
-    canonical form; duplicates collapse.  Every result is a product of
-    ``family`` (the renaming relation restricted to reachable states
-    witnesses it).  Only the may-only transitions whose source is
-    reachable from the initial state under may are toggled: no
-    candidate reaches the others, so they never change a product.
-    ``MAX_OPTIONAL_TRANSITIONS`` bounds how many are toggled.
+    A depth-first search over the breadth-first visit of a candidate:
+    a reached source takes its must moves and decides each optional one
+    (skip, then take) in (action, target) order; a state is named s<i>
+    when first reached.  A leaf is one candidate, restricted to its
+    reachable part and renamed.  Leaves collapse on the renamed
+    transition set, since two candidates can give one product visited
+    in different orders, and each product is built once.  Every result
+    is a product of ``family`` (the renaming witnesses it).
+    ``MAX_OPTIONAL_TRANSITIONS`` bounds the may-only transitions whose
+    source is reachable under may.
     """
-    reachable = _visit_order(family.init, family.may)
-    optional = sorted(t for t in family.may - family.must
-                      if t[0] in reachable)
-    if len(optional) > MAX_OPTIONAL_TRANSITIONS:
+    moves = {}                  # src -> sorted (action, dst, optional)
+    for (src, action, dst) in sorted(family.may):
+        moves.setdefault(src, []).append(
+            (action, dst, (src, action, dst) not in family.must))
+    reachable, stack = {family.init}, [family.init]
+    while stack:
+        new = {dst for (_, dst, _) in moves.get(stack.pop(), ())} - reachable
+        reachable |= new
+        stack += new
+    count = sum(opt for src in reachable for (*_, opt) in moves.get(src, ()))
+    if count > MAX_OPTIONAL_TRANSITIONS:
         raise BoundExceeded(
-            f"{len(optional)} optional transitions reachable from "
+            f"{count} optional transitions reachable from "
             f"{family.init} under may, derivation bound is "
             f"{MAX_OPTIONAL_TRANSITIONS}")
-
+    names = [f"s{i}" for i in range(len(reachable))]
+    order = {family.init: "s0"}   # reached state -> its name
+    queue = [family.init]         # reached states, in visit order
+    kept = []                     # renamed transitions taken so far
     seen = {}
-    for mask in range(1 << len(optional)):
-        chosen = frozenset(t for i, t in enumerate(optional)
-                           if mask & (1 << i))
-        product = _canonical_reachable(family.init, family.must | chosen)
-        key = (product.states, product.trans)
-        if key not in seen:
-            seen[key] = product
 
-    def sort_key(lts):
-        return (len(lts.states), len(lts.trans), sorted(lts.trans))
+    def search(qi, mi):
+        """Every leaf from move ``mi`` of ``queue[qi]`` on; undoes its moves."""
+        n_queue, n_kept = len(queue), len(kept)
+        leaf = True
+        while leaf and qi < len(queue):
+            src = queue[qi]
+            out = moves.get(src, ())
+            while mi < len(out):
+                action, dst, optional = out[mi]
+                mi += 1
+                if optional:
+                    search(qi, mi)
+                if dst not in order:
+                    order[dst] = names[len(queue)]
+                    queue.append(dst)
+                kept.append((order[src], action, order[dst]))
+                if optional:
+                    search(qi, mi)
+                    leaf = False
+                    break
+            qi, mi = qi + 1, 0
+        if leaf:
+            trans = frozenset(kept)
+            if trans not in seen:
+                seen[trans] = Lts(frozenset(order.values()), frozenset(),
+                                  "s0", trans)
+        for state in queue[n_queue:]:
+            del order[state]
+        del queue[n_queue:], kept[n_kept:]
 
-    return sorted(seen.values(), key=sort_key)
+    search(0, 0)
+    return sorted(seen.values(), key=lambda lts: (
+        len(lts.states), len(lts.trans), sorted(lts.trans)))
 
 
 def _gvquote(s: str) -> str:

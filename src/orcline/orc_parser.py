@@ -35,6 +35,9 @@ RESERVED = frozenset(
 #: A name token: a site, definition, variable, state or feature name.
 NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
+#: The deepest parenthesis nesting the lexer accepts.
+MAX_NESTING = 100
+
 _FM_KEYWORDS = frozenset(
     ["family", "mandatory", "optional", "alternative", "requires",
      "excludes"])
@@ -52,6 +55,10 @@ class ParseDiagnostic:
     span: SourceSpan
     message: str
     severity: str  # "error" | "warning"
+
+
+class NestingTooDeep(ParseDiagnostic):
+    """A '(' nested deeper than ``MAX_NESTING``: the lexer stops there."""
 
 
 def format_diagnostic(d: ParseDiagnostic, filename: str = "<input>") -> str:
@@ -109,7 +116,8 @@ _TOKEN_RE = re.compile(
 def _lex(src: str, diags: list) -> list:
     """Tokens of ``src``, ending in an eof token.  A newline is a token
     only outside parentheses, so a declaration continues across one
-    inside them; a stray ')' leaves the depth at 0."""
+    inside them; a stray ')' leaves the depth at 0.  A '(' nested
+    deeper than ``MAX_NESTING`` is reported, and the lexer bails."""
     tokens = []
     pos, line, line_start, depth = 0, 1, 0, 0
     while pos < len(src):
@@ -145,6 +153,11 @@ def _lex(src: str, diags: list) -> list:
         elif kind == "op":
             if text == "(":
                 depth += 1
+                if depth > MAX_NESTING:
+                    diags.append(NestingTooDeep(
+                        SourceSpan(line, col, 1), "parentheses nested "
+                        f"deeper than {MAX_NESTING} levels", "error"))
+                    raise _Bail()
             elif text == ")":
                 depth = max(0, depth - 1)
             tokens.append(_Token(text, text, text, line, col))
@@ -428,7 +441,10 @@ def _parse_def_decl(p: _ExprParser, defs: dict):
 def parse_program_with_diagnostics(src: str):
     """Parse a full program; returns (Program or None, diagnostics)."""
     diags: list = []
-    tokens = _lex(src, diags)
+    try:
+        tokens = _lex(src, diags)
+    except _Bail:
+        return None, diags
     # Every definition's name is known before any body is parsed, so a
     # call to a definition declared further down is a DefCall too.
     # "def" is reserved: anywhere but in a head it is an error.  Each
@@ -594,10 +610,10 @@ def _fm_items(cur: _Cursor, builder: fm.ModelBuilder, parent: str):
 
 def parse_feature_model(src: str) -> fm.FeatureModel:
     diags: list = []
-    tokens = [t for t in _lex(src, diags) if t.kind != "nl"]
-    cur = _Cursor(tokens, diags, _FM_KEYWORDS)
     model = None
     try:
+        tokens = [t for t in _lex(src, diags) if t.kind != "nl"]
+        cur = _Cursor(tokens, diags, _FM_KEYWORDS)
         head = cur.expect("name", "'family'")
         if head.text != "family":
             cur.error(head.span, f"expected 'family', found {head.text!r}")

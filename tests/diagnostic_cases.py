@@ -199,4 +199,10 @@ CASES = [
       "declared"]),
     ("orc", "site 0 silent\nlet(1)\n",
      ["<input>:1:6: error: expected a site name, found '0'"]),
+    # The lexer stops at the '(' nested one level deeper than
+    # MAX_NESTING (100), in an Orc program the call's on the second line
+    ("orc", "let(1) |\n  " + "(" * 100 + "let(1)" + ")" * 100 + "\n",
+     ["<input>:2:106: error: parentheses nested deeper than 100 levels"]),
+    ("fm", "family F {" + "(" * 101 + "}\n",
+     ["<input>:1:111: error: parentheses nested deeper than 100 levels"]),
 ]

@@ -117,6 +117,37 @@ def random_mts(rng: random.Random, max_states: int = 6,
                must, must | may_only)
 
 
+def nested_mts(rng: random.Random, min_optional: int = 8,
+               max_optional: int = 14) -> Mts:
+    """A family whose optional transitions nest: each new state is the
+    target of an optional transition (now and then of a must one out of
+    a state that only optional ones reach), and later transitions leave
+    recent states, so which optional transitions a candidate reaches
+    depends on those it took.  Some transitions lead back to earlier
+    states, and the state names are drawn at random, so the visit order
+    of a candidate need not follow the order the states were made in.
+    Every one of the ``min_optional``..``max_optional`` optional
+    transitions is reachable under may."""
+    k = rng.randrange(min_optional, max_optional + 1)
+    names = [f"q{i}" for i in rng.sample(range(100), 60)]
+    states = [names.pop()]
+    must, optional = set(), set()
+    while len(optional) < k:
+        src = rng.choice(states[-3:] if rng.random() < 0.7 else states)
+        if len(states) > 1 and rng.random() < 0.3:
+            dst = rng.choice(states)
+        else:
+            dst = names.pop()
+            states.append(dst)
+        t = (src, rng.choice("ab"), dst)
+        if t in must or t in optional:
+            continue
+        (must if src != states[0] and rng.random() < 0.2
+         else optional).add(t)
+    return Mts(frozenset(states), frozenset("ab"), states[0],
+               frozenset(must), frozenset(must | optional))
+
+
 def random_lts(rng: random.Random, max_states: int = 5) -> Lts:
     n = rng.randrange(1, max_states + 1)
     states = [f"p{i}" for i in range(n)]

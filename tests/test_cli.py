@@ -255,7 +255,8 @@ def test_a_malformed_input_file_prints_its_diagnostics_and_exits_one(
 @pytest.mark.parametrize("command", ["run", "explore"])
 @pytest.mark.parametrize("source", [
     "(" * 3000 + "let(1)" + ")" * 3000,
-], ids=["deep"])
+    "let(1) >x> " * 3000 + "let(1)",
+], ids=["deep", "chain"])
 def test_input_beyond_the_recursion_limit_exits_one(tmp_path, capsys,
                                                     command, source):
     path = tmp_path / "big.orc"
@@ -265,6 +266,25 @@ def test_input_beyond_the_recursion_limit_exits_one(tmp_path, capsys,
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "explore"])
+def test_parentheses_nested_to_the_limit_run_and_explore(tmp_path, capsys,
+                                                        command):
+    # 99 spawns, each in its own parentheses, around let(0): the call's
+    # '(' is the 100th level, and every walker still fits the stack.
+    depth = orc_parser.MAX_NESTING - 1
+    source = "".join(f"(let({i}) >x{i}> " for i in range(depth)) + \
+        "let(0)" + ")" * depth
+    path = tmp_path / "nested.orc"
+    path.write_text(source + "\n")
+    code, out, err = run_cli(capsys, "orc", command, str(path))
+    assert code == 0, err
+    assert out
+    path.write_text("(" + source + ")\n")
+    code, out, err = run_cli(capsys, "orc", command, str(path))
+    assert (code, out) == (1, "")
+    assert "parentheses nested deeper than 100 levels" in err
 
 
 WIDE = " | ".join(["let(1)"] * 2000)

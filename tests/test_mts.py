@@ -10,7 +10,7 @@ from orcline import mts
 from orcline.corpus import fixture_text
 
 import oracles
-from generators import random_lts, random_mts
+from generators import nested_mts, random_lts, random_mts
 
 
 def chain_family() -> Mts:
@@ -270,6 +270,53 @@ def test_derived_products_match_full_toggling():
         assert derive_products(family) == oracles.derive_products(family)
     assert derive_products(chain_family()) == \
         oracles.derive_products(chain_family())
+
+
+def test_products_collapse_on_the_renamed_set_not_the_visit():
+    # Taking m -a-> x or m -a-> y gives one product, s0 -a-> s1 with s1
+    # -a-> s0 and s1 -a-> s2, but the visits differ: x's moves sort as
+    # (a, b) before (a, m), so s1 -a-> s2 is taken first, while y's
+    # sort as (a, m) before (a, z).  A dedupe on the visit would keep
+    # both.
+    family = Mts(frozenset({"m", "x", "y", "b", "z"}), frozenset(), "m",
+                 frozenset({("x", "a", "m"), ("x", "a", "b"),
+                            ("y", "a", "m"), ("y", "a", "z")}),
+                 frozenset({("m", "a", "x"), ("m", "a", "y")}))
+    products = derive_products(family)
+    assert products == oracles.derive_products(family)
+    assert [sorted(p.trans) for p in products] == [
+        [],
+        [("s0", "a", "s1"), ("s1", "a", "s0"), ("s1", "a", "s2")],
+        [("s0", "a", "s1"), ("s0", "a", "s2"), ("s1", "a", "s0"),
+         ("s1", "a", "s3"), ("s2", "a", "s0"), ("s2", "a", "s4")]]
+
+
+def test_nested_families_match_full_toggling(monkeypatch):
+    # Optional transitions behind optional transitions: the search
+    # decides only those a candidate reaches, and builds one Lts per
+    # distinct product.
+    built = []
+
+    def counting_lts(*args):
+        built.append(args)
+        return Lts(*args)
+
+    monkeypatch.setattr(mts, "Lts", counting_lts)
+    rng = random.Random(56)
+    candidates = distinct = 0
+    for _ in range(12):
+        family = nested_mts(rng)
+        optional = family.may - family.must
+        assert 8 <= len(optional) <= 14
+        del built[:]
+        products = derive_products(family)
+        assert products == oracles.derive_products(family)
+        assert len(built) == len(products)
+        for p in products:
+            assert is_product(p, family).holds
+        candidates += 2 ** len(optional)
+        distinct += len(products)
+    assert distinct < candidates // 10
 
 
 def _chain(n):

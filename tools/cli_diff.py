@@ -16,10 +16,13 @@ seeded ``orc run`` on fan-outs), every ``mts check`` and ``fm
 validate`` again with ``--format json``, ``mts check``/``products``/
 ``dot`` and the ``fm`` commands on the bundled fixtures and on broken
 variants of the fixture product, ``mts dot`` on the fixture product,
-``fixtures list`` and ``fixtures show``, ``fm products`` (text and
-json), ``fm count`` and ``encode`` on the bundled and on generated
-feature models (the benchmark's 14- and 15-feature families, one of 19
-features, an alternative group under an optional feature,
+``fixtures list`` and ``fixtures show``, ``mts products`` (text and
+json) on a family with optional transitions behind optional ones, on
+one where two choices give the same product and on one over the
+derivation bound, ``fm products`` (text and json), ``fm count`` and
+``encode`` on the bundled and on generated feature models (the
+benchmark's 14- and 15-feature families, one of 19 features, an
+alternative group under an optional feature,
 ``requires`` into group members, a lone root, ``excludes`` between two
 mandatory features and a feature named ``true``), ``encode --plan``
 with a good plan and with malformed ones, and ``orc explore`` in
@@ -148,6 +151,23 @@ FM_PROBES = [
     ("true.fm", "family Root {\n  optional true\n}\n"),
 ]
 
+# (file name, family) of the ``mts products`` probes: optional
+# transitions behind optional ones (and a must behind one), two choices
+# that give one product visited in two orders, and 21 reachable optional
+# transitions, one over the derivation bound.
+MTS_PROBES = [
+    ("nested.mts",
+     "mts Nested\nstates r a b c d e\ninit r\nmust c go r\n"
+     "may r opt a\nmay r opt b\nmay a x c\nmay a x d\nmay b x c\n"
+     "may c y e\nmay d y a\nmay e z r\nmay e z d\n"),
+    ("same_shape.mts",
+     "mts Same\nstates m x y b z\ninit m\nmust x a m\nmust x a b\n"
+     "must y a m\nmust y a z\nmay m a x\nmay m a y\n"),
+    ("over_bound.mts",
+     "mts Wide\nstates r " + " ".join(f"t{i}" for i in range(21))
+     + "\ninit r\n" + "".join(f"may r a t{i}\n" for i in range(21))),
+]
+
 # (file name, JSON or text) of the plans ``encode --plan`` reads for
 # PAIR_FM: a good one, then malformed ones (not JSON, not an object, a
 # field that is not an object, sites that are not strings or not Orc
@@ -202,12 +222,15 @@ def fixture_commands(workdir: str) -> list:
     fms = [fx("smartgrid.fm"), fx("no_renewables.fm")]
     commands.append(["fm", "validate", fx("smartgrid.fm"), "--select",
                      "SmartGrid,DemandResponse"])
-    for name, text in FM_PROBES + PLANS + [("pair.fm", PAIR_FM)]:
+    for name, text in (FM_PROBES + PLANS + MTS_PROBES
+                       + [("pair.fm", PAIR_FM)]):
         path = os.path.join(workdir, name)
         with open(path, "w") as handle:
             handle.write(text if isinstance(text, str) else json.dumps(text))
         if name.endswith(".fm"):
             fms.append(path)
+        elif name.endswith(".mts"):
+            commands.append(["mts", "products", path])
     for path in fms:
         commands += [["fm", "products", path], ["fm", "count", path],
                      ["encode", path]]
