@@ -15,9 +15,9 @@ from .mts import (
     derive_products, export_dot, is_product, modality,
 )
 from .orc_ast import (
-    SIGNAL, STOP, Asymmetric, DefCall, Definition, Emit, Otherwise,
-    Parallel, Pending, Program, Sequential, Signal, SiteCall, SiteSpec,
-    Stop, Var, free_vars, render_expr, render_value, substitute,
+    FALSE, SIGNAL, STOP, TRUE, Asymmetric, Bool, DefCall, Definition, Emit,
+    Otherwise, Parallel, Pending, Program, Sequential, Signal, SiteCall,
+    SiteSpec, Stop, Var, free_vars, render_expr, render_value, substitute,
 )
 from .orc_parser import (
     ParseDiagnostic, ParseError, SourceSpan, format_diagnostic,

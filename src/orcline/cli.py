@@ -33,7 +33,7 @@ from . import orc_parser
 from . import orc_semantics as sem
 from . import variability_encoding as enc
 from .errors import BoundExceeded
-from .orc_ast import Signal, render_value, value_sort_key
+from .orc_ast import Bool, Signal, render_value, value_sort_key
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -110,6 +110,8 @@ def _plain(value):
     """A publication value as plain JSON (tuples become arrays)."""
     if isinstance(value, Signal):
         return "signal"
+    if type(value) is Bool:
+        return value.value
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
     return value

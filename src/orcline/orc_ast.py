@@ -48,10 +48,20 @@ class Signal:
 
 SIGNAL = Signal()
 
+
+@dataclass(frozen=True)
+class Bool:
+    """An Orc boolean, which unlike Python's ``True`` never equals 1."""
+
+    value: bool
+
+
+TRUE, FALSE = Bool(True), Bool(False)
+
 #: Values a site may respond with and an expression may publish.
 #: Tuples only arise from the identity site applied to several
 #: arguments and are always non-empty.
-Value = Union[Signal, bool, int, str, tuple]
+Value = Union[Signal, Bool, int, str, tuple]
 
 
 @dataclass(frozen=True)
@@ -142,9 +152,10 @@ class Pending:
     ``due`` (the clock tick of the response, or None if the call never
     responds) and ``value`` (the response) are fixed when the call is
     made.  The call lives only here: discarding the node abandons it.
+    The handle only names the call in events, not in equality.
     """
 
-    handle: int
+    handle: int = field(compare=False)
     site: str
     due: "int | None"
     value: "Value | None"
@@ -274,9 +285,9 @@ def render_value(value: Value) -> str:
     """
     if isinstance(value, Signal):
         return "signal"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
+    if type(value) is Bool:
+        return "true" if value.value else "false"
+    if type(value) is int:
         return str(value)
     if isinstance(value, str):
         import json
@@ -321,28 +332,14 @@ def _render(e: Expr, floor: int) -> str:
         if e.site == "0" and not e.args:
             return "0"
         return f"{e.site}({_render_args(e.args)})"
-    elif kind is Pending:
-        due = "-" if e.due is None else e.due
-        value = "-" if e.value is None else render_value(e.value)
-        return f"?{e.site}:{due}:{value}"
-    elif kind is Emit:
-        return f"!{render_value(e.value)}"
     elif kind is DefCall:
         return f"{e.name}({_render_args(e.args)})"
-    elif kind is Stop:
-        return "stop"
     else:
         raise TypeError(f"not an expression: {e!r}")
     return f"({text})" if _LEVEL[kind] < floor else text
 
 
 def render_expr(e: Expr) -> str:
-    """Concrete syntax for ``e``, parenthesised only where precedence
-    needs it; ``parse_expr(render_expr(e)) == e`` for source terms.
-
-    Runtime nodes print as primaries that no source term prints as:
-    ``Pending`` as ``?site:due:value`` (``-`` for a call that never
-    responds), without its handle, ``Emit`` as ``!value`` and ``Stop``
-    as ``stop``.
-    """
+    """Concrete syntax for the source term ``e``, parenthesised only
+    where precedence needs it; ``parse_expr(render_expr(e)) == e``."""
     return _render(e, 1)

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from . import feature_model as fm
 from . import mts as mts_mod
 from .orc_ast import (
-    BUILTIN_SITES, SIGNAL, Arg, Asymmetric, DefCall, Definition, Expr,
-    Otherwise, Parallel, Program, Sequential, SiteCall, SiteSpec, Var,
-    render_expr, render_value,
+    BUILTIN_SITES, FALSE, SIGNAL, TRUE, Arg, Asymmetric, DefCall,
+    Definition, Expr, Otherwise, Parallel, Program, Sequential, SiteCall,
+    SiteSpec, Var, render_expr, render_value,
 )
 
 RESERVED = frozenset(
@@ -35,7 +35,7 @@ RESERVED = frozenset(
 #: A name token: a site, definition, variable, state or feature name.
 NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
-#: The deepest parenthesis nesting the lexer accepts.
+#: The deepest nesting the lexer accepts, of '(' and of '{' apart.
 MAX_NESTING = 100
 
 _FM_KEYWORDS = frozenset(
@@ -58,7 +58,7 @@ class ParseDiagnostic:
 
 
 class NestingTooDeep(ParseDiagnostic):
-    """A '(' nested deeper than ``MAX_NESTING``: the lexer stops there."""
+    """A '(' or '{' nested deeper than ``MAX_NESTING``: lexing stops."""
 
 
 def format_diagnostic(d: ParseDiagnostic, filename: str = "<input>") -> str:
@@ -117,9 +117,10 @@ def _lex(src: str, diags: list) -> list:
     """Tokens of ``src``, ending in an eof token.  A newline is a token
     only outside parentheses, so a declaration continues across one
     inside them; a stray ')' leaves the depth at 0.  A '(' nested
-    deeper than ``MAX_NESTING`` is reported, and the lexer bails."""
+    deeper than ``MAX_NESTING`` is reported, and so is a '{' nested
+    deeper in '{}' blocks, which count apart; then the lexer bails."""
     tokens = []
-    pos, line, line_start, depth = 0, 1, 0, 0
+    pos, line, line_start, depth, blocks = 0, 1, 0, 0, 0
     while pos < len(src):
         m = _TOKEN_RE.match(src, pos)
         if m is None:
@@ -153,13 +154,18 @@ def _lex(src: str, diags: list) -> list:
         elif kind == "op":
             if text == "(":
                 depth += 1
-                if depth > MAX_NESTING:
-                    diags.append(NestingTooDeep(
-                        SourceSpan(line, col, 1), "parentheses nested "
-                        f"deeper than {MAX_NESTING} levels", "error"))
-                    raise _Bail()
             elif text == ")":
                 depth = max(0, depth - 1)
+            elif text == "{":
+                blocks += 1
+            elif text == "}":
+                blocks = max(0, blocks - 1)
+            if max(depth, blocks) > MAX_NESTING:
+                what = "parentheses" if text == "(" else "blocks"
+                diags.append(NestingTooDeep(
+                    SourceSpan(line, col, 1), f"{what} nested deeper "
+                    f"than {MAX_NESTING} levels", "error"))
+                raise _Bail()
             tokens.append(_Token(text, text, text, line, col))
         pos = m.end()
     tokens.append(_Token("eof", "", None, line,
@@ -365,7 +371,7 @@ class _ExprParser(_Cursor):
                     return
 
 
-_LITERALS = {"true": True, "false": False, "signal": SIGNAL}
+_LITERALS = {"true": TRUE, "false": FALSE, "signal": SIGNAL}
 
 
 def _literal_arg(cur: _Cursor, what: str = "a literal value"):

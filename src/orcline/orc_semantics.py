@@ -52,9 +52,9 @@ from operator import itemgetter
 from .errors import BoundExceeded
 from .mts import Lts
 from .orc_ast import (
-    BUILTIN_SITES, SIGNAL, STOP, Asymmetric, DefCall, Emit, Expr, Otherwise,
-    Parallel, Pending, Program, Sequential, Signal, SiteCall, SiteSpec, Stop,
-    Value, Var, render_expr, render_value, substitute, value_sort_key,
+    BUILTIN_SITES, SIGNAL, STOP, TRUE, Asymmetric, Bool, DefCall, Emit, Expr,
+    Otherwise, Parallel, Pending, Program, Sequential, Signal, SiteCall,
+    SiteSpec, Stop, Value, Var, render_value, substitute, value_sort_key,
 )
 
 # ---------------------------------------------------------------------------
@@ -116,9 +116,9 @@ def event_label(event) -> str:
 def value_to_json(value: Value):
     if isinstance(value, Signal):
         return {"t": "signal", "v": None}
-    if isinstance(value, bool):
-        return {"t": "bool", "v": value}
-    if isinstance(value, int):
+    if type(value) is Bool:
+        return {"t": "bool", "v": value.value}
+    if type(value) is int:
         return {"t": "int", "v": value}
     if isinstance(value, str):
         return {"t": "str", "v": value}
@@ -225,7 +225,7 @@ def _resolve_call(site: str, args: tuple, clock: int, program: Program,
         value = args[0] if len(args) == 1 else tuple(args) or SIGNAL
         return clock, value, None
     if (site == "Signal" and not args
-            or site == "if" and len(args) == 1 and args[0] is True):
+            or site == "if" and len(args) == 1 and args[0] == TRUE):
         return clock, SIGNAL, None
     if (site == "Rtimer" and len(args) == 1 and type(args[0]) is int
             and args[0] >= 0):
@@ -500,22 +500,15 @@ def run(program: Program, policy=None, bounds: Bounds = Bounds()) -> Trace:
 # ---------------------------------------------------------------------------
 # Exhaustive exploration
 
-def canonical_key(state: ExecState) -> str:
-    """Stable state identity: the printed term, which writes each
-    outstanding call's site, due tick and response at its node, plus
-    clock and counters.  Handles are left out: each occurs once in the
-    term, so numbering them in walk order would give the k-th Pending k.
-
-    The term prints site and definition calls alike, so the key assumes
-    that no program calls one name both as a site and as a definition;
-    the parser makes every call to a definition's name a DefCall.
+def canonical_key(state: ExecState) -> tuple:
+    """Stable state identity: the term itself, in which each
+    outstanding call compares by its site, due tick and response, plus
+    clock and counters.  Handles and ``next_handle`` are left out: each
+    handle occurs once in the term, so numbering them in walk order
+    would give the k-th Pending k.
     """
-    parts = [render_expr(state.expr), f"@{state.clock}"]
-    for name in sorted(state.def_depth):
-        parts.append(f"d{name}={state.def_depth[name]}")
-    for site in sorted(state.cycles):
-        parts.append(f"c{site}={state.cycles[site]}")
-    return "\x1f".join(parts)
+    return (state.expr, state.clock, tuple(sorted(state.def_depth.items())),
+            tuple(sorted(state.cycles.items())))
 
 
 @dataclass

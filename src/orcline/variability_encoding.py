@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 from .feature_model import FeatureModel, Requires
 from .orc_ast import (
-    BUILTIN_SITES, Asymmetric, Expr, Otherwise, Parallel, Program,
-    Sequential, SiteCall, Var,
+    BUILTIN_SITES, FALSE, TRUE, Asymmetric, Expr, Otherwise, Parallel,
+    Program, Sequential, SiteCall, Var,
 )
 from .orc_parser import NAME, RESERVED
 
@@ -97,14 +97,14 @@ def encode_alternative(m: Expr, n: Expr, a: Expr, b: Expr,
     guard_m = Sequential(SiteCall("if", (Var(flag_var),)), None, m)
     negate = Otherwise(
         Sequential(SiteCall("if", (Var(flag_var),)), None,
-                   SiteCall("let", (False,))),
-        SiteCall("let", (True,)))
+                   SiteCall("let", (FALSE,))),
+        SiteCall("let", (TRUE,)))
     guard_n = Sequential(negate, neg_var,
                          Sequential(SiteCall("if", (Var(neg_var),)), None,
                                     n))
     race = Parallel(
-        Sequential(a, None, SiteCall("let", (True,))),
-        Sequential(b, None, SiteCall("let", (False,))))
+        Sequential(a, None, SiteCall("let", (TRUE,))),
+        Sequential(b, None, SiteCall("let", (FALSE,))))
     return Asymmetric(Parallel(guard_m, guard_n), flag_var, race)
 
 

@@ -205,4 +205,10 @@ CASES = [
      ["<input>:2:106: error: parentheses nested deeper than 100 levels"]),
     ("fm", "family F {" + "(" * 101 + "}\n",
      ["<input>:1:111: error: parentheses nested deeper than 100 levels"]),
+    # '{' blocks count apart from parentheses: the lexer stops at the
+    # block one level deeper than MAX_NESTING, here the 100th optional
+    # feature's of a chain of 2,999 (one to a line under the family's)
+    ("fm", "family F {\n" + "".join(f"optional F{i} {{\n"
+                                    for i in range(1, 3000)) + "}\n" * 3000,
+     ["<input>:101:15: error: blocks nested deeper than 100 levels"]),
 ]

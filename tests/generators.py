@@ -7,12 +7,13 @@ import random
 from orcline import Lts, ModelBuilder, Mts
 from orcline.feature_model import FeatureModel, is_valid
 from orcline.orc_ast import (
-    SIGNAL, Asymmetric, Otherwise, Parallel, Sequential, SiteCall, Var,
+    FALSE, SIGNAL, TRUE, Asymmetric, Otherwise, Parallel, Sequential,
+    SiteCall, Var,
 )
 from orcline.orc_semantics import _successors
 
 SITES = ("A", "B", "C", "D", "E")
-VALUES = (0, 1, 7, True, False, SIGNAL, "hi")
+VALUES = (0, 1, 7, TRUE, FALSE, SIGNAL, "hi")
 
 
 def _bind(scope: tuple, binder) -> tuple:

@@ -287,6 +287,25 @@ def test_parentheses_nested_to_the_limit_run_and_explore(tmp_path, capsys,
     assert "parentheses nested deeper than 100 levels" in err
 
 
+def nested_family(levels: int) -> str:
+    """A family of one chain of optional features, one to a line, each
+    in the block of the one before: ``levels`` '{' blocks deep."""
+    return ("family F {\n"
+            + "".join(f"optional F{i} {{\n" for i in range(1, levels))
+            + "}\n" * levels)
+
+
+def test_blocks_nested_to_the_limit_count_and_deeper_exit_one(tmp_path,
+                                                              capsys):
+    path = tmp_path / "nested.fm"
+    path.write_text(nested_family(orc_parser.MAX_NESTING))
+    assert run_cli(capsys, "fm", "count", str(path)) == (0, "100\n", "")
+    path.write_text(nested_family(3000))
+    assert run_cli(capsys, "fm", "count", str(path)) == (
+        1, "", f"error: {path}:101:15: blocks nested deeper than 100 "
+        "levels\n")
+
+
 WIDE = " | ".join(["let(1)"] * 2000)
 
 

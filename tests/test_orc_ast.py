@@ -4,12 +4,15 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 import orcline
 from orcline.orc_ast import (
-    SIGNAL, STOP, Asymmetric, Emit, Otherwise, Parallel, Pending, Program,
+    FALSE, SIGNAL, STOP, TRUE, Asymmetric, Otherwise, Parallel, Program,
     Sequential, Signal, SiteCall, SiteSpec, Stop, Var, free_vars,
     render_expr, render_value, substitute,
 )
+from orcline.orc_semantics import value_to_json
 
 from generators import random_expr
 
@@ -23,25 +26,28 @@ def test_signal_is_a_singleton_value():
 
 def test_render_value_forms():
     assert render_value(SIGNAL) == "signal"
-    assert render_value(True) == "true"
-    assert render_value(False) == "false"
+    assert render_value(TRUE) == "true"
+    assert render_value(FALSE) == "false"
     assert render_value(-3) == "-3"
     assert render_value("a\"b") == '"a\\"b"'
     assert render_value((1, "x")) == '(1,"x")'
 
 
-def test_render_runtime_nodes():
-    # A Pending prints its site, due tick and response but not its
-    # handle; each runtime node is a primary, so combinators around it
-    # parenthesise as around a call.
-    assert render_expr(Pending(4, "A", 2, (1, "x"))) == '?A:2:(1,"x")'
-    assert render_expr(Pending(0, "mute", None, None)) == "?mute:-:-"
-    assert render_expr(Emit(True)) == "!true"
-    assert render_expr(STOP) == "stop"
-    assert render_expr(Sequential(
-        Parallel(Pending(1, "A", 0, SIGNAL), Emit(1)), "x",
-        Otherwise(STOP, SiteCall("B", (Var("x"),))))) \
-        == "(?A:0:signal | !1) >x> (stop ; B(x))"
+def test_bool_is_a_value_of_its_own():
+    # Python's True == 1; an Orc boolean equals neither 1 nor True.
+    assert TRUE != 1 and FALSE != 0 and TRUE != True  # noqa: E712
+    assert len({TRUE, 1, FALSE, 0}) == 4
+    assert SiteCall("let", (TRUE,)) != SiteCall("let", (1,))
+
+
+def test_a_python_bool_is_not_a_value():
+    # Printed as ``True`` it would re-parse as a variable.
+    with pytest.raises(TypeError, match="not a value"):
+        render_value(True)
+    with pytest.raises(TypeError, match="not a value"):
+        render_expr(SiteCall("let", (False,)))
+    with pytest.raises(TypeError, match="not a value"):
+        value_to_json(True)
 
 
 def test_substitute_replaces_free_variable_in_args():

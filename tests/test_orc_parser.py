@@ -9,8 +9,8 @@ from orcline import (
 )
 from orcline.feature_model import enumerate_products
 from orcline.orc_ast import (
-    SIGNAL, Asymmetric, DefCall, Otherwise, Parallel, Program, Sequential,
-    SiteCall, SiteSpec, Var, free_vars, substitute,
+    FALSE, SIGNAL, TRUE, Asymmetric, DefCall, Otherwise, Parallel, Program,
+    Sequential, SiteCall, SiteSpec, Var, free_vars, substitute,
 )
 from orcline.orc_parser import (
     format_diagnostic, parse_program_with_diagnostics,
@@ -88,7 +88,7 @@ def test_zero_site_forms():
 
 def test_argument_kinds():
     got = parse_expr('M(1, -2, true, false, signal, "s", x)')
-    assert got == SiteCall("M", (1, -2, True, False, SIGNAL, "s",
+    assert got == SiteCall("M", (1, -2, TRUE, FALSE, SIGNAL, "s",
                                  Var("x")))
 
 

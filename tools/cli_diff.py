@@ -32,12 +32,14 @@ variable, a definition at the depth bound, a pending timer, a call on a
 variable that nothing binds), of a label holding ``--``, of ``|``
 nested on either side of another ``|``, of eight parallel calls of
 one two-parameter recursive definition (``--max-depth 64``, explored
-up to ``--max-states 2000``) and of each place a publication can be
+up to ``--max-states 2000``), of each place a publication can be
 taken (at the root through a ``;``, by a ``>x>`` through one and
 through two ``;``, by a ``<x<`` through ``;`` and ``|``, by a ``<x<``
 inside a spawn's left operand, by a ``>x>`` inside a bind's right
 operand, by a ``<x<`` over a spawn whose left operand becomes
-``stop``, and by a ``>x>`` that sits under a ``;``), ``orc run`` with and without
+``stop``, and by a ``>x>`` that sits under a ``;``) and of an int
+and a bool that Python holds equal (bound by a ``<x<``, spawned by a
+``>x>`` and tested by ``if``), ``orc run`` with and without
 ``--seed`` on two 64-branch fan-outs (the benchmark's ``S_i() >x>
 let(x)`` and one mixing ``>x>``, ``<x<`` and
 ``;``) and ``orc explore --format json|lts`` on their 3-branch
@@ -78,8 +80,8 @@ import diagnostic_cases  # noqa: E402
 import workloads  # noqa: E402
 
 # (file name, program, extra flags) of the quiescence, label, nesting
-# and recursion probes, and one probe per shape of a publication's
-# capture.
+# and recursion probes, one probe per shape of a publication's
+# capture, and three that race an int against a bool.
 PROBES = [
     ("var_blocked.orc",
      "def F(x) = let(x)\n(F(y) ; let(9)) <y< (Rtimer(1) >> let(2))\n", []),
@@ -106,6 +108,9 @@ PROBES = [
     ("spawn_in_bind.orc", "let(y) <y< (let(1) >x> let(x))\n", []),
     ("bind_into_stop.orc", "let(1) <x< (Rtimer(1) >> let(2))\n", []),
     ("spawn_under_fallback.orc", "(let(1) >x> let(x)) ; let(9)\n", []),
+    ("bind_int_or_bool.orc", "let(v) <v< (let(1) | let(true))\n", []),
+    ("spawn_int_or_bool.orc", "(let(0) | let(false)) >x> let(x)\n", []),
+    ("guard_int_or_bool.orc", "if(v) <v< (let(1) | let(true))\n", []),
 ]
 # Further flags of a probe that only orc explore takes.
 EXPLORE_FLAGS = {"recursive.orc": ["--max-states", "2000"]}
