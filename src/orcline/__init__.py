@@ -26,9 +26,9 @@ from .orc_parser import (
     render_program,
 )
 from .orc_semantics import (
-    Bounds, Call, ExecState, ExploredLts, Internal, Publish, Return,
-    SeededRandom, Tick, Trace, event_label, explore, initial_state,
-    is_halted, lts_view, publication_sequences, run, step,
+    Bounds, Call, ExecState, ExploredLts, Internal, Publish, Return, Tick,
+    Trace, event_label, explore, is_halted, lts_view, publication_sequences,
+    run, step,
 )
 from .variability_encoding import (
     EncodingPlan, MissingTrigger, PlanMismatch, UnsupportedGroupSize,

@@ -49,9 +49,9 @@ class _CliError(Exception):
 
 def _read(path: str) -> str:
     try:
-        with open(path, "r") as handle:
+        with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(EXIT_INPUT, f"cannot read {path}: {exc}")
 
 
@@ -128,10 +128,9 @@ def _sorted_outcomes(outcome_set):
 
 def _cmd_orc_run(args) -> int:
     program = _load_program(args.file)
-    policy = None if args.seed is None else sem.SeededRandom(args.seed)
     code = EXIT_OK
     try:
-        trace = sem.run(program, policy, _bounds(args))
+        trace = sem.run(program, args.seed, _bounds(args))
     except BoundExceeded as exc:
         trace = exc.partial
         _diag(f"truncated: {exc}")

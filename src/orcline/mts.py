@@ -118,10 +118,13 @@ class ClauseFailure:
 
 @dataclass(frozen=True)
 class ProductCheck:
-    holds: bool
     witness: "frozenset | None"   # (product_state, family_state) pairs
     failure: "ClauseFailure | None"
     rounds: int                   # deletion layers + the final empty one
+
+    @property
+    def holds(self) -> bool:
+        return self.failure is None
 
 
 def _by_action(trans):
@@ -214,7 +217,7 @@ def is_product(product: Lts, family: Mts) -> ProductCheck:
         layer = next_layer
 
     if initial in dead:
-        return ProductCheck(False, None,
+        return ProductCheck(None,
                             _first_failure(product, family, p_out, f_must,
                                            f_may), rounds)
     seen = {initial}
@@ -224,7 +227,7 @@ def is_product(product: Lts, family: Mts) -> ProductCheck:
             if pair not in dead and pair not in seen:
                 seen.add(pair)
                 frontier.append(pair)
-    return ProductCheck(True, frozenset(seen), None, rounds)
+    return ProductCheck(frozenset(seen), None, rounds)
 
 
 def _actions_match(p_moves, q_must, q_may) -> bool:

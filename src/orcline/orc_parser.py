@@ -47,7 +47,6 @@ _FM_KEYWORDS = frozenset(
 class SourceSpan:
     line: int      # 1-based
     column: int    # 1-based
-    length: int
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,7 @@ class _Token:
 
     @property
     def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.col, max(1, len(self.text)))
+        return SourceSpan(self.line, self.col)
 
     @property
     def shown(self) -> str:
@@ -126,8 +125,8 @@ def _lex(src: str, diags: list) -> list:
         if m is None:
             col = pos - line_start + 1
             diags.append(ParseDiagnostic(
-                SourceSpan(line, col, 1),
-                f"unexpected character {src[pos]!r}", "error"))
+                SourceSpan(line, col), f"unexpected character {src[pos]!r}",
+                "error"))
             pos += 1
             continue
         kind = m.lastgroup
@@ -143,8 +142,7 @@ def _lex(src: str, diags: list) -> list:
                 value = json.loads(text)
             except ValueError:
                 diags.append(ParseDiagnostic(
-                    SourceSpan(line, col, len(text)),
-                    "invalid string escape", "error"))
+                    SourceSpan(line, col), "invalid string escape", "error"))
                 value = ""
             tokens.append(_Token("string", text, value, line, col))
         elif kind == "int":
@@ -163,7 +161,7 @@ def _lex(src: str, diags: list) -> list:
             if max(depth, blocks) > MAX_NESTING:
                 what = "parentheses" if text == "(" else "blocks"
                 diags.append(NestingTooDeep(
-                    SourceSpan(line, col, 1), f"{what} nested deeper "
+                    SourceSpan(line, col), f"{what} nested deeper "
                     f"than {MAX_NESTING} levels", "error"))
                 raise _Bail()
             tokens.append(_Token(text, text, text, line, col))
@@ -714,8 +712,7 @@ def _parse_transition_file(src: str, kind: str):
     header_seen = False
 
     def err(lineno, col, msg):
-        diags.append(ParseDiagnostic(SourceSpan(lineno, col, 1), msg,
-                                     "error"))
+        diags.append(ParseDiagnostic(SourceSpan(lineno, col), msg, "error"))
 
     for lineno, tokens in _ts_lines(src):
         word, col = tokens[0]
@@ -758,7 +755,7 @@ def _parse_transition_file(src: str, kind: str):
             err(lineno, col, f"unknown directive {word!r}")
 
     if init is None:
-        diags.append(ParseDiagnostic(SourceSpan(1, 1, 1),
+        diags.append(ParseDiagnostic(SourceSpan(1, 1),
                                      "missing init state", "error"))
     if any(d.severity == "error" for d in diags):
         raise ParseError(diags)

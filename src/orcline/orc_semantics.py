@@ -165,11 +165,6 @@ class Bounds:
 
 
 @dataclass(frozen=True)
-class SeededRandom:
-    seed: int
-
-
-@dataclass(frozen=True)
 class Transition:
     event: object
     state: ExecState
@@ -178,16 +173,20 @@ class Transition:
 @dataclass
 class Trace:
     events: list          # (clock, Event) pairs
-    publications: list    # Publish values in order
-    halted: bool          # quiescent, not at max_depth; see is_halted
-    truncated: bool       # quiescent but a definition hit max_depth
+    truncated: bool       # cut by max_steps, or quiescent at max_depth
+
+    @property
+    def publications(self) -> list:
+        """Publish values in order."""
+        return [e.value for (_, e) in self.events if isinstance(e, Publish)]
+
+    @property
+    def halted(self) -> bool:
+        """Quiescent, not at max_depth; see is_halted."""
+        return not self.truncated
 
 
-def initial_state(program: Program) -> ExecState:
-    return ExecState(program.goal)
-
-
-# Rule numbers; the deterministic policy picks the smallest.
+# Rule numbers; an unseeded run picks the smallest.
 _PRIO_CALL = 1
 _PRIO_RETURN = 2
 _PRIO_PUBLISH = 3
@@ -460,41 +459,35 @@ def is_halted(state: ExecState) -> bool:
     return not steps and not waits
 
 
-def run(program: Program, policy=None, bounds: Bounds = Bounds()) -> Trace:
+def run(program: Program, seed: int | None = None,
+        bounds: Bounds = Bounds()) -> Trace:
     """Execute one interleaving to quiescence.
 
-    Without a policy it always takes the lowest-numbered rule at the
-    leftmost position; SeededRandom draws uniformly from the enabled
-    set.  Each event costs one step walk and one rebuilt path:
-    only the chosen step's successor state is built.
-    Raises BoundExceeded (with the partial trace attached) when
+    Without a seed it always takes the lowest-numbered rule at the
+    leftmost position; with one it draws uniformly from the enabled
+    set, by ``random.Random(seed)``.  Each event costs one step walk
+    and one rebuilt path: only the chosen step's successor state is
+    built.  Raises BoundExceeded (with the partial trace attached) when
     max_steps runs out.
     """
-    rng = None
-    if isinstance(policy, SeededRandom):
-        rng = random.Random(policy.seed)
-    state = initial_state(program)
+    rng = None if seed is None else random.Random(seed)
+    state = ExecState(program.goal)
     events: list = []
-    publications: list = []
     while True:
         steps, waits = _enabled(state, bounds)
         if not steps:
-            blocked = _DEPTH in waits
-            return Trace(events, publications, halted=not blocked,
-                         truncated=blocked)
+            return Trace(events, truncated=_DEPTH in waits)
         if len(events) >= bounds.max_steps:
+            partial = Trace(events, truncated=True)
             raise BoundExceeded(
                 f"--max-steps {bounds.max_steps} reached after "
-                f"{len(events)} events, {len(publications)} publications",
-                partial=Trace(events, publications, halted=False,
-                              truncated=True))
+                f"{len(events)} events, "
+                f"{len(partial.publications)} publications", partial=partial)
         chosen = steps[0] if rng is None else \
             steps[rng.randrange(len(steps))]
         clock = state.clock
         event, state = _apply(state, chosen, program)
         events.append((clock, event))
-        if isinstance(event, Publish):
-            publications.append(event.value)
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +720,7 @@ def explore(program: Program, bounds: Bounds = Bounds(),
     so publication_sequences, path_call_site_sets and lts_view need
     the full graph, the default.
     """
-    init = initial_state(program)
+    init = ExecState(program.goal)
     ids = {canonical_key(init): 0}
     states = [init]
     edges: list = []

@@ -51,7 +51,7 @@ class PlanMismatch(Exception):
 class EncodingPlan:
     feature_to_site: dict            # feature name -> site name
     trigger_sites: dict = field(default_factory=dict)  # gid -> (a, b)
-    notes: list = field(default_factory=list)
+    notes: list = field(default_factory=list, init=False)
 
 
 def default_plan(model: FeatureModel) -> EncodingPlan:

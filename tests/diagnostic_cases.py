@@ -7,6 +7,11 @@
 ``<input>``; an empty list means the source is accepted without a
 diagnostic.  ``tests/test_orc_parser.py`` checks the library against
 the table and ``tools/cli_diff.py`` feeds every row to the command line.
+
+``NOT_UTF8`` holds (format, bytes) rows of files that are not UTF-8, one
+per format and one plan file (``json``) for ``encode --plan``; the
+command line cannot read them and exits 1 with one ``error: cannot
+read FILE: ...`` line (``tests/test_cli.py``, ``tools/cli_diff.py``).
 """
 
 CASES = [
@@ -211,4 +216,12 @@ CASES = [
     ("fm", "family F {\n" + "".join(f"optional F{i} {{\n"
                                     for i in range(1, 3000)) + "}\n" * 3000,
      ["<input>:101:15: error: blocks nested deeper than 100 levels"]),
+]
+
+NOT_UTF8 = [
+    ("orc", b"let(1) \xff\xfe\n"),
+    ("fm", b"family A { optional \xff }\n"),
+    ("mts", b"mts M\nstates s\xe9\ninit s\n"),
+    ("lts", b"lts L\xc3\n"),
+    ("json", b'{"feature_to_site": {"\xff": "a"}}'),
 ]

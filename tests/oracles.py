@@ -52,8 +52,8 @@ from orcline.orc_ast import (
 from orcline.orc_semantics import (
     _DEPTH, _PRIO_BIND, _PRIO_CALL, _PRIO_EXPAND, _PRIO_FALLBACK,
     _PRIO_PUBLISH, _PRIO_RETURN, _PRIO_SEQ_SPAWN, _PRIO_TICK, _UNBOUND,
-    INTERNAL, Bounds, Call, ExecState, Publish, Return, SeededRandom, Tick,
-    Trace, _resolve_call, _seq, initial_state,
+    INTERNAL, Bounds, Call, ExecState, Publish, Return, Tick, Trace,
+    _resolve_call, _seq,
 )
 
 
@@ -123,7 +123,7 @@ def is_product(product, family) -> ProductCheck:
 
     initial = (product.init, family.init)
     if initial not in relation:
-        return ProductCheck(False, None, first_failure, rounds)
+        return ProductCheck(None, first_failure, rounds)
 
     seen = {initial}
     frontier = [initial]
@@ -135,7 +135,7 @@ def is_product(product, family) -> ProductCheck:
                         and (p2, q2) not in seen:
                     seen.add((p2, q2))
                     frontier.append((p2, q2))
-    return ProductCheck(True, frozenset(seen), None, rounds)
+    return ProductCheck(frozenset(seen), None, rounds)
 
 
 def _canonical_reachable(init, trans) -> Lts:
@@ -455,29 +455,21 @@ def safe(state: ExecState, s: tuple) -> bool:
     return _publications(node.left) <= 1
 
 
-def run(program: Program, policy=None, bounds: Bounds = Bounds()) -> tuple:
-    rng = None
-    if isinstance(policy, SeededRandom):
-        rng = random.Random(policy.seed)
-    state = initial_state(program)
+def run(program: Program, seed=None, bounds: Bounds = Bounds()) -> tuple:
+    rng = None if seed is None else random.Random(seed)
+    state = ExecState(program.goal)
     events: list = []
-    publications: list = []
     taken = 0
     while True:
         steps, waits = _enabled(state, program, bounds)
         if not steps:
-            blocked = _DEPTH in waits
-            return Trace(events, publications, halted=not blocked,
-                         truncated=blocked), False
+            return Trace(events, truncated=_DEPTH in waits), False
         if taken >= bounds.max_steps:
-            return Trace(events, publications, halted=False,
-                         truncated=True), True
+            return Trace(events, truncated=True), True
         chosen = steps[0] if rng is None else \
             steps[rng.randrange(len(steps))]
         event = chosen[2]
         events.append((state.clock, event))
-        if isinstance(event, Publish):
-            publications.append(event.value)
         state = _apply(state, chosen)
         taken += 1
 

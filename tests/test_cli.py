@@ -21,6 +21,7 @@ from orcline.orc_ast import (
     BUILTIN_SITES, free_vars, render_expr, substitute,
 )
 
+from diagnostic_cases import NOT_UTF8
 from generators import random_feature_model
 
 
@@ -219,6 +220,22 @@ def test_missing_file_exits_one(capsys):
     code, out, err = run_cli(capsys, "orc", "run", "/no/such/file.orc")
     assert code == 1
     assert "error:" in err
+
+
+NOT_UTF8_READERS = {"orc": ["orc", "explore"], "fm": ["fm", "count"],
+                    "mts": ["mts", "products"], "lts": ["mts", "dot"],
+                    "json": ["encode", fx("smartgrid.fm"), "--plan"]}
+
+
+@pytest.mark.parametrize("fmt, data", NOT_UTF8,
+                         ids=[fmt for fmt, _ in NOT_UTF8])
+def test_input_that_is_not_utf8_exits_one(tmp_path, capsys, fmt, data):
+    path = tmp_path / f"bad.{fmt}"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, *NOT_UTF8_READERS[fmt], str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_parse_error_exits_one(tmp_path, capsys):

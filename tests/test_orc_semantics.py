@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from orcline import (
-    Bounds, BoundExceeded, Call, Internal, Publish, Return, SeededRandom,
-    Tick, corpus, explore, initial_state, is_halted, lts_view,
-    orc_semantics, parse_program, publication_sequences, run, step,
+    Bounds, BoundExceeded, Call, ExecState, Internal, Publish, Return, Tick,
+    corpus, explore, is_halted, lts_view, orc_semantics, parse_program,
+    publication_sequences, run, step,
 )
 from orcline.orc_ast import (
     BUILTIN_SITES, FALSE, SIGNAL, TRUE, Asymmetric, DefCall, Definition,
@@ -29,8 +29,8 @@ def program(src: str) -> Program:
 
 
 def drive(p: Program):
-    """(events, final state) under the deterministic policy."""
-    state = initial_state(p)
+    """(events, final state) of the unseeded run."""
+    state = ExecState(p.goal)
     events = []
     while True:
         transitions = step(state, p)
@@ -45,7 +45,7 @@ def drive(p: Program):
 
 def test_site_call_registers_a_pending_entry():
     p = program("Signal()")
-    [t] = step(initial_state(p), p)
+    [t] = step(ExecState(p.goal), p)
     assert isinstance(t.event, Call)
     assert t.event.site == "Signal" and t.event.handle == 0
     assert t.state.expr == Pending(0, "Signal", 0, SIGNAL)
@@ -70,12 +70,12 @@ def test_zero_site_blocks_forever():
 
 def test_call_with_unbound_variable_has_no_transition():
     p = program("let(x)")
-    assert step(initial_state(p), p) == []
+    assert step(ExecState(p.goal), p) == []
 
 
 def test_parallel_steps_both_sides():
     p = program("let(1) | let(2)")
-    state = initial_state(p)
+    state = ExecState(p.goal)
     first = step(state, p)
     assert len(first) == 2
     assert {t.event.args for t in first} == {(1,), (2,)}
@@ -148,13 +148,13 @@ def test_definition_call_by_value_blocks_on_variables():
 
 def test_tick_advances_to_earliest_due_only_when_quiescent():
     p = program("Rtimer(3)")
-    state = initial_state(p)
+    state = ExecState(p.goal)
     [call] = step(state, p)
     [tick] = step(call.state, p)
     assert isinstance(tick.event, Tick)
     assert tick.event.clock == 3 and tick.state.clock == 3
     p2 = program("Rtimer(3) | Signal()")
-    s = initial_state(p2)
+    s = ExecState(p2.goal)
     while True:
         transitions = step(s, p2)
         if isinstance(transitions[0].event, Tick):
@@ -212,8 +212,8 @@ def test_a_builtin_site_ignores_a_site_env_entry():
     for name, src in BUILTIN_CALLS.items():
         p = program(src)
         p_declared = Program(p.goal, p.definitions, {name: declared})
-        for policy in (None, SeededRandom(1), SeededRandom(4)):
-            assert run(p_declared, policy) == run(p, policy)
+        for seed in (None, 1, 4):
+            assert run(p_declared, seed) == run(p, seed)
         assert explore(p_declared).outcomes == explore(p).outcomes
     trace = run(Program(SiteCall("S", ()), site_env={"S": declared}))
     assert trace.publications == [99]
@@ -225,11 +225,11 @@ def test_a_builtin_site_ignores_a_site_env_entry():
 
 def test_halted_examples():
     p = program("if(false)")
-    [t] = step(initial_state(p), p)
+    [t] = step(ExecState(p.goal), p)
     assert is_halted(t.state)
 
     p = program("Rtimer(5)")
-    [t] = step(initial_state(p), p)
+    [t] = step(ExecState(p.goal), p)
     assert not is_halted(t.state)
 
     p = program("if(false) | if(false)")
@@ -257,7 +257,7 @@ def test_let_of_an_unbound_variable_halts_for_run_and_explore_only():
     ex = explore(p)
     assert ex.halted_states == {0} and not ex.truncated_states
     assert ex.outcomes == {()}
-    assert not is_halted(initial_state(p))
+    assert not is_halted(ExecState(p.goal))
 
 
 def test_the_step_walk_agrees_with_the_oracle_walks(monkeypatch):
@@ -312,11 +312,10 @@ def test_run_deterministic_is_reproducible():
 def test_run_seeded_is_reproducible_and_seed_sensitive():
     src = "let(1) | let(2) | let(3) | let(4)"
     p = program(src)
-    a = run(p, SeededRandom(7)).publications
-    b = run(p, SeededRandom(7)).publications
+    a = run(p, 7).publications
+    b = run(p, 7).publications
     assert a == b
-    orders = {tuple(run(p, SeededRandom(s)).publications)
-              for s in range(40)}
+    orders = {tuple(run(p, s).publications) for s in range(40)}
     assert len(orders) > 1
     assert all(sorted(o) == [1, 2, 3, 4] for o in orders)
 
@@ -335,8 +334,7 @@ def test_trace_publications_match_publish_events():
     for _ in range(120):
         p = Program(random_expr(rng), {}, {})
         try:
-            trace = run(p, SeededRandom(rng.randrange(1000)),
-                        Bounds(max_steps=400))
+            trace = run(p, rng.randrange(1000), Bounds(max_steps=400))
         except BoundExceeded as exc:
             trace = exc.partial
         assert trace.publications == [e.value for (_, e) in trace.events
@@ -348,8 +346,7 @@ def test_handles_are_fresh_and_returns_follow_calls():
     for _ in range(120):
         p = Program(random_expr(rng), {}, {})
         try:
-            trace = run(p, SeededRandom(rng.randrange(1000)),
-                        Bounds(max_steps=400))
+            trace = run(p, rng.randrange(1000), Bounds(max_steps=400))
         except BoundExceeded as exc:
             trace = exc.partial
         called = set()
@@ -383,27 +380,6 @@ def test_explore_outcome_of_silence_is_empty():
     assert len(ex.states) == 2
 
 
-def test_explore_covers_every_deterministic_run():
-    rng = random.Random(33)
-    for _ in range(60):
-        p = Program(random_expr(rng, depth=3), {}, {})
-        try:
-            ex = explore(p, Bounds(max_states=4000))
-        except BoundExceeded:
-            continue
-        if ex.truncated_outcomes:
-            continue
-        for seed in range(5):
-            trace = run(p, SeededRandom(seed), Bounds(max_steps=2000))
-            if trace.halted:
-                key = tuple(sorted(trace.publications,
-                                   key=lambda v: (str(type(v)), str(v))))
-                got = {tuple(sorted(o, key=lambda v: (str(type(v)),
-                                                      str(v))))
-                       for o in ex.outcomes}
-                assert key in got
-
-
 SITE_ENV = {"A": SiteSpec((1, 2, 3)), "B": SiteSpec((TRUE, 0), 2),
             "C": SiteSpec(())}
 
@@ -425,9 +401,10 @@ def test_seeded_runs_publish_an_explored_outcome(rng):
         ex = explore(p, bounds)
     except BoundExceeded:
         return
-    for seed in rng.sample(range(1000), 3):
+    # The unseeded run, then three seeded ones.
+    for seed in [None] + rng.sample(range(1000), 3):
         try:
-            trace = run(p, SeededRandom(seed), bounds)
+            trace = run(p, seed, bounds)
         except BoundExceeded:
             continue
         outcome = tuple(sorted(trace.publications, key=value_sort_key))
@@ -456,7 +433,7 @@ def test_explore_marks_cycles_as_truncated_outcomes():
 
 def test_canonical_key_renames_handles():
     p = program("Signal() | Signal()")
-    s0 = initial_state(p)
+    s0 = ExecState(p.goal)
     [a, b] = step(s0, p)
     # Left-then-right and right-then-left assign opposite handle
     # numbers to the two sides; the canonical key ignores that.
@@ -843,7 +820,7 @@ def test_steps_and_successors_agree_with_the_rebuilding_walk():
     cases += [(p, Bounds(max_depth=d)) for p in fixtures for d in (1, 3, 16)]
     cases += [(program(fanout(n, mixed)), Bounds(max_states=1500))
               for n in range(2, 9) for mixed in (False, True)]
-    policies = [None] + [SeededRandom(s) for s in (1, 4, 7)]
+    seeds = (None, 1, 4, 7)
     compared = {"steps": 0, "runs": 0}
     for p, bounds in cases:
         for state in explore_partial(p, bounds).states:
@@ -859,12 +836,12 @@ def test_steps_and_successors_agree_with_the_rebuilding_walk():
                 if s[0] in NAMED_NODE:
                     assert type(s[3]) is NAMED_NODE[s[0]]
             compared["steps"] += len(steps)
-        for policy in policies:
+        for seed in seeds:
             try:
-                got = run(p, policy, bounds), False
+                got = run(p, seed, bounds), False
             except BoundExceeded as exc:
                 got = exc.partial, True
-            assert got == oracles.run(p, policy, bounds)
+            assert got == oracles.run(p, seed, bounds)
             compared["runs"] += bool(got[0].events)
     assert compared["steps"] > 100000 and compared["runs"] > 2000, compared
 
@@ -899,7 +876,7 @@ def test_run_rebuilds_one_path_per_event(monkeypatch):
         return rebuild(expr, s, leaf_expr)
 
     monkeypatch.setattr(orc_semantics, "_rebuild", counting_rebuild)
-    trace = run(program(text), SeededRandom(1))
+    trace = run(program(text), 1)
     assert sorted(trace.publications) == list(range(32))
     assert len(rebuilt) == len(trace.events)
     assert max(rebuilt) <= 3
@@ -919,7 +896,7 @@ def test_run_resolves_only_the_calls_it_takes(monkeypatch):
     for mixed in (False, True):
         for seed in (1, 2):
             resolved.clear()
-            trace = run(program(fanout(32, mixed)), SeededRandom(seed))
+            trace = run(program(fanout(32, mixed)), seed)
             calls = [ev.site for (_, ev) in trace.events
                      if isinstance(ev, Call)]
             assert len(calls) >= 64
@@ -944,7 +921,7 @@ def test_run_substitutes_only_the_expansions_it_takes(monkeypatch):
     monkeypatch.setattr(orc_semantics, "substitute", counting_substitute)
     for seed in (1, 4, 7):
         substituted.clear()
-        trace = run(p, SeededRandom(seed), Bounds(max_depth=64))
+        trace = run(p, seed, Bounds(max_depth=64))
         assert trace.truncated
         internal = sum(isinstance(ev, Internal) for (_, ev) in trace.events)
         assert internal == 64 + 64   # 64 expansions, 64 spawns
@@ -987,9 +964,9 @@ def test_flat_parallel_explores_and_runs_as_the_binary_walk(
         bounds = Bounds(max_states=400)
     assert _printed(explore_partial(p, bounds)) \
         == _printed(_oracle_explore(p, bounds))
-    for policy in [None] + [SeededRandom(s) for s in (1, 4, 7)]:
+    for seed in (None, 1, 4, 7):
         try:
-            got = run(p, policy, bounds), False
+            got = run(p, seed, bounds), False
         except BoundExceeded as exc:
             got = exc.partial, True
-        assert got == oracles.run(p, policy, bounds)
+        assert got == oracles.run(p, seed, bounds)

@@ -172,10 +172,13 @@ def test_encoding_notes_name_each_rule():
     encode(model, plan)
     text = "\n".join(plan.notes)
     assert "parallel" in text and "asymmetric" in text and "flag" in text
-    # A reused plan's notes describe the latest call only.
+    # A reused plan's notes describe the latest call only, so a plan
+    # takes no notes of its own.
     notes = list(plan.notes)
     encode(model, plan)
     assert plan.notes == notes
+    with pytest.raises(TypeError):
+        EncodingPlan(plan.feature_to_site, notes=notes)
 
 
 def test_plan_json_round_trip():

@@ -23,8 +23,9 @@ derivation bound, ``fm products`` (text and json), ``fm count`` and
 ``encode`` on the bundled and on generated feature models (the
 benchmark's 14- and 15-feature families, one of 19 features, an
 alternative group under an optional feature,
-``requires`` into group members, a lone root, ``excludes`` between two
-mandatory features and a feature named ``true``), ``encode --plan``
+``requires`` into group members, a lone root, ``excludes`` and
+``requires`` between two mandatory features and a feature named
+``true``), ``encode --plan``
 with a good plan and with malformed ones, and ``orc explore`` in
 all four formats and ``orc run`` with and without ``--seed`` on every
 ``.orc`` fixture and on probes of quiescence (a call waiting for a
@@ -39,19 +40,21 @@ inside a spawn's left operand, by a ``>x>`` inside a bind's right
 operand, by a ``<x<`` over a spawn whose left operand becomes
 ``stop``, and by a ``>x>`` that sits under a ``;``) and of an int
 and a bool that Python holds equal (bound by a ``<x<``, spawned by a
-``>x>`` and tested by ``if``), ``orc run`` with and without
+``>x>`` and tested by ``if``) and of a site with two responses that
+three calls take turns at, ``orc run`` with and without
 ``--seed`` on two 64-branch fan-outs (the benchmark's ``S_i() >x>
 let(x)`` and one mixing ``>x>``, ``<x<`` and
 ``;``) and ``orc explore --format json|lts`` on their 3-branch
 versions, every source of the parser's diagnostic table
 (``tests/diagnostic_cases.py``: Orc through ``orc explore``, feature
 models through ``fm count``, ``.mts`` through ``mts products`` and
-``.lts`` through ``mts dot``), and the error paths: ``orc explore`` cut
-by ``--max-depth``
-(text and json) and by ``--max-states``, ``orc run`` cut by
-``--max-steps``, a negative bound, a bound flag that the command does
-not take, an unknown subcommand and ``--out`` into a missing
-directory.  A job that writes a file another job reads
+``.lts`` through ``mts dot``), ``fixtures export``, and the error
+paths: ``orc explore`` cut by ``--max-depth`` (text and json) and by
+``--max-states``, ``orc run`` cut by ``--max-steps``, a negative bound,
+a bound flag that the command does not take, an unknown subcommand,
+``--out`` into a missing directory, ``fm validate`` selecting an
+unknown feature, and a file of each format (and a plan) that is not
+UTF-8.  A job that writes a file another job reads
 (``encode`` for the orc workload) writes it once, with this checkout,
 before the comparison.
 ``--ignore-key K`` drops top-level key K from JSON stdout and every
@@ -81,7 +84,8 @@ import workloads  # noqa: E402
 
 # (file name, program, extra flags) of the quiescence, label, nesting
 # and recursion probes, one probe per shape of a publication's
-# capture, and three that race an int against a bool.
+# capture, three that race an int against a bool, and one whose calls
+# take turns at a site's responses.
 PROBES = [
     ("var_blocked.orc",
      "def F(x) = let(x)\n(F(y) ; let(9)) <y< (Rtimer(1) >> let(2))\n", []),
@@ -111,6 +115,8 @@ PROBES = [
     ("bind_int_or_bool.orc", "let(v) <v< (let(1) | let(true))\n", []),
     ("spawn_int_or_bool.orc", "(let(0) | let(false)) >x> let(x)\n", []),
     ("guard_int_or_bool.orc", "if(v) <v< (let(1) | let(true))\n", []),
+    ("cycled.orc", "site A responds 1, 2\nA() | A() >x> let(x, x) | A()\n",
+     []),
 ]
 # Further flags of a probe that only orc explore takes.
 EXPLORE_FLAGS = {"recursive.orc": ["--max-states", "2000"]}
@@ -132,7 +138,8 @@ def mixed_fanout(n: int) -> str:
 # and 15-feature families, 19 features with mixed-case names (three
 # bytes of product mask), an alternative group under an optional
 # feature, ``requires`` into group members, a lone root, and
-# ``excludes`` between two mandatory features (no products).
+# ``excludes`` (no products) and ``requires`` between two mandatory
+# features.
 FM_PROBES = [
     ("fm14.fm", workloads.feature_model_text(14, random.Random(14))[0]),
     ("fm15.fm", workloads.feature_model_text(15, random.Random(15))[0]),
@@ -154,6 +161,8 @@ FM_PROBES = [
     ("dead.fm",
      "family Dead {\n  mandatory A\n  mandatory B\n  excludes A B\n}\n"),
     ("true.fm", "family Root {\n  optional true\n}\n"),
+    ("requires.fm",
+     "family Root {\n  mandatory A\n  mandatory B\n  requires A B\n}\n"),
 ]
 
 # (file name, family) of the ``mts products`` probes: optional
@@ -275,7 +284,17 @@ def fixture_commands(workdir: str) -> list:
                  ["orc", "explore", fx("par.orc"), "--max-steps", "5"],
                  ["orc", "frobnicate"],
                  ["fm", "count", fx("smartgrid.fm"), "--out",
-                  os.path.join(workdir, "missing", "x")]]
+                  os.path.join(workdir, "missing", "x")],
+                 ["fm", "validate", fx("smartgrid.fm"), "--select",
+                  "SmartGrid,Nope"],
+                 ["fixtures", "export", os.path.join(workdir, "exported")]]
+    readers = dict(DIAGNOSTIC_COMMANDS,
+                   json=["encode", fx("smartgrid.fm"), "--plan"])
+    for fmt, data in diagnostic_cases.NOT_UTF8:
+        path = os.path.join(workdir, f"not_utf8.{fmt}")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        commands.append(readers[fmt] + [path])
     for i, (fmt, src, _) in enumerate(diagnostic_cases.CASES):
         path = os.path.join(workdir, f"diagnostic{i}.{fmt}")
         with open(path, "w") as handle:
