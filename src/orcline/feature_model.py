@@ -9,13 +9,17 @@ kinds of cross-tree constraints: ``requires`` (one-directional) and
 
 A *configuration* is a set of feature names; it is a *product* of the
 model when it satisfies all tree and constraint rules.  ``validate``
-explains every way a configuration fails; ``enumerate_products``,
-``sorted_products`` and ``product_count`` enumerate the valid ones.
+explains every way a configuration fails; ``enumerate_products`` and
+``sorted_products`` list the products and ``product_count`` counts
+them, each by conditioning on the features that constraints touch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from math import prod
+from operator import mul
 
 from .errors import BoundExceeded
 
@@ -214,61 +218,140 @@ def is_valid(fm: FeatureModel, selection) -> bool:
     return next(_violations(fm, selection), None) is None
 
 
-def _product_masks(fm: FeatureModel) -> tuple:
+def _walker(fm: FeatureModel):
+    """``walk(must, off, leaf, absent, times, total)``: the root's slots
+    with ``must`` selected and ``off`` left out, folded into counts (1,
+    1, ``*``, ``sum``) or mask lists (``[bit]``, ``[0]``, cross-sum,
+    concatenation).  A slot is an optional child (or ``absent``, unless
+    in ``must``), a group (its ``must`` member, else those not off) or
+    a mandatory child's leaf and slots; a subtree is its leaf times its
+    slots.  Each feature's children come from a table built once."""
+    table = {name: ([], [], []) for name in fm.features}
+    for name, f in fm.features.items():
+        if f.kind in ("optional", "mandatory"):
+            table[f.parent][f.kind == "mandatory"].append(name)
+    for g in fm.groups:
+        table[g.parent][2].append(g.members)
+
+    def walk(must, off, leaf, absent, times, total):
+        def slots(name):
+            optional, mandatory, groups = table[name]
+            out = []
+            for child in mandatory:
+                if child in off:
+                    return [total(())]
+                out.append(leaf(child))
+                out += slots(child)
+            for child in optional:
+                if child not in off:
+                    sub = configurations(child)
+                    out.append(sub if child in must
+                               else total((absent, sub)))
+            for members in groups:
+                chosen = [m for m in members if m in must]
+                if not chosen:
+                    chosen = [m for m in members if m not in off]
+                elif chosen[1:]:
+                    chosen = []
+                out.append(total(map(configurations, chosen)))
+            return out
+
+        def configurations(name):
+            return reduce(times, slots(name), leaf(name))
+
+        return slots(fm.root)
+
+    return walk
+
+
+#: The counting fold of a ``_walker`` walk.
+_COUNTS = (lambda name: 1, 1, mul, sum)
+
+
+def _filter(constraints, bit):
+    """A function keeping the masks of a list that satisfy every
+    constraint, ``bit`` giving each feature's bit."""
+    requires = [(bit[c.a], bit[c.b]) for c in constraints
+                if isinstance(c, Requires)]
+    excludes = [bit[c.a] | bit[c.b] for c in constraints
+                if isinstance(c, Excludes)]
+
+    def keep(masks):
+        for a, b in requires:
+            masks = [m for m in masks if not m & a or m & b]
+        for ab in excludes:
+            masks = [m for m in masks if m & ab != ab]
+        return masks
+    return keep
+
+
+def _condition(fm: FeatureModel) -> tuple:
+    """``(walk, assignments, constraints)``: the model's ``_walker``,
+    the ``(must, off)`` name sets whose walks hold each product once,
+    and the constraints left to filter them by.
+
+    Each assignment of the k features that constraints touch which
+    satisfies them all selects its features and their ancestors and
+    leaves the others out.  When 2^k walks of every feature outnumber
+    the unconstrained products, the one empty assignment is walked and
+    filtered instead, at most ``MAX_ENUMERATION_FEATURES`` features;
+    conditioning makes at most 2^``MAX_ENUMERATION_FEATURES`` visits."""
+    walk = _walker(fm)
+    touched = sorted({end for c in fm.constraints for end in (c.a, c.b)})
+    n, k = len(fm.features), len(touched)
+    if n << k > prod(walk((), (), *_COUNTS)) \
+            and n <= MAX_ENUMERATION_FEATURES:
+        return walk, [((), ())], fm.constraints
+    if n << k > 1 << MAX_ENUMERATION_FEATURES:
+        raise BoundExceeded(
+            f"model has {n} features, {k} of them in constraints, counting "
+            f"bound is {MAX_ENUMERATION_FEATURES} features or "
+            f"2^{MAX_ENUMERATION_FEATURES} node visits ({n} x 2^{k})")
+    assignments = []
+    keep = _filter(fm.constraints, {t: 1 << i for i, t in enumerate(touched)})
+    for v in keep(range(1 << k)):
+        must, off = {fm.root}, set()
+        for i, name in enumerate(touched):
+            if v >> i & 1:
+                while name not in must:
+                    must.add(name)
+                    name = fm.features[name].parent
+            else:
+                off.add(name)
+        if must.isdisjoint(off):
+            assignments.append((must, off))
+    return walk, assignments, ()
+
+
+def _product_masks(fm: FeatureModel, plan=None) -> tuple:
     """``(names, rows)``: the model's feature names in sorted order and
     a stream of its products as int lists, one row at a time.
 
-    The feature of sorted rank ``r`` has the bit ``1 << (n-1-r)``.  Each
-    subtree's configurations are an int list; its slots (each optional
-    child, also left out, each alternative group, and a mandatory
-    child's bit and slots in place of the child) combine by ``+``, which
-    is ``|`` on disjoint bits.  The root's slots, with those of the
-    mandatory features under it, go to two lists of balanced size, and
-    a row is one left mask plus every right mask, filtered by the
-    cross-tree constraints, so the root's product is never
-    materialised."""
+    The feature of sorted rank ``r`` has the bit ``1 << (n-1-r)``.  Per
+    assignment of ``plan`` (``_condition``), the root's slots go to two
+    lists of balanced size (each slot, largest first, joins the smaller
+    side); a row is one left mask plus every right mask (``+`` is ``|``
+    on disjoint bits), filtered by the constraints left."""
     names = sorted(fm.features)
     bit = {name: 1 << i for i, name in enumerate(reversed(names))}
+    walk, assignments, constraints = plan or _condition(fm)
+    keep = _filter(constraints, bit)
 
-    def slots(name):
-        out = []
-        for child in fm.plain_children(name):
-            if fm.features[child].kind == "optional":
-                out.append([0] + configurations(child))
-            else:
-                out.append([bit[child]])
-                out += slots(child)
-        for g in fm.groups_of(name):
-            out.append([m for member in g.members
-                        for m in configurations(member)])
-        return out
-
-    def configurations(name):
-        acc = [bit[name]]
-        for sub in slots(name):
-            acc = [x + y for x in acc for y in sub]
-        return acc
-
-    left, right = [bit[fm.root]], [0]
-    for sub in sorted(slots(fm.root), key=len, reverse=True):
-        if len(left) <= len(right):
-            left = [x + y for x in left for y in sub]
-        else:
-            right = [x + y for x in right for y in sub]
-
-    requires = [(bit[c.a], bit[c.b]) for c in fm.constraints
-                if isinstance(c, Requires)]
-    excludes = [bit[c.a] | bit[c.b] for c in fm.constraints
-                if isinstance(c, Excludes)]
+    def cross(acc, sub):
+        return [x + y for x in acc for y in sub]
+    masks = (lambda name: [bit[name]], [0], cross,
+             lambda subs: [m for sub in subs for m in sub])
 
     def rows():
-        for x in left:
-            row = [x + y for y in right]
-            for a, b in requires:
-                row = [m for m in row if not m & a or m & b]
-            for ab in excludes:
-                row = [m for m in row if m & ab != ab]
-            yield row
+        for must, off in assignments:
+            left, right = [bit[fm.root]], [0]
+            for sub in sorted(walk(must, off, *masks), key=len, reverse=True):
+                if len(left) <= len(right):
+                    left = cross(left, sub)
+                else:
+                    right = cross(right, sub)
+            for x in left:
+                yield keep([x + y for y in right])
 
     return names, rows()
 
@@ -338,18 +421,10 @@ def _sorted_masks(fm: FeatureModel) -> tuple:
 
 
 def product_count(fm: FeatureModel) -> int:
-    """Number of products.  Counts multiplicatively when there are no
-    cross-tree constraints, otherwise streams the enumeration, which
-    ``MAX_ENUMERATION_FEATURES`` bounds."""
-    if not fm.constraints:
-        def count(name):
-            n = 1
-            for child in fm.plain_children(name):
-                c = count(child)
-                n *= c + 1 if fm.features[child].kind == "optional" else c
-            for g in fm.groups_of(name):
-                n *= sum(count(m) for m in g.members)
-            return n
-        return count(fm.root)
-    _check_size(fm)
-    return sum(map(len, _product_masks(fm)[1]))
+    """Number of products: the sum of ``_condition``'s walks counted,
+    or the streamed enumeration's length when constraints are left.
+    Raises BoundExceeded when neither fits its bound."""
+    walk, assignments, constraints = plan = _condition(fm)
+    if constraints:
+        return sum(map(len, _product_masks(fm, plan)[1]))
+    return sum(prod(walk(must, off, *_COUNTS)) for must, off in assignments)

@@ -91,6 +91,44 @@ def random_feature_model(rng: random.Random, max_features: int = 16,
     return builder.build()
 
 
+def wide_feature_model(rng: random.Random) -> FeatureModel:
+    """8 to 16 features, mostly optional and under random parents, so
+    optional subtrees nest, with one alternative group of two or three
+    members, and 1 to 4 constraints whose second end is as often a
+    group member, or a feature under an optional ancestor, as any
+    feature."""
+    builder = ModelBuilder("W0")
+    names = ["W0"]
+    count = rng.randint(8, 16)
+    group_at = rng.randrange(1, count - 2)
+    while len(names) < count:
+        parent = rng.choice(names)
+        if len(names) == group_at:
+            members = [f"W{len(names) + j}" for j in range(rng.choice((2, 3)))]
+            builder.alternative(parent, *members)
+            names += members
+        else:
+            names.append(f"W{len(names)}")
+            (builder.optional if rng.random() < 0.85
+             else builder.mandatory)(parent, names[-1])
+    features = builder.build().features
+
+    def under_optional(name):
+        while (name := features[name].parent) is not None:
+            if features[name].kind == "optional":
+                return True
+        return False
+
+    targets = ([n for n in names if features[n].kind == "member"],
+               [n for n in names if under_optional(n)] or names, names)
+    for _ in range(rng.randint(1, 4)):
+        a = rng.choice(names)
+        b = rng.choice(rng.choice(targets))
+        if a != b:
+            (builder.requires if rng.random() < 0.5 else builder.excludes)(a, b)
+    return builder.build()
+
+
 def brute_force_products(model: FeatureModel) -> set:
     """Oracle: filter every subset of the feature set with the
     rule-by-rule validator."""

@@ -32,6 +32,11 @@ equal with the library's.
 product as a frozenset, and ``_sorted_products`` is the command line's
 sort of those sets into its order (by size, then by the sorted name
 lists); products are now enumerated as bit masks.
+
+``streamed_count`` is the bit-mask count that streamed every candidate
+of the tree through the cross-tree constraint filter (or multiplied
+without constraints); counting now conditions on the features that the
+constraints touch.
 """
 
 from __future__ import annotations
@@ -43,7 +48,9 @@ import random
 from operator import itemgetter
 
 from orcline.errors import BoundExceeded
-from orcline.feature_model import FeatureModel, Requires
+from orcline.feature_model import (
+    MAX_ENUMERATION_FEATURES, FeatureModel, Requires,
+)
 from orcline.mts import ActionMismatch, ClauseFailure, Lts, ProductCheck
 from orcline.orc_ast import (
     STOP, Asymmetric, DefCall, Emit, Expr, Otherwise, Parallel, Pending,
@@ -519,3 +526,77 @@ def _iter_products(fm: FeatureModel):
 def _sorted_products(products) -> list:
     return sorted((sorted(p) for p in products),
                   key=lambda names: (len(names), names))
+
+
+def _product_masks(fm: FeatureModel) -> tuple:
+    """``(names, rows)``: the model's feature names in sorted order and
+    a stream of its products as int lists, one row at a time.  Each
+    subtree's configurations are an int list; the root's slots, with
+    those of the mandatory features under it, go to two lists of
+    balanced size, and a row is one left mask plus every right mask,
+    filtered by the cross-tree constraints."""
+    names = sorted(fm.features)
+    bit = {name: 1 << i for i, name in enumerate(reversed(names))}
+
+    def slots(name):
+        out = []
+        for child in fm.plain_children(name):
+            if fm.features[child].kind == "optional":
+                out.append([0] + configurations(child))
+            else:
+                out.append([bit[child]])
+                out += slots(child)
+        for g in fm.groups_of(name):
+            out.append([m for member in g.members
+                        for m in configurations(member)])
+        return out
+
+    def configurations(name):
+        acc = [bit[name]]
+        for sub in slots(name):
+            acc = [x + y for x in acc for y in sub]
+        return acc
+
+    left, right = [bit[fm.root]], [0]
+    for sub in sorted(slots(fm.root), key=len, reverse=True):
+        if len(left) <= len(right):
+            left = [x + y for x in left for y in sub]
+        else:
+            right = [x + y for x in right for y in sub]
+
+    requires = [(bit[c.a], bit[c.b]) for c in fm.constraints
+                if isinstance(c, Requires)]
+    excludes = [bit[c.a] | bit[c.b] for c in fm.constraints
+                if not isinstance(c, Requires)]
+
+    def rows():
+        for x in left:
+            row = [x + y for y in right]
+            for a, b in requires:
+                row = [m for m in row if not m & a or m & b]
+            for ab in excludes:
+                row = [m for m in row if m & ab != ab]
+            yield row
+
+    return names, rows()
+
+
+def streamed_count(fm: FeatureModel) -> int:
+    """Number of products: multiplied when there are no cross-tree
+    constraints, otherwise the streamed enumeration's length, which
+    ``MAX_ENUMERATION_FEATURES`` bounds."""
+    if not fm.constraints:
+        def count(name):
+            n = 1
+            for child in fm.plain_children(name):
+                c = count(child)
+                n *= c + 1 if fm.features[child].kind == "optional" else c
+            for g in fm.groups_of(name):
+                n *= sum(count(m) for m in g.members)
+            return n
+        return count(fm.root)
+    if len(fm.features) > MAX_ENUMERATION_FEATURES:
+        raise BoundExceeded(
+            f"model has {len(fm.features)} features, enumeration bound "
+            f"is {MAX_ENUMERATION_FEATURES}")
+    return sum(map(len, _product_masks(fm)[1]))

@@ -366,16 +366,22 @@ def test_running_out_of_memory_exits_two(monkeypatch, capsys):
 def test_fm_and_mts_bound_hits_exit_two_before_any_output(tmp_path,
                                                           capsys):
     model = tmp_path / "wide.fm"
+    # 13 excludes pairs touch all 26 optional features: over both the
+    # streaming and the conditioning bound of fm count.
     model.write_text("family Wide {\n"
-                     + "".join(f"  optional F{i}\n" for i in range(25))
-                     + "  requires F0 F1\n}\n")
+                     + "".join(f"  optional F{i}\n" for i in range(26))
+                     + "".join(f"  excludes F{i} F{i + 1}\n"
+                               for i in range(0, 26, 2)) + "}\n")
     family = tmp_path / "wide.mts"
     family.write_text("mts Wide\nstates s0 s1\ninit s0\n"
                       + "".join(f"may s0 A{i} s1\n" for i in range(21)))
-    enumeration = ("truncated: model has 26 features, enumeration bound "
-                   "is 24\n")
-    for argv, err in [(["fm", "products", str(model)], enumeration),
-                      (["fm", "count", str(model)], enumeration),
+    for argv, err in [(["fm", "products", str(model)],
+                       "truncated: model has 27 features, enumeration bound "
+                       "is 24\n"),
+                      (["fm", "count", str(model)],
+                       "truncated: model has 27 features, 26 of them in "
+                       "constraints, counting bound is 24 features or 2^24 "
+                       "node visits (27 x 2^26)\n"),
                       (["mts", "products", str(family)],
                        "truncated: 21 optional transitions reachable from "
                        "s0 under may, derivation bound is 20\n")]:

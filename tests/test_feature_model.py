@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from orcline import BoundExceeded, ModelBuilder, UnknownFeature
 from orcline.feature_model import (
-    enumerate_products, is_valid, joined_products, product_count,
-    sorted_products, validate,
+    _condition, enumerate_products, is_valid, joined_products,
+    product_count, sorted_products, validate,
 )
 
 import oracles
-from generators import brute_force_products, random_feature_model
+from generators import (
+    brute_force_products, random_feature_model, wide_feature_model,
+)
 
 
 def smartgrid_like():
@@ -156,8 +158,14 @@ def test_enumeration_bound_is_enforced():
                        lambda m: joined_products(m, ", ")):
         with pytest.raises(BoundExceeded):
             enumerate_(b.build())
+    # Counting conditions on the two features that one constraint
+    # touches; 15 excludes pairs touch all 30, which is over both the
+    # streaming and the conditioning bound.
     b.requires("O0", "O1")
-    with pytest.raises(BoundExceeded):
+    assert product_count(b.build()) == 3 * 2 ** 28
+    for i in range(2, 30, 2):
+        b.excludes(f"O{i}", f"O{i + 1}")
+    with pytest.raises(BoundExceeded, match="30 of them in constraints"):
         product_count(b.build())
 
 
@@ -187,6 +195,27 @@ def test_mask_enumeration_matches_the_frozenset_oracle(rng):
     assert product_count(m) == len(expected)
 
 
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.randoms(use_true_random=False))
+def test_conditioning_matches_the_streamed_and_frozenset_oracles(rng):
+    m = wide_feature_model(rng)
+    expected = set(oracles._iter_products(m))
+    assert product_count(m) == oracles.streamed_count(m) == len(expected)
+    assert enumerate_products(m) == expected
+    assert sorted_products(m) == oracles._sorted_products(expected)
+
+
+def test_wide_models_take_both_counting_routes():
+    # _condition leaves the constraints to filter when it streams and
+    # none when it conditions; each route must be tested many times.
+    routes = {True: 0, False: 0}
+    for seed in range(300):
+        m = wide_feature_model(random.Random(seed))
+        routes[bool(_condition(m)[2])] += 1
+        assert product_count(m) == oracles.streamed_count(m)
+    assert min(routes.values()) >= 50, routes
+
+
 def test_joined_products_are_the_joined_sorted_name_lists():
     # Random models have the root F0 in the leading byte; Root below
     # sorts last, so its bit is in the low byte and some masks fit in
@@ -212,13 +241,13 @@ def test_joined_products_are_the_joined_sorted_name_lists():
     assert products == []
 
 
-def _twenty_optional_features(parent: str) -> tuple:
+def _twenty_optional_features(parent: str, kind: str = "mandatory") -> tuple:
     """(count, tracemalloc peak) of counting a model with 20 optional
-    features under ``parent``, which is the root R or its mandatory
-    child A, and one ``requires``."""
+    features under ``parent``, which is the root R or its child A of
+    ``kind``, and one ``requires``."""
     b = ModelBuilder("R")
     if parent != "R":
-        b.mandatory("R", parent)
+        getattr(b, kind)("R", parent)
     for i in range(20):
         b.optional(parent, f"O{i:02d}")
     b.requires("O03", "O11")
@@ -245,3 +274,34 @@ def test_counting_streams_features_under_a_mandatory_child():
     count, peak = _twenty_optional_features("A")
     assert count == 3 * 2 ** 18
     assert peak < 2 * 1024 * 1024
+
+
+def test_counting_conditions_under_an_optional_child():
+    # Conditioning on O03 and O11 counts A's subtree without building
+    # it: 2^18 products for each of the three assignments, plus the one
+    # without A.
+    count, peak = _twenty_optional_features("A", "optional")
+    assert count == 3 * 2 ** 18 + 1
+    assert peak < 2 * 1024 * 1024
+
+
+def test_counting_streams_when_constraints_touch_most_features():
+    # 8 excludes pairs touch all 16 optional features: 2^16 walks of
+    # 17 features outnumber the 2^16 candidates, so the candidates are
+    # streamed through the filter, a row at a time.
+    b = ModelBuilder("R")
+    for i in range(16):
+        b.optional("R", f"O{i:02d}")
+    for i in range(0, 16, 2):
+        b.excludes(f"O{i:02d}", f"O{i + 1:02d}")
+    m = b.build()
+    assert _condition(m)[2] == m.constraints
+    tracemalloc.start()
+    try:
+        count = product_count(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 3 ** 8
+    # All 2^16 candidates as one list would take over 2 MB.
+    assert peak < 1024 * 1024

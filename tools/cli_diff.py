@@ -24,8 +24,10 @@ derivation bound, ``fm products`` (text and json), ``fm count`` and
 benchmark's 14- and 15-feature families, one of 19 features, an
 alternative group under an optional feature,
 ``requires`` into group members, a lone root, ``excludes`` and
-``requires`` between two mandatory features and a feature named
-``true``), ``encode --plan``
+``requires`` between two mandatory features, a feature named
+``true``, an ``excludes`` into a member of a group under an optional
+feature, a ``requires`` into a feature under two optional ones, and 26
+optional features in 13 ``excludes`` pairs), ``encode --plan``
 with a good plan and with malformed ones, and ``orc explore`` in
 all four formats and ``orc run`` with and without ``--seed`` on every
 ``.orc`` fixture and on probes of quiescence (a call waiting for a
@@ -137,9 +139,13 @@ def mixed_fanout(n: int) -> str:
 # (file name, model) of the feature-model probes: the benchmark's 14-
 # and 15-feature families, 19 features with mixed-case names (three
 # bytes of product mask), an alternative group under an optional
-# feature, ``requires`` into group members, a lone root, and
+# feature, ``requires`` into group members, a lone root,
 # ``excludes`` (no products) and ``requires`` between two mandatory
-# features.
+# features, an ``excludes`` into a member of a group under an optional
+# feature and a ``requires`` into a feature under two optional ones
+# (five more optional features each, so counting conditions on the
+# constrained ones), and 26 optional features in 13 ``excludes`` pairs,
+# over the counting bound.
 FM_PROBES = [
     ("fm14.fm", workloads.feature_model_text(14, random.Random(14))[0]),
     ("fm15.fm", workloads.feature_model_text(15, random.Random(15))[0]),
@@ -163,6 +169,20 @@ FM_PROBES = [
     ("true.fm", "family Root {\n  optional true\n}\n"),
     ("requires.fm",
      "family Root {\n  mandatory A\n  mandatory B\n  requires A B\n}\n"),
+    ("member.fm",
+     "family Shop {\n  optional Pay {\n    alternative { Card, Cash, Coupon }"
+     "\n  }\n  optional Express\n"
+     + "".join(f"  optional Extra{i}\n" for i in range(5))
+     + "  excludes Express Cash\n}\n"),
+    ("deep.fm",
+     "family Deep {\n  optional A {\n    optional B {\n      optional C\n"
+     "    }\n    mandatory D\n  }\n  optional E\n"
+     + "".join(f"  optional Extra{i}\n" for i in range(5))
+     + "  requires E C\n}\n"),
+    ("pairs.fm",
+     "family Pairs {\n" + "".join(f"  optional F{i}\n" for i in range(26))
+     + "".join(f"  excludes F{i} F{i + 1}\n" for i in range(0, 26, 2))
+     + "}\n"),
 ]
 
 # (file name, family) of the ``mts products`` probes: optional
