@@ -126,15 +126,20 @@ def _sorted_outcomes(outcome_set):
 # ---------------------------------------------------------------------------
 # orc
 
+def _partial(compute) -> tuple:
+    """``(compute(), EXIT_OK)``, or when it hits a bound, the partial
+    result the bound keeps and EXIT_BOUND, the bound reported."""
+    try:
+        return compute(), EXIT_OK
+    except BoundExceeded as exc:
+        _diag(f"truncated: {exc}")
+        return exc.partial, EXIT_BOUND
+
+
 def _cmd_orc_run(args) -> int:
     program = _load_program(args.file)
-    code = EXIT_OK
-    try:
-        trace = sem.run(program, args.seed, _bounds(args))
-    except BoundExceeded as exc:
-        trace = exc.partial
-        _diag(f"truncated: {exc}")
-        code = EXIT_BOUND
+    trace, code = _partial(lambda: sem.run(program, args.seed,
+                                           _bounds(args)))
     lines = [json.dumps(sem.event_to_json(clock, event), sort_keys=True)
              for (clock, event) in trace.events]
     _emit("".join(line + "\n" for line in lines), args.out)
@@ -176,16 +181,10 @@ def _explore_json(explored) -> str:
 
 def _cmd_orc_explore(args) -> int:
     program = _load_program(args.file)
-    code = EXIT_OK
-    try:
-        # text and json report outcomes, which the reduced graph keeps
-        # exactly; lts and dot show the full interleaving graph.
-        explored = sem.explore(program, _bounds(args),
-                               reduce=args.format in ("text", "json"))
-    except BoundExceeded as exc:
-        explored = exc.partial
-        _diag(f"truncated: {exc}")
-        code = EXIT_BOUND
+    # text and json report outcomes, which the reduced graph keeps
+    # exactly; lts and dot show the full interleaving graph.
+    explored, code = _partial(lambda: sem.explore(
+        program, _bounds(args), reduce=args.format in ("text", "json")))
     if args.format == "json":
         text = _explore_json(explored)
     elif args.format == "dot":
@@ -381,19 +380,28 @@ _BOUND_HELP = {"max_steps": "run-length bound",
                "max_depth": "definition expansion bound"}
 
 
-def _add_bounds(parser, *names):
-    """Add the ``--max-*`` flag of each ``Bounds`` field in ``names``."""
+def _leaf(sub, path: str, help: str, *arguments, formats=False,
+          bounds=()):
+    """Add the command ``path`` under ``sub``: each of ``arguments`` (a
+    name, or a name or flag with its ``add_argument`` keywords), then
+    ``--format`` text or json when it has ``formats``, the ``--max-*``
+    flag of each ``Bounds`` field in ``bounds`` and ``--out``.  Its
+    ``handler`` is ``path`` joined by ``_``."""
+    p = sub.add_parser(path.split()[-1], help=help)
+    for arg in arguments:
+        name, options = (arg, {}) if isinstance(arg, str) else arg
+        p.add_argument(name, **options)
+    if formats:
+        p.add_argument("--format", choices=("text", "json"), default="text")
     defaults = sem.Bounds()
-    for name in names:
+    for name in bounds:
         default = getattr(defaults, name)
-        parser.add_argument("--" + name.replace("_", "-"), type=_bound,
-                            default=default,
-                            help=f"{_BOUND_HELP[name]} (default {default})")
-
-
-def _add_out(parser):
-    parser.add_argument("--out", default=None,
-                        help="write output to this file instead of stdout")
+        p.add_argument("--" + name.replace("_", "-"), type=_bound,
+                       default=default,
+                       help=f"{_BOUND_HELP[name]} (default {default})")
+    p.add_argument("--out", default=None,
+                   help="write output to this file instead of stdout")
+    p.set_defaults(handler=path.replace(" ", "_"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,77 +413,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("orc", help="run or explore Orc programs")
     orc_sub = orc.add_subparsers(dest="action", required=True)
-    p = orc_sub.add_parser("run", help="execute one interleaving")
-    p.add_argument("file")
-    p.add_argument("--seed", type=int, default=None,
-                   help="randomise scheduling with this seed")
-    _add_bounds(p, "max_steps", "max_depth")
-    _add_out(p)
-    p.set_defaults(handler="orc_run")
-    p = orc_sub.add_parser("explore", help="explore all interleavings")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("text", "json", "dot", "lts"),
-                   default="text",
-                   help="text and json count a reduced graph with the "
-                        "same outcomes; dot and lts show every "
-                        "interleaving")
-    _add_bounds(p, "max_states", "max_depth")
-    _add_out(p)
-    p.set_defaults(handler="orc_explore")
+    _leaf(orc_sub, "orc run", "execute one interleaving", "file",
+          ("--seed", dict(type=int, default=None,
+                          help="randomise scheduling with this seed")),
+          bounds=("max_steps", "max_depth"))
+    _leaf(orc_sub, "orc explore", "explore all interleavings", "file",
+          ("--format", dict(choices=("text", "json", "dot", "lts"),
+                            default="text",
+                            help="text and json count a reduced graph with "
+                                 "the same outcomes; dot and lts show "
+                                 "every interleaving")),
+          bounds=("max_states", "max_depth"))
 
     fm = sub.add_parser("fm", help="feature-model commands")
     fm_sub = fm.add_subparsers(dest="action", required=True)
-    p = fm_sub.add_parser("validate", help="check one configuration")
-    p.add_argument("file")
-    p.add_argument("--select", required=True,
-                   help="comma-separated selected feature names")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    _add_out(p)
-    p.set_defaults(handler="fm_validate")
-    p = fm_sub.add_parser("products", help="enumerate all products")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    _add_out(p)
-    p.set_defaults(handler="fm_products")
-    p = fm_sub.add_parser("count", help="count products")
-    p.add_argument("file")
-    _add_out(p)
-    p.set_defaults(handler="fm_count")
+    _leaf(fm_sub, "fm validate", "check one configuration", "file",
+          ("--select", dict(required=True,
+                            help="comma-separated selected feature names")),
+          formats=True)
+    _leaf(fm_sub, "fm products", "enumerate all products", "file",
+          formats=True)
+    _leaf(fm_sub, "fm count", "count products", "file")
 
     mts = sub.add_parser("mts", help="modal transition system commands")
     mts_sub = mts.add_subparsers(dest="action", required=True)
-    p = mts_sub.add_parser("check", help="is PRODUCT a product of FAMILY?")
-    p.add_argument("family")
-    p.add_argument("product")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    _add_out(p)
-    p.set_defaults(handler="mts_check")
-    p = mts_sub.add_parser("products", help="derive all products")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    _add_out(p)
-    p.set_defaults(handler="mts_products")
-    p = mts_sub.add_parser("dot", help="GraphViz export")
-    p.add_argument("file")
-    _add_out(p)
-    p.set_defaults(handler="mts_dot")
+    _leaf(mts_sub, "mts check", "is PRODUCT a product of FAMILY?", "family",
+          "product", formats=True)
+    _leaf(mts_sub, "mts products", "derive all products", "file",
+          formats=True)
+    _leaf(mts_sub, "mts dot", "GraphViz export", "file")
 
-    p = sub.add_parser("encode",
-                       help="compile a feature model to an Orc program")
-    p.add_argument("file")
-    p.add_argument("--plan", default=None,
-                   help="JSON file mapping features to sites and groups "
-                        "to trigger pairs")
-    _add_out(p)
-    p.set_defaults(handler="encode")
-
-    p = sub.add_parser("fixtures", help="bundled example files")
-    p.add_argument("action", choices=("list", "show", "export"))
-    p.add_argument("name", nargs="?", default=None,
-                   help="file name (show) or destination directory "
-                        "(export)")
-    _add_out(p)
-    p.set_defaults(handler="fixtures")
+    _leaf(sub, "encode", "compile a feature model to an Orc program", "file",
+          ("--plan", dict(default=None,
+                          help="JSON file mapping features to sites and "
+                               "groups to trigger pairs")))
+    _leaf(sub, "fixtures", "bundled example files",
+          ("action", dict(choices=("list", "show", "export"))),
+          ("name", dict(nargs="?", default=None,
+                        help="file name (show) or destination directory "
+                             "(export)")))
     return top
 
 

@@ -17,7 +17,7 @@ them, each by conditioning on the features that constraints touch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from math import prod
 from operator import mul
 
@@ -79,13 +79,17 @@ class FeatureModel:
     groups: tuple            # AltGroup, ...
     constraints: tuple       # Requires | Excludes, ...
 
-    def plain_children(self, name: str) -> list:
-        """Mandatory and optional children, skipping group members."""
-        return [c for c in self.features[name].children
-                if self.features[c].kind in ("mandatory", "optional")]
-
-    def groups_of(self, name: str) -> list:
-        return [g for g in self.groups if g.parent == name]
+    @cached_property
+    def child_table(self) -> dict:
+        """name -> (optional children, mandatory children, groups), each
+        in declaration order."""
+        table = {name: ([], [], []) for name in self.features}
+        for name, f in self.features.items():
+            if f.kind in ("optional", "mandatory"):
+                table[f.parent][f.kind == "mandatory"].append(name)
+        for g in self.groups:
+            table[g.parent][2].append(g)
+        return table
 
 
 class ModelBuilder:
@@ -178,8 +182,8 @@ def _violations(fm: FeatureModel, selection):
                 "orphan", (name, f.parent),
                 f"{name!r} is selected but its parent {f.parent!r} is not")
     for name in sorted(selected):
-        for child in fm.features[name].children:
-            if fm.features[child].kind == "mandatory" and child not in selected:
+        for child in fm.child_table[name][1]:
+            if child not in selected:
                 yield Violation(
                     "mandatory", (name, child),
                     f"{child!r} is mandatory under selected {name!r}")
@@ -218,53 +222,43 @@ def is_valid(fm: FeatureModel, selection) -> bool:
     return next(_violations(fm, selection), None) is None
 
 
-def _walker(fm: FeatureModel):
-    """``walk(must, off, leaf, absent, times, total)``: the root's slots
-    with ``must`` selected and ``off`` left out, folded into counts (1,
-    1, ``*``, ``sum``) or mask lists (``[bit]``, ``[0]``, cross-sum,
-    concatenation).  A slot is an optional child (or ``absent``, unless
-    in ``must``), a group (its ``must`` member, else those not off) or
-    a mandatory child's leaf and slots; a subtree is its leaf times its
-    slots.  Each feature's children come from a table built once."""
-    table = {name: ([], [], []) for name in fm.features}
-    for name, f in fm.features.items():
-        if f.kind in ("optional", "mandatory"):
-            table[f.parent][f.kind == "mandatory"].append(name)
-    for g in fm.groups:
-        table[g.parent][2].append(g.members)
+def _walk(fm: FeatureModel, must, off, leaf, absent, times, total):
+    """The root's slots with ``must`` selected and ``off`` left out,
+    folded into counts (1, 1, ``*``, ``sum``) or mask lists (``[bit]``,
+    ``[0]``, cross-sum, concatenation).  A slot is an optional child (or
+    ``absent``, unless in ``must``), a group (its ``must`` member, else
+    those not off) or a mandatory child's leaf and slots; a subtree is
+    its leaf times its slots."""
+    table = fm.child_table
 
-    def walk(must, off, leaf, absent, times, total):
-        def slots(name):
-            optional, mandatory, groups = table[name]
-            out = []
-            for child in mandatory:
-                if child in off:
-                    return [total(())]
-                out.append(leaf(child))
-                out += slots(child)
-            for child in optional:
-                if child not in off:
-                    sub = configurations(child)
-                    out.append(sub if child in must
-                               else total((absent, sub)))
-            for members in groups:
-                chosen = [m for m in members if m in must]
-                if not chosen:
-                    chosen = [m for m in members if m not in off]
-                elif chosen[1:]:
-                    chosen = []
-                out.append(total(map(configurations, chosen)))
-            return out
+    def slots(name):
+        optional, mandatory, groups = table[name]
+        out = []
+        for child in mandatory:
+            if child in off:
+                return [total(())]
+            out.append(leaf(child))
+            out += slots(child)
+        for child in optional:
+            if child not in off:
+                sub = configurations(child)
+                out.append(sub if child in must else total((absent, sub)))
+        for g in groups:
+            chosen = [m for m in g.members if m in must]
+            if not chosen:
+                chosen = [m for m in g.members if m not in off]
+            elif chosen[1:]:
+                chosen = []
+            out.append(total(map(configurations, chosen)))
+        return out
 
-        def configurations(name):
-            return reduce(times, slots(name), leaf(name))
+    def configurations(name):
+        return reduce(times, slots(name), leaf(name))
 
-        return slots(fm.root)
-
-    return walk
+    return slots(fm.root)
 
 
-#: The counting fold of a ``_walker`` walk.
+#: The counting fold of a ``_walk``.
 _COUNTS = (lambda name: 1, 1, mul, sum)
 
 
@@ -286,9 +280,9 @@ def _filter(constraints, bit):
 
 
 def _condition(fm: FeatureModel) -> tuple:
-    """``(walk, assignments, constraints)``: the model's ``_walker``,
-    the ``(must, off)`` name sets whose walks hold each product once,
-    and the constraints left to filter them by.
+    """``(assignments, constraints)``: the ``(must, off)`` name sets
+    whose walks hold each product once, and the constraints left to
+    filter them by.
 
     Each assignment of the k features that constraints touch which
     satisfies them all selects its features and their ancestors and
@@ -296,12 +290,11 @@ def _condition(fm: FeatureModel) -> tuple:
     the unconstrained products, the one empty assignment is walked and
     filtered instead, at most ``MAX_ENUMERATION_FEATURES`` features;
     conditioning makes at most 2^``MAX_ENUMERATION_FEATURES`` visits."""
-    walk = _walker(fm)
     touched = sorted({end for c in fm.constraints for end in (c.a, c.b)})
     n, k = len(fm.features), len(touched)
-    if n << k > prod(walk((), (), *_COUNTS)) \
+    if n << k > prod(_walk(fm, (), (), *_COUNTS)) \
             and n <= MAX_ENUMERATION_FEATURES:
-        return walk, [((), ())], fm.constraints
+        return [((), ())], fm.constraints
     if n << k > 1 << MAX_ENUMERATION_FEATURES:
         raise BoundExceeded(
             f"model has {n} features, {k} of them in constraints, counting "
@@ -320,7 +313,7 @@ def _condition(fm: FeatureModel) -> tuple:
                 off.add(name)
         if must.isdisjoint(off):
             assignments.append((must, off))
-    return walk, assignments, ()
+    return assignments, ()
 
 
 def _product_masks(fm: FeatureModel, plan=None) -> tuple:
@@ -334,7 +327,7 @@ def _product_masks(fm: FeatureModel, plan=None) -> tuple:
     on disjoint bits), filtered by the constraints left."""
     names = sorted(fm.features)
     bit = {name: 1 << i for i, name in enumerate(reversed(names))}
-    walk, assignments, constraints = plan or _condition(fm)
+    assignments, constraints = plan or _condition(fm)
     keep = _filter(constraints, bit)
 
     def cross(acc, sub):
@@ -345,7 +338,8 @@ def _product_masks(fm: FeatureModel, plan=None) -> tuple:
     def rows():
         for must, off in assignments:
             left, right = [bit[fm.root]], [0]
-            for sub in sorted(walk(must, off, *masks), key=len, reverse=True):
+            for sub in sorted(_walk(fm, must, off, *masks), key=len,
+                              reverse=True):
                 if len(left) <= len(right):
                     left = cross(left, sub)
                 else:
@@ -424,7 +418,8 @@ def product_count(fm: FeatureModel) -> int:
     """Number of products: the sum of ``_condition``'s walks counted,
     or the streamed enumeration's length when constraints are left.
     Raises BoundExceeded when neither fits its bound."""
-    walk, assignments, constraints = plan = _condition(fm)
+    assignments, constraints = plan = _condition(fm)
     if constraints:
         return sum(map(len, _product_masks(fm, plan)[1]))
-    return sum(prod(walk(must, off, *_COUNTS)) for must, off in assignments)
+    return sum(prod(_walk(fm, must, off, *_COUNTS))
+               for must, off in assignments)

@@ -39,14 +39,19 @@ def _freeze(obj, attr, value):
     object.__setattr__(obj, attr, value)
 
 
-def _check_refs(states, init, trans, what):
-    if init not in states:
-        raise ValueError(f"initial state {init!r} not among states")
+def _seal(system, trans, what):
+    """Freeze ``system``'s states, check that its init and ``trans`` name
+    only them, and add the labels of ``trans`` to its actions."""
+    _freeze(system, "states", frozenset(system.states))
+    if system.init not in system.states:
+        raise ValueError(f"initial state {system.init!r} not among states")
     for (src, action, dst) in trans:
-        if src not in states or dst not in states:
+        if src not in system.states or dst not in system.states:
             raise ValueError(
                 f"{what} transition ({src!r}, {action!r}, {dst!r}) "
                 f"mentions an undeclared state")
+    _freeze(system, "actions", frozenset(system.actions)
+            | {a for (_, a, _) in trans})
 
 
 @dataclass(frozen=True)
@@ -57,11 +62,8 @@ class Lts:
     trans: frozenset        # (src, action, dst) triples
 
     def __post_init__(self):
-        _freeze(self, "states", frozenset(self.states))
         _freeze(self, "trans", frozenset(self.trans))
-        _check_refs(self.states, self.init, self.trans, "lts")
-        labels = frozenset(a for (_, a, _) in self.trans)
-        _freeze(self, "actions", frozenset(self.actions) | labels)
+        _seal(self, self.trans, "lts")
 
 
 @dataclass(frozen=True)
@@ -73,13 +75,10 @@ class Mts:
     may: frozenset
 
     def __post_init__(self):
-        _freeze(self, "states", frozenset(self.states))
         _freeze(self, "must", frozenset(self.must))
         # Closure: everything required is also allowed.
         _freeze(self, "may", frozenset(self.may) | self.must)
-        _check_refs(self.states, self.init, self.may, "mts")
-        labels = frozenset(a for (_, a, _) in self.may)
-        _freeze(self, "actions", frozenset(self.actions) | labels)
+        _seal(self, self.may, "mts")
 
 
 def modality(m: Mts, src, action, dst) -> str:

@@ -775,21 +775,20 @@ def parse_lts(src: str) -> mts_mod.Lts:
                        frozenset(triples["trans"]))
 
 
-def render_mts(m: mts_mod.Mts, name: str = "family") -> str:
-    lines = [f"mts {name}",
-             "states " + " ".join(sorted(m.states)),
-             f"init {m.init}"]
-    for (src_s, action, dst_s) in sorted(m.must):
-        lines.append(f"must {src_s} {action} {dst_s}")
-    for (src_s, action, dst_s) in sorted(m.may - m.must):
-        lines.append(f"may {src_s} {action} {dst_s}")
+def _render_system(kind: str, name: str, system, **relations) -> str:
+    """The header, ``states`` and ``init`` lines of ``system``, then one
+    line per triple of each relation, headed by its keyword, sorted."""
+    lines = [f"{kind} {name}", "states " + " ".join(sorted(system.states)),
+             f"init {system.init}"]
+    lines += [" ".join((word,) + triple)
+              for word, triples in relations.items()
+              for triple in sorted(triples)]
     return "\n".join(lines) + "\n"
+
+
+def render_mts(m: mts_mod.Mts, name: str = "family") -> str:
+    return _render_system("mts", name, m, must=m.must, may=m.may - m.must)
 
 
 def render_lts(l: mts_mod.Lts, name: str = "product") -> str:
-    lines = [f"lts {name}",
-             "states " + " ".join(sorted(l.states)),
-             f"init {l.init}"]
-    for (src_s, action, dst_s) in sorted(l.trans):
-        lines.append(f"trans {src_s} {action} {dst_s}")
-    return "\n".join(lines) + "\n"
+    return _render_system("lts", name, l, trans=l.trans)

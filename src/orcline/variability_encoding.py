@@ -81,8 +81,11 @@ def plan_from_json(text: str) -> EncodingPlan:
             and all(isinstance(site, str) for site in [
                 *sites.values(), *sum(triggers.values(), [])])):
         raise ValueError(_PLAN_SHAPE)
-    return EncodingPlan(dict(sites), {int(gid): tuple(pair)
-                                      for gid, pair in triggers.items()})
+    try:
+        return EncodingPlan(dict(sites), {int(gid): tuple(pair)
+                                          for gid, pair in triggers.items()})
+    except ValueError:   # a group id that is not an integer
+        raise ValueError(_PLAN_SHAPE) from None
 
 
 def encode_alternative(m: Expr, n: Expr, a: Expr, b: Expr,
@@ -203,16 +206,13 @@ class _Encoder:
         """(expr, covered feature names) for the subtree at ``name``."""
         model = self.model
         units = []
-        mandatory = [c for c in model.plain_children(name)
-                     if model.features[c].kind == "mandatory"]
-        optional = [c for c in model.plain_children(name)
-                    if model.features[c].kind == "optional"]
+        optional, mandatory, groups = model.child_table[name]
         for child in mandatory:
             expr, covered = self.subtree(child)
             units.append((covered, expr))
             self.plan.notes.append(
                 f"mandatory {child} under {name}: parallel composition")
-        for g in model.groups_of(name):
+        for g in groups:
             expr, covered = self.group_expr(g)
             units.append((covered, expr))
         if name != model.root or not units:

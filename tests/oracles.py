@@ -498,12 +498,13 @@ def _slots(fm: FeatureModel, name: str) -> list:
     and each alternative group.  Tree rules only; cross-tree
     constraints are filtered at the top."""
     slots = []
-    for child in fm.plain_children(name):
+    optional, mandatory, groups = fm.child_table[name]
+    for child in optional + mandatory:
         sub = list(_configurations(fm, child))
         if fm.features[child].kind == "optional":
             sub = [frozenset()] + sub
         slots.append(sub)
-    for g in fm.groups_of(name):
+    for g in groups:
         slots.append([option for m in g.members
                       for option in _configurations(fm, m)])
     return slots
@@ -540,13 +541,14 @@ def _product_masks(fm: FeatureModel) -> tuple:
 
     def slots(name):
         out = []
-        for child in fm.plain_children(name):
+        optional, mandatory, groups = fm.child_table[name]
+        for child in optional + mandatory:
             if fm.features[child].kind == "optional":
                 out.append([0] + configurations(child))
             else:
                 out.append([bit[child]])
                 out += slots(child)
-        for g in fm.groups_of(name):
+        for g in groups:
             out.append([m for member in g.members
                         for m in configurations(member)])
         return out
@@ -588,10 +590,11 @@ def streamed_count(fm: FeatureModel) -> int:
     if not fm.constraints:
         def count(name):
             n = 1
-            for child in fm.plain_children(name):
+            optional, mandatory, groups = fm.child_table[name]
+            for child in optional + mandatory:
                 c = count(child)
                 n *= c + 1 if fm.features[child].kind == "optional" else c
-            for g in fm.groups_of(name):
+            for g in groups:
                 n *= sum(count(m) for m in g.members)
             return n
         return count(fm.root)

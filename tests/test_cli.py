@@ -662,8 +662,10 @@ SHAPE = ('bad plan file: expected {"feature_to_site": {feature: site}, '
     ("pair", dict(PAIR_PLAN, trigger_sites={"0": ["p", "let"]}), 3,
      "no encoding: site 'let' is reserved or built into Orc, so the "
      "encoding cannot call it"),
+    ("pair", dict(PAIR_PLAN, trigger_sites={"x": ["p", "q"]}), 1, SHAPE),
 ], ids=["true", "if", "Rtimer", "list", "trigger-list", "int-site",
-        "list-site", "spaced-site", "one-trigger", "let-trigger"])
+        "list-site", "spaced-site", "one-trigger", "let-trigger",
+        "word-gid"])
 def test_encode_refuses_sites_its_output_cannot_call(tmp_path, capsys,
                                                      feature, plan, code,
                                                      line):
@@ -763,6 +765,27 @@ def test_help_exits_zero(capsys):
     code, out, err = run_cli(capsys, "--help")
     assert code == 0
     assert out.startswith("usage: orcline")
+
+
+@pytest.mark.parametrize("path, operands", [
+    ("orc run", ["x.orc"]),
+    ("orc explore", ["x.orc"]),
+    ("fm validate", ["x.fm", "--select", "A"]),
+    ("fm products", ["x.fm"]),
+    ("fm count", ["x.fm"]),
+    ("mts check", ["f.mts", "p.lts"]),
+    ("mts products", ["f.mts"]),
+    ("mts dot", ["f.mts"]),
+    ("encode", ["x.fm"]),
+    ("fixtures", ["list"]),
+])
+def test_every_command_has_help_and_a_command_function(capsys, path,
+                                                        operands):
+    code, out, err = run_cli(capsys, *path.split(), "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: orcline {path} [-h]")
+    args = cli.build_parser().parse_args(path.split() + operands)
+    assert callable(getattr(cli, f"_cmd_{args.handler}"))
 
 
 def test_out_flag_redirects_stdout(tmp_path, capsys):

@@ -28,7 +28,9 @@ alternative group under an optional feature,
 ``true``, an ``excludes`` into a member of a group under an optional
 feature, a ``requires`` into a feature under two optional ones, and 26
 optional features in 13 ``excludes`` pairs), ``encode --plan``
-with a good plan and with malformed ones, and ``orc explore`` in
+with a good plan and with malformed ones (one with a group id that is
+not an integer), the ``--help`` screen of the top level, of ``orc``,
+``fm`` and ``mts`` and of every command, and ``orc explore`` in
 all four formats and ``orc run`` with and without ``--seed`` on every
 ``.orc`` fixture and on probes of quiescence (a call waiting for a
 variable, a definition at the depth bound, a pending timer, a call on a
@@ -205,7 +207,8 @@ MTS_PROBES = [
 # (file name, JSON or text) of the plans ``encode --plan`` reads for
 # PAIR_FM: a good one, then malformed ones (not JSON, not an object, a
 # field that is not an object, sites that are not strings or not Orc
-# names, a trigger entry that is not a pair, a builtin trigger).
+# names, a trigger entry that is not a pair, a builtin trigger, a group
+# id that is not an integer).
 PAIR_FM = "family Root {\n  mandatory A\n  alternative { B, C }\n}\n"
 _SITES = {"Root": "r", "A": "a", "B": "b", "C": "c"}
 PLANS = [
@@ -222,7 +225,15 @@ PLANS = [
                           "trigger_sites": {"0": ["p"]}}),
     ("builtin_trigger.json", {"feature_to_site": _SITES,
                               "trigger_sites": {"0": ["p", "let"]}}),
+    ("word_gid.json", {"feature_to_site": _SITES,
+                       "trigger_sites": {"x": ["p", "q"]}}),
 ]
+
+# The command paths whose ``--help`` screens are compared: the top
+# level, each command group and every command.
+HELP_PATHS = ["", "orc", "fm", "mts", "orc run", "orc explore",
+              "fm validate", "fm products", "fm count", "mts check",
+              "mts products", "mts dot", "encode", "fixtures"]
 
 # Fan-outs as (name, program of n branches): orc run takes them at
 # width 64, orc explore at width 3.
@@ -376,7 +387,8 @@ def main() -> int:
                             [])
                     if job.argv not in commands:
                         commands.append(job.argv)
-        commands = with_json(commands)
+        commands = with_json(commands) + [path.split() + ["--help"]
+                                          for path in HELP_PATHS]
         differ = 0
         for argv in commands:
             if run(ROOT, argv, workdir, args.ignore_key) != \
