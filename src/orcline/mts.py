@@ -66,6 +66,21 @@ class Lts:
         _seal(self, self.trans, "lts")
 
 
+def _trusted_lts(states: frozenset, init: str, trans: frozenset) -> Lts:
+    """An Lts built without ``_seal``'s checks, for a caller whose
+    ``trans`` names only ``states``, ``init`` among them; its actions
+    are the labels of ``trans``.  Parsed input goes through ``Lts``,
+    which checks."""
+    lts = object.__new__(Lts)
+    _freeze(lts, "states", states)
+    # Copied from a set, a frozenset is sized to it; grown from an
+    # iterator, its table can take twice the memory.
+    _freeze(lts, "actions", frozenset({a for (_, a, _) in trans}))
+    _freeze(lts, "init", init)
+    _freeze(lts, "trans", trans)
+    return lts
+
+
 @dataclass(frozen=True)
 class Mts:
     states: frozenset
@@ -323,8 +338,8 @@ def derive_products(family: Mts) -> list:
         if leaf:
             trans = frozenset(kept)
             if trans not in seen:
-                seen[trans] = Lts(frozenset(order.values()), frozenset(),
-                                  "s0", trans)
+                seen[trans] = _trusted_lts(frozenset(order.values()), "s0",
+                                           trans)
         for state in queue[n_queue:]:
             del order[state]
         del queue[n_queue:], kept[n_kept:]

@@ -81,7 +81,7 @@ class _Bail(Exception):
     """Internal: abandon the current statement after a hard error."""
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class _Token:
     kind: str      # "name" | "int" | "string" | "nl" | "eof" | one-char op
     text: str

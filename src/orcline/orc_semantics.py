@@ -59,13 +59,17 @@ from .orc_ast import (
 
 # ---------------------------------------------------------------------------
 # Events
+#
+# Events, states and transitions are built for every step taken, so,
+# like the term nodes (see orc_ast), they are not frozen: nothing
+# stores into them after __init__.
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Publish:
     value: Value
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Internal:
     pass
 
@@ -73,21 +77,21 @@ class Internal:
 INTERNAL = Internal()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Call:
     site: str
     handle: int
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Return:
     site: str
     handle: int
     value: Value
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Tick:
     clock: int  # the clock value being advanced to
 
@@ -148,7 +152,7 @@ def event_to_json(clock: int, event) -> dict:
 # ---------------------------------------------------------------------------
 # Execution state
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class ExecState:
     expr: Expr
     clock: int = 0
@@ -164,7 +168,7 @@ class Bounds:
     max_depth: int = 16
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Transition:
     event: object
     state: ExecState
@@ -742,15 +746,15 @@ def explore(program: Program, bounds: Bounds = Bounds(),
             continue
         for s in steps:
             event, succ = _apply(state, s, program)
-            key = canonical_key(succ)
-            j = ids.get(key)
-            if j is None:
-                if len(states) >= bounds.max_states:
+            # One lookup, so one hash of the key, which walks the whole
+            # term.  Past the state bound a new key stays in ``ids`` at
+            # len(states), which no longer grows, so it stays new.
+            j = ids.setdefault(canonical_key(succ), len(states))
+            if j == len(states):
+                if j >= bounds.max_states:
                     hit_state_bound = True
                     truncated.add(i)
                     continue
-                j = len(states)
-                ids[key] = j
                 states.append(succ)
                 queue.append(j)
             edges.append((i, event, j))

@@ -68,8 +68,9 @@ _PLAN_SHAPE = ('expected {"feature_to_site": {feature: site}, '
 
 def plan_from_json(text: str) -> EncodingPlan:
     """The plan ``{"feature_to_site": {feature: site}, "trigger_sites":
-    {gid: [site, site]}}`` written as JSON, either field optional;
-    raises ValueError for text of any other shape."""
+    {gid: [site, site]}}`` written as JSON, either field optional; a
+    gid is written in ASCII digits, once.  Raises ValueError for text
+    of any other shape, and for two spellings of one gid ("0", "00")."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError(_PLAN_SHAPE)
@@ -82,10 +83,13 @@ def plan_from_json(text: str) -> EncodingPlan:
                 *sites.values(), *sum(triggers.values(), [])])):
         raise ValueError(_PLAN_SHAPE)
     try:
-        return EncodingPlan(dict(sites), {int(gid): tuple(pair)
-                                          for gid, pair in triggers.items()})
-    except ValueError:   # a group id that is not an integer
+        by_gid = {int(gid): tuple(pair) for gid, pair in triggers.items()
+                  if gid.isascii() and gid.isdigit()}
+    except ValueError:   # more digits than int() reads
         raise ValueError(_PLAN_SHAPE) from None
+    if len(by_gid) != len(triggers):   # a gid not in digits, or spelt twice
+        raise ValueError(_PLAN_SHAPE)
+    return EncodingPlan(dict(sites), by_gid)
 
 
 def encode_alternative(m: Expr, n: Expr, a: Expr, b: Expr,

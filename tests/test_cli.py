@@ -663,9 +663,17 @@ SHAPE = ('bad plan file: expected {"feature_to_site": {feature: site}, '
      "no encoding: site 'let' is reserved or built into Orc, so the "
      "encoding cannot call it"),
     ("pair", dict(PAIR_PLAN, trigger_sites={"x": ["p", "q"]}), 1, SHAPE),
+    ("pair", dict(PAIR_PLAN, trigger_sites={"0_0": ["p", "q"]}), 1, SHAPE),
+    ("pair", dict(PAIR_PLAN, trigger_sites={" 0 ": ["p", "q"]}), 1, SHAPE),
+    ("pair", dict(PAIR_PLAN, trigger_sites={"+0": ["p", "q"]}), 1, SHAPE),
+    ("pair", dict(PAIR_PLAN, trigger_sites={"0": ["p", "q"],
+                                            "00": ["r", "s"]}), 1, SHAPE),
+    ("pair", dict(PAIR_PLAN, trigger_sites={"9" * 5000: ["p", "q"]}), 1,
+     SHAPE),
 ], ids=["true", "if", "Rtimer", "list", "trigger-list", "int-site",
         "list-site", "spaced-site", "one-trigger", "let-trigger",
-        "word-gid"])
+        "word-gid", "underscore-gid", "spaced-gid", "signed-gid",
+        "gid-twice", "long-gid"])
 def test_encode_refuses_sites_its_output_cannot_call(tmp_path, capsys,
                                                      feature, plan, code,
                                                      line):

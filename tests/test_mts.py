@@ -272,6 +272,21 @@ def test_derived_products_match_full_toggling():
         oracles.derive_products(chain_family())
 
 
+def test_derived_products_are_checked_lts_values():
+    # The search builds its products without _seal's checks: each must
+    # equal the Lts the checking constructor builds from its parts,
+    # and the oracle's, with the actions its transitions carry.
+    rng = random.Random(57)
+    families = [random_mts(rng) for _ in range(150)]
+    families += [nested_mts(rng, 3, 8) for _ in range(30)]
+    for family in families:
+        products = derive_products(family)
+        assert products == oracles.derive_products(family)
+        for p in products:
+            assert p.actions == {a for (_, a, _) in p.trans}
+            assert p == Lts(p.states, frozenset(), p.init, p.trans)
+
+
 def test_products_collapse_on_the_renamed_set_not_the_visit():
     # Taking m -a-> x or m -a-> y gives one product, s0 -a-> s1 with s1
     # -a-> s0 and s1 -a-> s2, but the visits differ: x's moves sort as
@@ -296,12 +311,13 @@ def test_nested_families_match_full_toggling(monkeypatch):
     # decides only those a candidate reaches, and builds one Lts per
     # distinct product.
     built = []
+    trusted_lts = mts._trusted_lts
 
     def counting_lts(*args):
         built.append(args)
-        return Lts(*args)
+        return trusted_lts(*args)
 
-    monkeypatch.setattr(mts, "Lts", counting_lts)
+    monkeypatch.setattr(mts, "_trusted_lts", counting_lts)
     rng = random.Random(56)
     candidates = distinct = 0
     for _ in range(12):

@@ -8,7 +8,7 @@ import pytest
 
 import orcline
 from orcline.orc_ast import (
-    FALSE, SIGNAL, STOP, TRUE, Asymmetric, Otherwise, Parallel, Program,
+    FALSE, SIGNAL, STOP, TRUE, Asymmetric, Bool, Otherwise, Parallel, Program,
     Sequential, Signal, SiteCall, SiteSpec, Stop, Var, free_vars,
     render_expr, render_value, substitute,
 )
@@ -37,6 +37,8 @@ def test_bool_is_a_value_of_its_own():
     # Python's True == 1; an Orc boolean equals neither 1 nor True.
     assert TRUE != 1 and FALSE != 0 and TRUE != True  # noqa: E712
     assert len({TRUE, 1, FALSE, 0}) == 4
+    keys = {TRUE: "orc", 1: "python"}
+    assert keys[Bool(True)] == "orc" and keys[True] == "python"
     assert SiteCall("let", (TRUE,)) != SiteCall("let", (1,))
 
 

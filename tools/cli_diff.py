@@ -28,8 +28,9 @@ alternative group under an optional feature,
 ``true``, an ``excludes`` into a member of a group under an optional
 feature, a ``requires`` into a feature under two optional ones, and 26
 optional features in 13 ``excludes`` pairs), ``encode --plan``
-with a good plan and with malformed ones (one with a group id that is
-not an integer), the ``--help`` screen of the top level, of ``orc``,
+with a good plan and with malformed ones (group ids that are not
+integers, or that are but not in plain digits, or that spell one id
+twice), the ``--help`` screen of the top level, of ``orc``,
 ``fm`` and ``mts`` and of every command, and ``orc explore`` in
 all four formats and ``orc run`` with and without ``--seed`` on every
 ``.orc`` fixture and on probes of quiescence (a call waiting for a
@@ -208,7 +209,8 @@ MTS_PROBES = [
 # PAIR_FM: a good one, then malformed ones (not JSON, not an object, a
 # field that is not an object, sites that are not strings or not Orc
 # names, a trigger entry that is not a pair, a builtin trigger, a group
-# id that is not an integer).
+# id that is not an integer, one with an underscore, one padded with
+# spaces, and "0" next to "00").
 PAIR_FM = "family Root {\n  mandatory A\n  alternative { B, C }\n}\n"
 _SITES = {"Root": "r", "A": "a", "B": "b", "C": "c"}
 PLANS = [
@@ -227,6 +229,13 @@ PLANS = [
                               "trigger_sites": {"0": ["p", "let"]}}),
     ("word_gid.json", {"feature_to_site": _SITES,
                        "trigger_sites": {"x": ["p", "q"]}}),
+    ("underscore_gid.json", {"feature_to_site": _SITES,
+                             "trigger_sites": {"0_0": ["p", "q"]}}),
+    ("spaced_gid.json", {"feature_to_site": _SITES,
+                         "trigger_sites": {" 0 ": ["p", "q"]}}),
+    ("gid_twice.json", {"feature_to_site": _SITES,
+                        "trigger_sites": {"0": ["p", "q"],
+                                          "00": ["r", "s"]}}),
 ]
 
 # The command paths whose ``--help`` screens are compared: the top
