@@ -294,17 +294,17 @@ def _cmd_mts_check(args) -> int:
 
 def _cmd_mts_products(args) -> int:
     family = _load(args.file, orc_parser.parse_mts)
-    products = mts_mod.derive_products(family)
+    rows = mts_mod.product_rows(family)
+    states = {n: sorted(mts_mod.state_names(n)) for n in {n for n, _ in rows}}
     if args.format == "json":
-        payload = [{"states": sorted(p.states), "init": p.init,
-                    "trans": sorted(list(t) for t in p.trans)}
-                   for p in products]
+        payload = [{"states": states[n], "init": "s0", "trans": trans}
+                   for n, trans in rows]
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        blocks = [orc_parser.render_lts(p, name=f"product{i}")
-                  for i, p in enumerate(products)]
-        _emit("\n".join(blocks), args.out)
-    _diag(f"{len(products)} product(s)")
+        _emit("\n".join(orc_parser._render_system(
+            "lts", f"product{i}", states[n], "s0", trans=trans)
+            for i, (n, trans) in enumerate(rows)), args.out)
+    _diag(f"{len(rows)} product(s)")
     return EXIT_OK
 
 
@@ -321,14 +321,12 @@ def _cmd_mts_dot(args) -> int:
 
 def _cmd_encode(args) -> int:
     model = _load(args.file, orc_parser.parse_feature_model)
-    plan = None
+    plan = enc.default_plan(model)
     if args.plan:
         try:
             plan = enc.plan_from_json(_read(args.plan))
         except ValueError as exc:
             raise _CliError(EXIT_INPUT, f"{args.plan}: bad plan file: {exc}")
-    if plan is None:
-        plan = enc.default_plan(model)
     try:
         program = enc.encode(model, plan)
     except (enc.UnsupportedGroupSize, enc.MissingTrigger,

@@ -17,8 +17,8 @@ every (s, t) in R:
 
 ``is_product`` decides this with a worklist over the state pairs
 reachable from the initial pair, keeping a count of live matches per
-clause obligation; ``derive_products`` enumerates all products
-obtainable by switching optional (may-only) transitions on or off.
+clause obligation; ``product_rows`` and ``derive_products`` list, as rows
+and as Lts values, the products of every choice of may-only transitions.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import BoundExceeded
 
-#: Cap on the optional transitions ``derive_products`` toggles.
+#: Cap on the optional transitions ``product_rows`` toggles.
 MAX_OPTIONAL_TRANSITIONS = 20
 
 
@@ -35,8 +35,8 @@ class ActionMismatch(Exception):
     """The candidate product uses actions the family does not know."""
 
 
-def _freeze(obj, attr, value):
-    object.__setattr__(obj, attr, value)
+# Sets a field of a frozen dataclass, past its refusing __setattr__.
+_freeze = object.__setattr__
 
 
 def _seal(system, trans, what):
@@ -279,19 +279,26 @@ def _first_failure(product, family, p_out, f_must, f_may) -> ClauseFailure:
         passing.add(actions)
 
 
-def derive_products(family: Mts) -> list:
-    """All products obtained by toggling each may-only transition.
+def state_names(n: int) -> list:
+    """The states of a derived product with ``n`` states, in visit order."""
+    return [f"s{i}" for i in range(n)]
+
+
+def product_rows(family: Mts) -> list:
+    """All products obtained by toggling each may-only transition, as
+    rows ``(n, trans)`` sorted by ``(n, len(trans), trans)``: the product
+    with states ``state_names(n)``, init s0 and the sorted transitions
+    ``trans``.
 
     A depth-first search over the breadth-first visit of a candidate:
     a reached source takes its must moves and decides each optional one
     (skip, then take) in (action, target) order; a state is named s<i>
     when first reached.  A leaf is one candidate, restricted to its
-    reachable part and renamed.  Leaves collapse on the renamed
-    transition set, since two candidates can give one product visited
-    in different orders, and each product is built once.  Every result
-    is a product of ``family`` (the renaming witnesses it).
-    ``MAX_OPTIONAL_TRANSITIONS`` bounds the may-only transitions whose
-    source is reachable under may.
+    reachable part and renamed.  Leaves collapse on the sorted renamed
+    transitions, since two candidates can give one product visited in
+    different orders.  Every row is a product of ``family`` (the
+    renaming witnesses it).  ``MAX_OPTIONAL_TRANSITIONS`` bounds the
+    may-only transitions whose source is reachable under may.
     """
     moves = {}                  # src -> sorted (action, dst, optional)
     for (src, action, dst) in sorted(family.may):
@@ -308,27 +315,30 @@ def derive_products(family: Mts) -> list:
             f"{count} optional transitions reachable from "
             f"{family.init} under may, derivation bound is "
             f"{MAX_OPTIONAL_TRANSITIONS}")
-    names = [f"s{i}" for i in range(len(reachable))]
-    order = {family.init: "s0"}   # reached state -> its name
-    queue = [family.init]         # reached states, in visit order
-    kept = []                     # renamed transitions taken so far
-    seen = {}
+    names = state_names(len(reachable))
+    order = {family.init: "s0"}   # reached state -> its name, in visit order
+    # The reached states with moves, in visit order: the others are
+    # only named.
+    queue = [family.init] if family.init in moves else []
+    kept = []                     # renamed transitions taken, in visit order
+    seen = {}                     # sorted renamed transitions -> state count
 
     def search(qi, mi):
         """Every leaf from move ``mi`` of ``queue[qi]`` on; undoes its moves."""
-        n_queue, n_kept = len(queue), len(kept)
+        n_order, n_queue, n_kept = len(order), len(queue), len(kept)
         leaf = True
         while leaf and qi < len(queue):
             src = queue[qi]
-            out = moves.get(src, ())
+            out = moves[src]
             while mi < len(out):
                 action, dst, optional = out[mi]
                 mi += 1
                 if optional:
                     search(qi, mi)
                 if dst not in order:
-                    order[dst] = names[len(queue)]
-                    queue.append(dst)
+                    order[dst] = names[len(order)]
+                    if dst in moves:
+                        queue.append(dst)
                 kept.append((order[src], action, order[dst]))
                 if optional:
                     search(qi, mi)
@@ -336,17 +346,22 @@ def derive_products(family: Mts) -> list:
                     break
             qi, mi = qi + 1, 0
         if leaf:
-            trans = frozenset(kept)
-            if trans not in seen:
-                seen[trans] = _trusted_lts(frozenset(order.values()), "s0",
-                                           trans)
-        for state in queue[n_queue:]:
-            del order[state]
+            seen.setdefault(tuple(sorted(kept)), len(order))
+        while len(order) > n_order:
+            order.popitem()       # the last state named
         del queue[n_queue:], kept[n_kept:]
 
     search(0, 0)
-    return sorted(seen.values(), key=lambda lts: (
-        len(lts.states), len(lts.trans), sorted(lts.trans)))
+    return sorted(((n, trans) for trans, n in seen.items()),
+                  key=lambda row: (row[0], len(row[1]), row[1]))
+
+
+def derive_products(family: Mts) -> list:
+    """``product_rows(family)`` as ``Lts`` values, built unchecked."""
+    rows = product_rows(family)
+    states = {n: frozenset(state_names(n)) for n in {n for n, _ in rows}}
+    return [_trusted_lts(states[n], "s0", frozenset(trans))
+            for n, trans in rows]
 
 
 def _gvquote(s: str) -> str:

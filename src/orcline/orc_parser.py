@@ -775,20 +775,21 @@ def parse_lts(src: str) -> mts_mod.Lts:
                        frozenset(triples["trans"]))
 
 
-def _render_system(kind: str, name: str, system, **relations) -> str:
-    """The header, ``states`` and ``init`` lines of ``system``, then one
-    line per triple of each relation, headed by its keyword, sorted."""
-    lines = [f"{kind} {name}", "states " + " ".join(sorted(system.states)),
-             f"init {system.init}"]
-    lines += [" ".join((word,) + triple)
+def _render_system(kind: str, name: str, states, init, **relations) -> str:
+    """The header, ``states`` and ``init`` lines, then one line per
+    triple of each relation, headed by its keyword, in the given order."""
+    lines = [f"{kind} {name}", "states " + " ".join(states), f"init {init}"]
+    lines += [f"{word} {src} {action} {dst}"
               for word, triples in relations.items()
-              for triple in sorted(triples)]
+              for (src, action, dst) in triples]
     return "\n".join(lines) + "\n"
 
 
 def render_mts(m: mts_mod.Mts, name: str = "family") -> str:
-    return _render_system("mts", name, m, must=m.must, may=m.may - m.must)
+    return _render_system("mts", name, sorted(m.states), m.init,
+                          must=sorted(m.must), may=sorted(m.may - m.must))
 
 
 def render_lts(l: mts_mod.Lts, name: str = "product") -> str:
-    return _render_system("lts", name, l, trans=l.trans)
+    return _render_system("lts", name, sorted(l.states), l.init,
+                          trans=sorted(l.trans))

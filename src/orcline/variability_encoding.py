@@ -66,12 +66,20 @@ _PLAN_SHAPE = ('expected {"feature_to_site": {feature: site}, '
                '"trigger_sites": {gid: [site, site]}}')
 
 
+def _unique_keys(pairs: list) -> dict:
+    data = dict(pairs)
+    if len(data) != len(pairs):
+        raise ValueError(_PLAN_SHAPE)
+    return data
+
+
 def plan_from_json(text: str) -> EncodingPlan:
     """The plan ``{"feature_to_site": {feature: site}, "trigger_sites":
     {gid: [site, site]}}`` written as JSON, either field optional; a
     gid is written in ASCII digits, once.  Raises ValueError for text
-    of any other shape, and for two spellings of one gid ("0", "00")."""
-    data = json.loads(text)
+    of any other shape, for a key repeated in one object, and for two
+    spellings of one gid ("0", "00")."""
+    data = json.loads(text, object_pairs_hook=_unique_keys)
     if not isinstance(data, dict):
         raise ValueError(_PLAN_SHAPE)
     sites = data.get("feature_to_site", {})

@@ -15,14 +15,15 @@ import sys
 import pytest
 
 import orcline
-from orcline import cli, corpus, orc_parser, orc_semantics
+from orcline import cli, corpus, mts, orc_parser, orc_semantics
 from orcline import feature_model as fm_mod
 from orcline.orc_ast import (
     BUILTIN_SITES, free_vars, render_expr, substitute,
 )
 
+import oracles
 from diagnostic_cases import NOT_UTF8
-from generators import random_feature_model
+from generators import nested_mts, random_feature_model, random_mts
 
 
 def fx(name):
@@ -557,22 +558,54 @@ def test_mts_check_json_reports_a_foreign_action_as_the_alphabet_clause(
                                "alphabet: ['Meltdown']"}}
 
 
-def test_mts_products_text(capsys):
-    code, out, err = run_cli(capsys, "mts", "products",
-                             fx("drh_family.mts"))
-    assert code == 0
-    assert "lts product0" in out
-    assert "lts product1" in out
-    assert "2 product(s)" in err
+def _products_families():
+    """The fixture family, seeded random and nested ones, and a chain of
+    12 states whose products list ``s10`` and ``s11`` before ``s2``."""
+    rng = random.Random(58)
+    chain = [(f"q{i}", "a", f"q{i + 1}") for i in range(11)]
+    optional = [("q0", "b", "q5"), ("q3", "b", "q0"), ("q7", "c", "q2"),
+                ("q10", "b", "q10"), ("q11", "a", "q1")]
+    return ([orc_parser.parse_mts(corpus.fixture_text("drh_family.mts"))]
+            + [random_mts(rng) for _ in range(20)]
+            + [nested_mts(rng, 3, 8) for _ in range(4)]
+            + [mts.Mts(frozenset(f"q{i}" for i in range(12)), frozenset(),
+                       "q0", frozenset(chain), frozenset(chain + optional))])
 
 
-def test_mts_products_json(capsys):
-    code, out, err = run_cli(capsys, "mts", "products",
-                             fx("drh_family.mts"), "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert len(payload) == 2
-    assert all(p["init"] == "s0" for p in payload)
+def _products_output(capsys, monkeypatch, tmp_path, fmt, expected):
+    """Run ``mts products --format fmt`` on each family, against
+    ``expected(products)`` of the full toggling's products, building no
+    ``Lts``; returns the chain's stdout."""
+    monkeypatch.setattr(mts, "_trusted_lts", None)
+    for i, family in enumerate(_products_families()):
+        path = tmp_path / f"family{i}.mts"
+        path.write_text(orc_parser.render_mts(family))
+        products = oracles.derive_products(family)
+        result = run_cli(capsys, "mts", "products", str(path),
+                         "--format", fmt)
+        assert result == \
+            (0, expected(products), f"{len(products)} product(s)\n")
+    assert len(products[-1].states) == 12
+    return result[1]
+
+
+def test_mts_products_text(capsys, monkeypatch, tmp_path):
+    def expected(products):
+        return "\n".join(orc_parser.render_lts(p, f"product{i}")
+                         for i, p in enumerate(products))
+
+    out = _products_output(capsys, monkeypatch, tmp_path, "text", expected)
+    assert "\nstates s0 s1 s10 s11 s2 s3 s4 s5 s6 s7 s8 s9\n" in out
+    assert "\ntrans s1 a s2\ntrans s10 a s11\ntrans s11 a s1\n" in out
+
+
+def test_mts_products_json(capsys, monkeypatch, tmp_path):
+    def expected(products):
+        return json.dumps([{"states": sorted(p.states), "init": p.init,
+                            "trans": sorted(list(t) for t in p.trans)}
+                           for p in products], indent=2) + "\n"
+
+    _products_output(capsys, monkeypatch, tmp_path, "json", expected)
 
 
 def test_mts_dot_styles_may_edges(capsys):
@@ -670,10 +703,16 @@ SHAPE = ('bad plan file: expected {"feature_to_site": {feature: site}, '
                                             "00": ["r", "s"]}), 1, SHAPE),
     ("pair", dict(PAIR_PLAN, trigger_sites={"9" * 5000: ["p", "q"]}), 1,
      SHAPE),
+    # A JSON object that repeats a key, which a dict cannot hold.
+    ("pair", '{"feature_to_site": {"Root": "r", "A": "a", "B": "b"}, '
+             '"trigger_sites": {"0": ["p", "q"], "0": ["a", "b"]}}', 1,
+     SHAPE),
+    ("A", '{"feature_to_site": {"Root": "r", "A": "x", "A": "y"}}', 1,
+     SHAPE),
 ], ids=["true", "if", "Rtimer", "list", "trigger-list", "int-site",
         "list-site", "spaced-site", "one-trigger", "let-trigger",
         "word-gid", "underscore-gid", "spaced-gid", "signed-gid",
-        "gid-twice", "long-gid"])
+        "gid-twice", "long-gid", "repeated-gid", "repeated-feature"])
 def test_encode_refuses_sites_its_output_cannot_call(tmp_path, capsys,
                                                      feature, plan, code,
                                                      line):
@@ -683,7 +722,8 @@ def test_encode_refuses_sites_its_output_cannot_call(tmp_path, capsys,
     model.write_text(f"family Root {{\n  {body}\n}}\n")
     argv = ["encode", str(model)]
     if plan is not None:
-        (tmp_path / "plan.json").write_text(json.dumps(plan))
+        (tmp_path / "plan.json").write_text(
+            plan if isinstance(plan, str) else json.dumps(plan))
         argv += ["--plan", str(tmp_path / "plan.json")]
         if code == 1:
             line = f"error: {tmp_path / 'plan.json'}: {line}"

@@ -18,8 +18,8 @@ validate`` again with ``--format json``, ``mts check``/``products``/
 variants of the fixture product, ``mts dot`` on the fixture product,
 ``fixtures list`` and ``fixtures show``, ``mts products`` (text and
 json) on a family with optional transitions behind optional ones, on
-one where two choices give the same product and on one over the
-derivation bound, ``fm products`` (text and json), ``fm count`` and
+one where two choices give the same product, on one over the
+derivation bound and on a 12-state chain, ``fm products`` (text and json), ``fm count`` and
 ``encode`` on the bundled and on generated feature models (the
 benchmark's 14- and 15-feature families, one of 19 features, an
 alternative group under an optional feature,
@@ -30,7 +30,7 @@ feature, a ``requires`` into a feature under two optional ones, and 26
 optional features in 13 ``excludes`` pairs), ``encode --plan``
 with a good plan and with malformed ones (group ids that are not
 integers, or that are but not in plain digits, or that spell one id
-twice), the ``--help`` screen of the top level, of ``orc``,
+twice, or that repeat a key in one object), the ``--help`` screen of the top level, of ``orc``,
 ``fm`` and ``mts`` and of every command, and ``orc explore`` in
 all four formats and ``orc run`` with and without ``--seed`` on every
 ``.orc`` fixture and on probes of quiescence (a call waiting for a
@@ -190,8 +190,10 @@ FM_PROBES = [
 
 # (file name, family) of the ``mts products`` probes: optional
 # transitions behind optional ones (and a must behind one), two choices
-# that give one product visited in two orders, and 21 reachable optional
-# transitions, one over the derivation bound.
+# that give one product visited in two orders, 21 reachable optional
+# transitions, one over the derivation bound, and a required chain of
+# 12 states with optional edges, whose products list ``s10`` and
+# ``s11`` before ``s2``.
 MTS_PROBES = [
     ("nested.mts",
      "mts Nested\nstates r a b c d e\ninit r\nmust c go r\n"
@@ -203,6 +205,11 @@ MTS_PROBES = [
     ("over_bound.mts",
      "mts Wide\nstates r " + " ".join(f"t{i}" for i in range(21))
      + "\ninit r\n" + "".join(f"may r a t{i}\n" for i in range(21))),
+    ("chain12.mts",
+     "mts Chain12\nstates " + " ".join(f"q{i}" for i in range(12))
+     + "\ninit q0\n" + "".join(f"must q{i} a q{i + 1}\n" for i in range(11))
+     + "may q0 b q5\nmay q3 b q0\nmay q7 c q2\nmay q10 b q10\n"
+       "may q11 a q1\n"),
 ]
 
 # (file name, JSON or text) of the plans ``encode --plan`` reads for
@@ -210,7 +217,8 @@ MTS_PROBES = [
 # field that is not an object, sites that are not strings or not Orc
 # names, a trigger entry that is not a pair, a builtin trigger, a group
 # id that is not an integer, one with an underscore, one padded with
-# spaces, and "0" next to "00").
+# spaces, "0" next to "00", and, as raw JSON text, a group id and a
+# feature each given twice in one object).
 PAIR_FM = "family Root {\n  mandatory A\n  alternative { B, C }\n}\n"
 _SITES = {"Root": "r", "A": "a", "B": "b", "C": "c"}
 PLANS = [
@@ -236,6 +244,12 @@ PLANS = [
     ("gid_twice.json", {"feature_to_site": _SITES,
                         "trigger_sites": {"0": ["p", "q"],
                                           "00": ["r", "s"]}}),
+    ("repeated_gid.json",
+     '{"feature_to_site": {"Root": "r", "A": "a", "B": "b", "C": "c"}, '
+     '"trigger_sites": {"0": ["p", "q"], "0": ["a", "b"]}}'),
+    ("repeated_site.json",
+     '{"feature_to_site": {"Root": "r", "A": "a", "A": "x", "B": "b", '
+     '"C": "c"}, "trigger_sites": {"0": ["p", "q"]}}'),
 ]
 
 # The command paths whose ``--help`` screens are compared: the top
