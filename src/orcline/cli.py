@@ -117,6 +117,14 @@ def _plain(value):
     return value
 
 
+def _json_array(texts: list, depth: int) -> str:
+    """``json.dumps(values, indent=2)`` of a list nested ``depth`` deep,
+    from the texts of its values."""
+    inner = "\n" + "  " * (depth + 1)
+    return f"[{inner}{(',' + inner).join(texts)}\n{'  ' * depth}]" \
+        if texts else "[]"
+
+
 def _sorted_outcomes(outcome_set):
     return sorted(outcome_set,
                   key=lambda seq: (len(seq), [value_sort_key(v)
@@ -233,14 +241,16 @@ def _cmd_fm_products(args) -> int:
     model = _load(args.file, orc_parser.parse_feature_model)
     if args.format == "json":
         # json.dumps(products, indent=2), quoting each name once.
-        rows = fm_mod.joined_products(model, ",\n    ", json.dumps)
-        text = "[\n  [\n    " + "\n  ],\n  [\n    ".join(rows) \
-            + "\n  ]\n]" if rows else "[]"
-        _emit(text + "\n", args.out)
+        out = fm_mod.joined_products(model, ",\n    ", "\n  ],\n  [\n    ",
+                                     json.dumps)
+        if out:
+            out[0] = "[\n  [\n    "
+            out.append("\n  ]\n]\n")
     else:
-        rows = fm_mod.joined_products(model, ", ")
-        _emit("\n  ".join([f"products {len(rows)}"] + rows) + "\n",
-              args.out)
+        out = fm_mod.joined_products(model, ", ", "\n  ")
+        out.insert(0, f"products {len(out) // 3}")
+        out.append("\n")
+    _emit("".join(out) or "[]\n", args.out)
     return EXIT_OK
 
 
@@ -297,9 +307,17 @@ def _cmd_mts_products(args) -> int:
     rows = mts_mod.product_rows(family)
     states = {n: sorted(mts_mod.state_names(n)) for n in {n for n, _ in rows}}
     if args.format == "json":
-        payload = [{"states": states[n], "init": "s0", "trans": trans}
-                   for n, trans in rows]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        # json.dumps(payload, indent=2), writing each state list and
+        # each distinct transition once.
+        head = {n: '{\n    "states": '
+                + _json_array([*map(json.dumps, names)], 2)
+                + ',\n    "init": "s0",\n    "trans": '
+                for n, names in states.items()}
+        triple = {t: _json_array([*map(json.dumps, t)], 3)
+                  for t in {t for _, trans in rows for t in trans}}
+        products = [head[n] + _json_array([triple[t] for t in trans], 2)
+                    + "\n  }" for n, trans in rows]
+        _emit(_json_array(products, 0) + "\n", args.out)
     else:
         _emit("\n".join(orc_parser._render_system(
             "lts", f"product{i}", states[n], "s0", trans=trans)

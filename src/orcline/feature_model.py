@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import prod
-from operator import mul
+from operator import add, mul
 
 from .errors import BoundExceeded
 
@@ -224,7 +224,7 @@ def is_valid(fm: FeatureModel, selection) -> bool:
 
 def _walk(fm: FeatureModel, must, off, leaf, absent, times, total):
     """The root's slots with ``must`` selected and ``off`` left out,
-    folded into counts (1, 1, ``*``, ``sum``) or mask lists (``[bit]``,
+    folded into counts (1, 1, ``*``, ``sum``) or key lists (``[weight]``,
     ``[0]``, cross-sum, concatenation).  A slot is an optional child (or
     ``absent``, unless in ``must``), a group (its ``must`` member, else
     those not off) or a mandatory child's leaf and slots; a subtree is
@@ -263,19 +263,20 @@ _COUNTS = (lambda name: 1, 1, mul, sum)
 
 
 def _filter(constraints, bit):
-    """A function keeping the masks of a list that satisfy every
-    constraint, ``bit`` giving each feature's bit."""
+    """A function keeping the keys of a list that satisfy every
+    constraint, ``bit`` giving the bit each feature's key has set when
+    it is *not* selected."""
     requires = [(bit[c.a], bit[c.b]) for c in constraints
                 if isinstance(c, Requires)]
     excludes = [bit[c.a] | bit[c.b] for c in constraints
                 if isinstance(c, Excludes)]
 
-    def keep(masks):
+    def keep(keys):
         for a, b in requires:
-            masks = [m for m in masks if not m & a or m & b]
+            keys = [k for k in keys if k & a or not k & b]
         for ab in excludes:
-            masks = [m for m in masks if m & ab != ab]
-        return masks
+            keys = [k for k in keys if k & ab]
+        return keys
     return keep
 
 
@@ -306,112 +307,108 @@ def _condition(fm: FeatureModel) -> tuple:
         must, off = {fm.root}, set()
         for i, name in enumerate(touched):
             if v >> i & 1:
+                off.add(name)
+            else:
                 while name not in must:
                     must.add(name)
                     name = fm.features[name].parent
-            else:
-                off.add(name)
         if must.isdisjoint(off):
             assignments.append((must, off))
     return assignments, ()
 
 
-def _product_masks(fm: FeatureModel, plan=None) -> tuple:
-    """``(names, rows)``: the model's feature names in sorted order and
-    a stream of its products as int lists, one row at a time.
+def _product_keys(fm: FeatureModel, plan=None):
+    """A stream of the products' keys as int lists, one row at a time.
 
-    The feature of sorted rank ``r`` has the bit ``1 << (n-1-r)``.  Per
-    assignment of ``plan`` (``_condition``), the root's slots go to two
-    lists of balanced size (each slot, largest first, joins the smaller
-    side); a row is one left mask plus every right mask (``+`` is ``|``
-    on disjoint bits), filtered by the constraints left."""
+    The feature of sorted rank ``r`` weighs ``2^n - 2^(n-1-r)`` and the
+    root adds ``2^n - 1``, so a product of ``s`` features has the key
+    ``s * 2^n`` plus its complemented mask, in which the bit
+    ``2^(n-1-r)`` is set when that feature is left out.  Per assignment
+    of ``plan`` (``_condition``), the root's slots go to two lists of
+    balanced size (each slot, largest first, joins the smaller side); a
+    row is one key of the shorter list plus every key of the other,
+    filtered by the constraints left."""
     names = sorted(fm.features)
-    bit = {name: 1 << i for i, name in enumerate(reversed(names))}
+    n = len(names)
+    bit = {name: 1 << (n - 1 - r) for r, name in enumerate(names)}
     assignments, constraints = plan or _condition(fm)
     keep = _filter(constraints, bit)
 
     def cross(acc, sub):
         return [x + y for x in acc for y in sub]
-    masks = (lambda name: [bit[name]], [0], cross,
-             lambda subs: [m for sub in subs for m in sub])
+    keys = (lambda name: [(1 << n) - bit[name]], [0], cross,
+            lambda subs: [k for sub in subs for k in sub])
 
     def rows():
         for must, off in assignments:
-            left, right = [bit[fm.root]], [0]
-            for sub in sorted(_walk(fm, must, off, *masks), key=len,
+            left, right = [(2 << n) - 1 - bit[fm.root]], [0]
+            for sub in sorted(_walk(fm, must, off, *keys), key=len,
                               reverse=True):
                 if len(left) <= len(right):
                     left = cross(left, sub)
                 else:
                     right = cross(right, sub)
-            for x in left:
-                yield keep([x + y for y in right])
+            short, long = sorted((left, right), key=len)
+            long.sort()    # few long ascending rows, for the sort to merge
+            for x in short:
+                yield keep([x + y for y in long])
 
-    return names, rows()
-
-
-def _decode(pieces: list, masks: list, join, sep=None) -> list:
-    """Each mask as ``join`` of its features' pieces in sorted order
-    (``list``, or ``sep.join``): the low byte through a table, the bits
-    above it by decoding their distinct values the same way.  With
-    ``sep``, a byte after the leading one reads entries that start with
-    ``sep``.  Masks are distinct, so no two results share a list."""
-    n = len(pieces)
-    width = min(8, n)
-    first = [join([pieces[n - 1 - j] for j in reversed(range(width))
-                   if v >> j & 1])
-             for v in range(1 << width)]
-    if n <= 8:
-        return [first[m] for m in masks]
-    highs = list({m >> 8 for m in masks})
-    head = dict(zip(highs, _decode(pieces[:n - 8], highs, join, sep)))
-    if sep is None:
-        return [head[m >> 8] + first[m & 255] for m in masks]
-    rest = [sep + text if text else text for text in first]
-    return [head[h] + rest[m & 255] if (h := m >> 8) else first[m]
-            for m in masks]
+    return rows()
 
 
-def _check_size(fm: FeatureModel):
-    if len(fm.features) > MAX_ENUMERATION_FEATURES:
-        raise BoundExceeded(
-            f"model has {len(fm.features)} features, enumeration bound "
-            f"is {MAX_ENUMERATION_FEATURES}")
+def _decoded(fm: FeatureModel, pieces, join, sep="") -> tuple:
+    """``(heads, tails)``: per product in ``sorted_products`` order, the
+    ``join`` of the ``pieces`` (one per sorted name) of its features in
+    the first half of the names and in the rest, a table lookup each.
+    Every product holds the root, so the nonempty entries of the half
+    without it carry ``sep`` on their inner end: a head plus its tail
+    is the whole join."""
+    names, n = sorted(fm.features), len(fm.features)
+    if n > MAX_ENUMERATION_FEATURES:
+        raise BoundExceeded(f"model has {n} features, enumeration bound "
+                            f"is {MAX_ENUMERATION_FEATURES}")
+    keys = sorted(k for row in _product_keys(fm) for k in row)
+    split = n // 2
+
+    def table(part):   # index v selects the pieces whose bit v lacks
+        selected = [[]]
+        for piece in reversed(part):
+            selected = [[piece, *rest] for rest in selected] + selected
+        return list(map(join, selected))
+    high, low = table(pieces[:split]), table(pieces[split:])
+    if sep and names.index(fm.root) < split:
+        low = [sep + text if text else text for text in low]
+    elif sep:
+        high = [text + sep if text else text for text in high]
+    width, hmask, lmask = n - split, len(high) - 1, len(low) - 1
+    return ([high[k >> width & hmask] for k in keys],
+            [low[k & lmask] for k in keys])
 
 
 def enumerate_products(fm: FeatureModel) -> set:
     """The set of all products, each a frozenset of feature names."""
-    _check_size(fm)
-    names, rows = _product_masks(fm)
-    return set(map(frozenset, _decode(
-        names, [m for row in rows for m in row], list)))
+    return set(map(frozenset, sorted_products(fm)))
 
 
 def sorted_products(fm: FeatureModel) -> list:
     """Every product as its sorted list of feature names, ordered by
-    size, then by the name lists.
-
-    Among masks of one size, the first name where two sorted lists
-    differ is the lowest rank in their XOR, which is its highest bit,
-    so name order is descending mask order; a stable sort by size
-    keeps it."""
-    return _decode(*_sorted_masks(fm), list)
+    size, then by the name lists: ascending key order (``_product_keys``).
+    The size leads the key, and among products of one size, the first
+    name where two sorted lists differ is the highest bit of their
+    complemented masks' XOR, which the earlier list's key lacks."""
+    return list(map(add, *_decoded(fm, sorted(fm.features), list)))
 
 
-def joined_products(fm: FeatureModel, sep: str, form=str) -> list:
-    """``sorted_products``, each product as the one string
-    ``sep.join(map(form, names))``, decoded straight from its mask."""
-    names, masks = _sorted_masks(fm)
-    return _decode(list(map(form, names)), masks, sep.join, sep)
-
-
-def _sorted_masks(fm: FeatureModel) -> tuple:
-    """``(names, masks)``: the masks in ``sorted_products`` order."""
-    _check_size(fm)
-    names, rows = _product_masks(fm)
-    masks = sorted((m for row in rows for m in row), reverse=True)
-    masks.sort(key=int.bit_count)
-    return names, masks
+def joined_products(fm: FeatureModel, sep: str, lead: str,
+                    form=str) -> list:
+    """Pieces whose concatenation is every product in ``sorted_products``
+    order, each written ``lead + sep.join(map(form, names))``: three a
+    product, ``lead`` first, so ``len // 3`` counts them."""
+    heads, tails = _decoded(fm, list(map(form, sorted(fm.features))),
+                            sep.join, sep)
+    out = [lead] * (3 * len(heads))
+    out[1::3], out[2::3] = heads, tails
+    return out
 
 
 def product_count(fm: FeatureModel) -> int:
@@ -420,6 +417,6 @@ def product_count(fm: FeatureModel) -> int:
     Raises BoundExceeded when neither fits its bound."""
     assignments, constraints = plan = _condition(fm)
     if constraints:
-        return sum(map(len, _product_masks(fm, plan)[1]))
+        return sum(map(len, _product_keys(fm, plan)))
     return sum(prod(_walk(fm, must, off, *_COUNTS))
                for must, off in assignments)

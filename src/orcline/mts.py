@@ -384,11 +384,9 @@ def export_dot(system, name: str = "lts") -> str:
     for s in sorted(system.states):
         lines.append(f"  {_gvquote(s)} [shape=circle];")
     lines.append(f"  __init -> {_gvquote(system.init)};")
-    for (src, action, dst) in sorted(solid):
-        lines.append(f"  {_gvquote(src)} -> {_gvquote(dst)} "
-                     f"[label={_gvquote(action)}];")
-    for (src, action, dst) in sorted(dashed):
-        lines.append(f"  {_gvquote(src)} -> {_gvquote(dst)} "
-                     f"[label={_gvquote(action)}, style=dashed];")
+    lines += [f"  {_gvquote(src)} -> {_gvquote(dst)} "
+              f"[label={_gvquote(action)}{style}];"
+              for style, trans in (("", solid), (", style=dashed", dashed))
+              for (src, action, dst) in sorted(trans)]
     lines.append("}")
     return "\n".join(lines) + "\n"

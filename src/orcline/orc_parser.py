@@ -560,11 +560,8 @@ def _fm_items(cur: _Cursor, builder: fm.ModelBuilder, parent: str):
         if t.text in ("mandatory", "optional"):
             cur.advance()
             name = cur.name("a feature name", "be a feature name")
-            try:
-                if t.text == "mandatory":
-                    builder.mandatory(parent, name.text)
-                else:
-                    builder.optional(parent, name.text)
+            try:   # ModelBuilder.mandatory or .optional
+                getattr(builder, t.text)(parent, name.text)
             except ValueError as exc:
                 cur.error(name.span, str(exc))
             if cur.at("{"):
@@ -603,10 +600,7 @@ def _fm_items(cur: _Cursor, builder: fm.ModelBuilder, parent: str):
             cur.advance()
             a = cur.name("a feature name", "be a feature name")
             b = cur.name("a feature name", "be a feature name")
-            if t.text == "requires":
-                builder.requires(a.text, b.text)
-            else:
-                builder.excludes(a.text, b.text)
+            getattr(builder, t.text)(a.text, b.text)   # requires, excludes
         else:  # "family" nested — not an item
             cur.error(t.span, f"unexpected {t.text!r} here")
             raise _Bail()
@@ -649,38 +643,31 @@ def parse_feature_model(src: str) -> fm.FeatureModel:
 def render_feature_model(model: fm.FeatureModel) -> str:
     lines = [f"family {model.root} {{"]
 
+    def item(head: str, name: str, depth: int, comma: str = ""):
+        """``head``, and ``name``'s children in a block at ``depth``."""
+        if model.features[name].children:
+            lines.append(head + " {")
+            emit(name, depth + 1)
+            head = "  " * depth + "}"
+        lines.append(head + comma)
+
     def emit(name: str, depth: int):
         indent = "  " * depth
-        done_groups = set()
         for child in model.features[name].children:
             f = model.features[child]
-            if f.kind == "member":
-                if f.group in done_groups:
-                    continue
-                done_groups.add(f.group)
-                group = model.groups[f.group]
-                if all(not model.features[m].children
-                       for m in group.members):
-                    members = ", ".join(group.members)
-                    lines.append(f"{indent}alternative {{ {members} }}")
+            if f.kind != "member":
+                item(f"{indent}{f.kind} {child}", child, depth)
+            elif child == model.groups[f.group].members[0]:
+                members = model.groups[f.group].members
+                if not any(model.features[m].children for m in members):
+                    lines.append(f"{indent}alternative {{ "
+                                 f"{', '.join(members)} }}")
                     continue
                 lines.append(f"{indent}alternative {{")
-                last = len(group.members) - 1
-                for i, m in enumerate(group.members):
-                    comma = "," if i < last else ""
-                    if model.features[m].children:
-                        lines.append(f"{indent}  {m} {{")
-                        emit(m, depth + 2)
-                        lines.append(f"{indent}  }}{comma}")
-                    else:
-                        lines.append(f"{indent}  {m}{comma}")
+                for m in members:
+                    item(f"{indent}  {m}", m, depth + 1,
+                         "," if m != members[-1] else "")
                 lines.append(f"{indent}}}")
-            elif model.features[child].children:
-                lines.append(f"{indent}{f.kind} {child} {{")
-                emit(child, depth + 1)
-                lines.append(f"{indent}}}")
-            else:
-                lines.append(f"{indent}{f.kind} {child}")
 
     emit(model.root, 1)
     for c in model.constraints:
@@ -755,8 +742,7 @@ def _parse_transition_file(src: str, kind: str):
             err(lineno, col, f"unknown directive {word!r}")
 
     if init is None:
-        diags.append(ParseDiagnostic(SourceSpan(1, 1),
-                                     "missing init state", "error"))
+        err(1, 1, "missing init state")
     if any(d.severity == "error" for d in diags):
         raise ParseError(diags)
     return frozenset(states), init, triples
@@ -764,15 +750,13 @@ def _parse_transition_file(src: str, kind: str):
 
 def parse_mts(src: str) -> mts_mod.Mts:
     states, init, triples = _parse_transition_file(src, "mts")
-    return mts_mod.Mts(states, frozenset(), init,
-                       frozenset(triples["must"]),
-                       frozenset(triples["may"]))
+    return mts_mod.Mts(states, frozenset(), init, triples["must"],
+                       triples["may"])
 
 
 def parse_lts(src: str) -> mts_mod.Lts:
     states, init, triples = _parse_transition_file(src, "lts")
-    return mts_mod.Lts(states, frozenset(), init,
-                       frozenset(triples["trans"]))
+    return mts_mod.Lts(states, frozenset(), init, triples["trans"])
 
 
 def _render_system(kind: str, name: str, states, init, **relations) -> str:

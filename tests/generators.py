@@ -57,12 +57,17 @@ def random_expr(rng: random.Random, depth: int = 4, scope=(),
 
 
 def random_feature_model(rng: random.Random, max_features: int = 16,
-                         max_constraints: int = 6) -> FeatureModel:
-    """A random tree grown feature by feature, with alternative groups
-    and cross-tree constraints between random distinct features."""
-    builder = ModelBuilder("F0")
-    names = ["F0"]
-    count = rng.randrange(1, max_features)
+                         max_constraints: int = 6, root: str = "F0",
+                         min_features: int = 1,
+                         optional: float = 0.4) -> FeatureModel:
+    """A random tree grown feature by feature under ``root``, with
+    alternative groups (a fifth of the draws), optional features (the
+    ``optional`` share) and cross-tree constraints between random
+    distinct features; it has ``min_features`` to ``max_features - 1``
+    features."""
+    builder = ModelBuilder(root)
+    names = [root]
+    count = rng.randrange(min_features, max_features)
     i = 1
     while i < count:
         parent = rng.choice(names)
@@ -72,7 +77,7 @@ def random_feature_model(rng: random.Random, max_features: int = 16,
             builder.alternative(parent, *members)
             names.extend(members)
             i += 2
-        elif kind < 0.6:
+        elif kind < 1 - optional:
             builder.mandatory(parent, f"F{i}")
             names.append(f"F{i}")
             i += 1

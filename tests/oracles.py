@@ -33,6 +33,12 @@ product as a frozenset, and ``_sorted_products`` is the command line's
 sort of those sets into its order (by size, then by the sorted name
 lists); products are now enumerated as bit masks.
 
+``_sorted_masks``, ``_decode`` and ``joined_products`` are the mask
+decoder that wrote each product as one string: it sorted the masks
+twice (descending, then stably by ``int.bit_count``) and concatenated
+each product's string from per-byte tables; the command line now sorts
+keys that hold its order and writes two table lookups a product.
+
 ``streamed_count`` is the bit-mask count that streamed every candidate
 of the tree through the cross-tree constraint filter (or multiplied
 without constraints); counting now conditions on the features that the
@@ -603,3 +609,42 @@ def streamed_count(fm: FeatureModel) -> int:
             f"model has {len(fm.features)} features, enumeration bound "
             f"is {MAX_ENUMERATION_FEATURES}")
     return sum(map(len, _product_masks(fm)[1]))
+
+
+def _decode(pieces: list, masks: list, join, sep=None) -> list:
+    """Each mask as ``join`` of its features' pieces in sorted order
+    (``list``, or ``sep.join``): the low byte through a table, the bits
+    above it by decoding their distinct values the same way.  With
+    ``sep``, a byte after the leading one reads entries that start with
+    ``sep``.  Masks are distinct, so no two results share a list."""
+    n = len(pieces)
+    width = min(8, n)
+    first = [join([pieces[n - 1 - j] for j in reversed(range(width))
+                   if v >> j & 1])
+             for v in range(1 << width)]
+    if n <= 8:
+        return [first[m] for m in masks]
+    highs = list({m >> 8 for m in masks})
+    head = dict(zip(highs, _decode(pieces[:n - 8], highs, join, sep)))
+    if sep is None:
+        return [head[m >> 8] + first[m & 255] for m in masks]
+    rest = [sep + text if text else text for text in first]
+    return [head[h] + rest[m & 255] if (h := m >> 8) else first[m]
+            for m in masks]
+
+
+def _sorted_masks(fm: FeatureModel) -> tuple:
+    """``(names, masks)``: the masks in the command line's order (by
+    size, then by the sorted name lists, which is descending mask
+    order among masks of one size)."""
+    names, rows = _product_masks(fm)
+    masks = sorted((m for row in rows for m in row), reverse=True)
+    masks.sort(key=int.bit_count)
+    return names, masks
+
+
+def joined_products(fm: FeatureModel, sep: str, form=str) -> list:
+    """The sorted products, each as the one string
+    ``sep.join(map(form, names))``, decoded straight from its mask."""
+    names, masks = _sorted_masks(fm)
+    return _decode(list(map(form, names)), masks, sep.join, sep)

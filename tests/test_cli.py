@@ -23,7 +23,9 @@ from orcline.orc_ast import (
 
 import oracles
 from diagnostic_cases import NOT_UTF8
-from generators import nested_mts, random_feature_model, random_mts
+from generators import (
+    nested_mts, random_feature_model, random_mts, wide_feature_model,
+)
 
 
 def fx(name):
@@ -431,6 +433,47 @@ def test_fm_products_json_is_what_json_dumps_writes(tmp_path, capsys):
     assert empty >= 1 and out == "[]\n"
 
 
+def _mask_decoder_output(model, fmt: str) -> str:
+    """``fm products`` stdout as the mask decoder wrote it, one string a
+    product (``oracles.joined_products``)."""
+    if fmt == "json":
+        rows = oracles.joined_products(model, ",\n    ", json.dumps)
+        return ("[\n  [\n    " + "\n  ],\n  [\n    ".join(rows) + "\n  ]\n]"
+                if rows else "[]") + "\n"
+    rows = oracles.joined_products(model, ", ")
+    return "\n  ".join([f"products {len(rows)}"] + rows) + "\n"
+
+
+def test_fm_products_match_the_mask_decoder_byte_for_byte(tmp_path, capsys):
+    rng = random.Random(29)
+    models = [random_feature_model(rng, 9) for _ in range(40)]
+    models += [random_feature_model(rng, 22) for _ in range(40)]
+    models += [random_feature_model(rng, 25, 3, root, 22, optional=0.1)
+               for root in ("Aaa", "Zzz") for _ in range(15)]
+    models += [wide_feature_model(rng) for _ in range(150)]
+    models.append(orc_parser.parse_feature_model(
+        "family Dead {\n  mandatory A\n  mandatory B\n  excludes A B\n}\n"))
+    seen = dict.fromkeys(("at most 8 features", "22 to 24 features",
+                          "root in the low half", "filtered",
+                          "conditioned", "no products"), 0)
+    path = tmp_path / "model.fm"
+    for model in models:
+        path.write_text(orc_parser.render_feature_model(model))
+        for fmt in ("text", "json"):
+            assert run_cli(capsys, "fm", "products", str(path), "--format",
+                           fmt) == (0, _mask_decoder_output(model, fmt), "")
+        names = sorted(model.features)
+        filtered = bool(fm_mod._condition(model)[1])
+        seen["at most 8 features"] += len(names) <= 8
+        seen["22 to 24 features"] += len(names) >= 22
+        seen["root in the low half"] += \
+            names.index(model.root) >= len(names) // 2
+        seen["filtered"] += filtered
+        seen["conditioned"] += not filtered
+        seen["no products"] += not fm_mod.sorted_products(model)
+    assert min(seen.values()) >= 15, seen
+
+
 def test_fm_count(capsys):
     assert run_cli(capsys, "fm", "count", fx("smartgrid.fm"))[1] == "4\n"
     assert run_cli(capsys, "fm", "count",
@@ -559,15 +602,21 @@ def test_mts_check_json_reports_a_foreign_action_as_the_alphabet_clause(
 
 
 def _products_families():
-    """The fixture family, seeded random and nested ones, and a chain of
-    12 states whose products list ``s10`` and ``s11`` before ``s2``."""
+    """The fixture family, seeded random and nested ones, one whose
+    actions JSON escapes and whose first product has no transitions,
+    and a chain of 12 states whose products list ``s10`` and ``s11``
+    before ``s2``."""
     rng = random.Random(58)
     chain = [(f"q{i}", "a", f"q{i + 1}") for i in range(11)]
     optional = [("q0", "b", "q5"), ("q3", "b", "q0"), ("q7", "c", "q2"),
                 ("q10", "b", "q10"), ("q11", "a", "q1")]
+    quoted = [("p0", "\u00e9", "p1"), ("p1", 'say"hi', "p0"),
+              ("p0", "back\\slash", "p0")]
     return ([orc_parser.parse_mts(corpus.fixture_text("drh_family.mts"))]
             + [random_mts(rng) for _ in range(20)]
             + [nested_mts(rng, 3, 8) for _ in range(4)]
+            + [mts.Mts(frozenset({"p0", "p1"}), frozenset(), "p0",
+                       frozenset(), frozenset(quoted))]
             + [mts.Mts(frozenset(f"q{i}" for i in range(12)), frozenset(),
                        "q0", frozenset(chain), frozenset(chain + optional))])
 
@@ -579,7 +628,7 @@ def _products_output(capsys, monkeypatch, tmp_path, fmt, expected):
     monkeypatch.setattr(mts, "_trusted_lts", None)
     for i, family in enumerate(_products_families()):
         path = tmp_path / f"family{i}.mts"
-        path.write_text(orc_parser.render_mts(family))
+        path.write_text(orc_parser.render_mts(family), encoding="utf-8")
         products = oracles.derive_products(family)
         result = run_cli(capsys, "mts", "products", str(path),
                          "--format", fmt)

@@ -155,7 +155,7 @@ def test_enumeration_bound_is_enforced():
     for i in range(30):
         b.optional("R", f"O{i}")
     for enumerate_ in (enumerate_products, sorted_products,
-                       lambda m: joined_products(m, ", ")):
+                       lambda m: joined_products(m, ", ", "\n  ")):
         with pytest.raises(BoundExceeded):
             enumerate_(b.build())
     # Counting conditions on the two features that one constraint
@@ -217,9 +217,9 @@ def test_wide_models_take_both_counting_routes():
 
 
 def test_joined_products_are_the_joined_sorted_name_lists():
-    # Random models have the root F0 in the leading byte; Root below
-    # sorts last, so its bit is in the low byte and some masks fit in
-    # it.  Dead has no products.
+    # Random models have the root F0 first, in the high half of the key;
+    # Root below sorts last, so its bit is in the low half and the
+    # separator goes on the high half's entries.  Dead has no products.
     rng = random.Random(12)
     models = [random_feature_model(rng, max_features=21) for _ in range(80)]
     b = ModelBuilder("Root")
@@ -234,11 +234,35 @@ def test_joined_products_are_the_joined_sorted_name_lists():
     models.append(b.build())
     for m in models:
         products = sorted_products(m)
-        for sep, form in ((", ", str), (",\n    ", json.dumps)):
-            assert joined_products(m, sep, form) \
-                == [sep.join(map(form, names)) for names in products]
+        for sep, lead, form in ((", ", "\n  ", str),
+                                (",\n    ", "\n  ],\n  [\n    ", json.dumps)):
+            pieces = joined_products(m, sep, lead, form)
+            assert pieces[::3] == [lead] * len(products)
+            assert "".join(pieces) == "".join(
+                lead + sep.join(map(form, names)) for names in products)
+            assert list(map(str.__add__, pieces[1::3], pieces[2::3])) \
+                == oracles.joined_products(m, sep, form)
     assert max(len(m.features) for m in models) > 16
     assert products == []
+
+
+def test_models_of_22_to_24_features_match_the_mask_oracle():
+    # Mostly mandatory features and alternatives, so few products; the
+    # root Aaa sorts first (the high half of the key holds it) and Zzz
+    # last (the low half does).
+    sizes = set()
+    for seed in range(40):
+        for root in ("Aaa", "Zzz"):
+            m = random_feature_model(random.Random(seed), 25, 3, root, 22,
+                                     optional=0.1)
+            sizes.add(len(m.features))
+            expected = set(oracles._iter_products(m))
+            assert sorted_products(m) == oracles._sorted_products(expected)
+            assert enumerate_products(m) == expected
+            pieces = joined_products(m, ", ", "\n  ")
+            assert list(map(str.__add__, pieces[1::3], pieces[2::3])) \
+                == oracles.joined_products(m, ", ")
+    assert sizes == {22, 23, 24}
 
 
 def _twenty_optional_features(parent: str, kind: str = "mandatory") -> tuple:

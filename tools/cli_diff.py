@@ -26,8 +26,10 @@ alternative group under an optional feature,
 ``requires`` into group members, a lone root, ``excludes`` and
 ``requires`` between two mandatory features, a feature named
 ``true``, an ``excludes`` into a member of a group under an optional
-feature, a ``requires`` into a feature under two optional ones, and 26
-optional features in 13 ``excludes`` pairs), ``encode --plan``
+feature, a ``requires`` into a feature under two optional ones, 26
+optional features in 13 ``excludes`` pairs, 22 features mostly
+mandatory or in alternatives, and roots that sort first and last among
+their features' names), ``encode --plan``
 with a good plan and with malformed ones (group ids that are not
 integers, or that are but not in plain digits, or that spell one id
 twice, or that repeat a key in one object), the ``--help`` screen of the top level, of ``orc``,
@@ -147,8 +149,10 @@ def mixed_fanout(n: int) -> str:
 # features, an ``excludes`` into a member of a group under an optional
 # feature and a ``requires`` into a feature under two optional ones
 # (five more optional features each, so counting conditions on the
-# constrained ones), and 26 optional features in 13 ``excludes`` pairs,
-# over the counting bound.
+# constrained ones), 26 optional features in 13 ``excludes`` pairs,
+# over the counting bound, 22 features that are mostly mandatory or in
+# alternatives, and roots that sort first (``Aaa``) and last (``Zzz``)
+# among their features' names.
 FM_PROBES = [
     ("fm14.fm", workloads.feature_model_text(14, random.Random(14))[0]),
     ("fm15.fm", workloads.feature_model_text(15, random.Random(15))[0]),
@@ -186,6 +190,18 @@ FM_PROBES = [
      "family Pairs {\n" + "".join(f"  optional F{i}\n" for i in range(26))
      + "".join(f"  excludes F{i} F{i + 1}\n" for i in range(0, 26, 2))
      + "}\n"),
+    ("wide22.fm",
+     "family Grid22 {\n" + "".join(f"  mandatory M{i}\n" for i in range(10))
+     + "  alternative { A0, A1 }\n  alternative { B0, B1, B2 }\n"
+       "  optional O0 {\n    mandatory P\n    optional O1\n  }\n"
+       "  optional O2\n  optional O3\n  optional O4\n"
+       "  requires O2 B1\n  excludes A0 O3\n}\n"),
+    ("first.fm",
+     "family Aaa {\n" + "".join(f"  optional X{i}\n" for i in range(9))
+     + "  alternative { Y0, Y1 }\n  excludes X0 Y1\n}\n"),
+    ("last.fm",
+     "family Zzz {\n" + "".join(f"  optional X{i}\n" for i in range(9))
+     + "  mandatory Y {\n    optional Y0\n  }\n  requires X1 Y0\n}\n"),
 ]
 
 # (file name, family) of the ``mts products`` probes: optional
