@@ -304,32 +304,41 @@ def _cmd_mts_check(args) -> int:
 
 def _cmd_mts_products(args) -> int:
     family = _load(args.file, orc_parser.parse_mts)
-    rows = mts_mod.product_rows(family)
+    rows, triples = mts_mod.product_rows(family)
     states = {n: sorted(mts_mod.state_names(n)) for n in {n for n, _ in rows}}
+    # Each state list and each distinct transition is written once.
     if args.format == "json":
-        # json.dumps(payload, indent=2), writing each state list and
-        # each distinct transition once.
+        # json.dumps(payload, indent=2)
         head = {n: '{\n    "states": '
                 + _json_array([*map(json.dumps, names)], 2)
                 + ',\n    "init": "s0",\n    "trans": '
                 for n, names in states.items()}
-        triple = {t: _json_array([*map(json.dumps, t)], 3)
-                  for t in {t for _, trans in rows for t in trans}}
-        products = [head[n] + _json_array([triple[t] for t in trans], 2)
+        line = {code: _json_array([*map(json.dumps, t)], 3)
+                for code, t in triples.items()}
+        products = [head[n] + _json_array([*map(line.__getitem__, trans)], 2)
                     + "\n  }" for n, trans in rows]
         _emit(_json_array(products, 0) + "\n", args.out)
     else:
-        _emit("\n".join(orc_parser._render_system(
-            "lts", f"product{i}", states[n], "s0", trans=trans)
-            for i, (n, trans) in enumerate(rows)), args.out)
+        # orc_parser.render_lts of each product, named product<i>
+        head = {n: "\nstates " + " ".join(names) + "\ninit s0\n"
+                for n, names in states.items()}
+        line = {code: "trans %s %s %s\n" % t for code, t in triples.items()}
+        _emit("\n".join(f"lts product{i}{head[n]}"
+                        + "".join(map(line.__getitem__, trans))
+                        for i, (n, trans) in enumerate(rows)), args.out)
     _diag(f"{len(rows)} product(s)")
     return EXIT_OK
 
 
 def _cmd_mts_dot(args) -> int:
-    kind = "lts" if args.file.endswith(".lts") else "mts"
-    system = _load(args.file, orc_parser.parse_lts if kind == "lts"
-                   else orc_parser.parse_mts)
+    def parse(src):
+        # The header word names the format; without one, the suffix.
+        kind = orc_parser.transition_kind(
+            src, "lts" if args.file.endswith(".lts") else "mts")
+        return kind, (orc_parser.parse_lts if kind == "lts"
+                      else orc_parser.parse_mts)(src)
+
+    kind, system = _load(args.file, parse)
     _emit(mts_mod.export_dot(system, name=kind), args.out)
     return EXIT_OK
 

@@ -284,26 +284,36 @@ def state_names(n: int) -> list:
     return [f"s{i}" for i in range(n)]
 
 
-def product_rows(family: Mts) -> list:
+def product_rows(family: Mts) -> tuple:
     """All products obtained by toggling each may-only transition, as
-    rows ``(n, trans)`` sorted by ``(n, len(trans), trans)``: the product
-    with states ``state_names(n)``, init s0 and the sorted transitions
-    ``trans``.
+    ``(rows, triples)``.  A row ``(n, trans)`` is the product with
+    states ``state_names(n)``, init s0 and the transitions whose codes
+    are the sorted tuple ``trans``; ``triples`` maps each code in the
+    rows to its ``(src, action, dst)`` triple.  With the R states of
+    ``family`` ranked by the string order of the names ``s0``..
+    ``s{R-1}`` (``s10`` before ``s2``) and its A actions by string
+    order, a transition's code is ``(rank(src)·A + rank(action))·R +
+    rank(dst)``, so codes sort as their triples do.  The rows are
+    sorted by ``(n, len(trans), trans)``.
 
     A depth-first search over the breadth-first visit of a candidate:
     a reached source takes its must moves and decides each optional one
     (skip, then take) in (action, target) order; a state is named s<i>
     when first reached.  A leaf is one candidate, restricted to its
-    reachable part and renamed.  Leaves collapse on the sorted renamed
-    transitions, since two candidates can give one product visited in
-    different orders.  Every row is a product of ``family`` (the
-    renaming witnesses it).  ``MAX_OPTIONAL_TRANSITIONS`` bounds the
-    may-only transitions whose source is reachable under may.
+    reachable part and renamed.  Leaves collapse on the sorted codes,
+    since two candidates can give one product visited in different
+    orders.  Every row is a product of ``family`` (the renaming
+    witnesses it).  ``MAX_OPTIONAL_TRANSITIONS`` bounds the may-only
+    transitions whose source is reachable under may.
     """
-    moves = {}                  # src -> sorted (action, dst, optional)
+    r = len(family.states)
+    actions = sorted(family.actions)
+    offset = {a: k * r for k, a in enumerate(actions)}
+    span = len(actions) * r     # the code distance of adjacent source ranks
+    moves = {}          # src -> (action's part of the code, dst, optional)
     for (src, action, dst) in sorted(family.may):
         moves.setdefault(src, []).append(
-            (action, dst, (src, action, dst) not in family.must))
+            (offset[action], dst, (src, action, dst) not in family.must))
     reachable, stack = {family.init}, [family.init]
     while stack:
         new = {dst for (_, dst, _) in moves.get(stack.pop(), ())} - reachable
@@ -315,52 +325,58 @@ def product_rows(family: Mts) -> list:
             f"{count} optional transitions reachable from "
             f"{family.init} under may, derivation bound is "
             f"{MAX_OPTIONAL_TRANSITIONS}")
-    names = state_names(len(reachable))
-    order = {family.init: "s0"}   # reached state -> its name, in visit order
+    ranked = sorted(range(r), key=str)      # visit indices by name order
+    rank = [0] * r
+    for k, i in enumerate(ranked):
+        rank[i] = k
+    order = {family.init: 0}    # reached state -> its rank, in visit order
     # The reached states with moves, in visit order: the others are
     # only named.
     queue = [family.init] if family.init in moves else []
-    kept = []                     # renamed transitions taken, in visit order
-    seen = {}                     # sorted renamed transitions -> state count
+    kept = []                   # codes of the moves taken, in visit order
+    seen = {}                   # sorted codes -> state count
 
     def search(qi, mi):
-        """Every leaf from move ``mi`` of ``queue[qi]`` on; undoes its moves."""
+        """The leaves from move ``mi`` of ``queue[qi]`` on: each that
+        skips one of these optional moves by a call that undoes its own
+        moves, then the one that takes them all."""
         n_order, n_queue, n_kept = len(order), len(queue), len(kept)
-        leaf = True
-        while leaf and qi < len(queue):
+        while qi < len(queue):
             src = queue[qi]
             out = moves[src]
-            while mi < len(out):
-                action, dst, optional = out[mi]
-                mi += 1
+            base = order[src] * span
+            for mi in range(mi, len(out)):
+                part, dst, optional = out[mi]
                 if optional:
-                    search(qi, mi)
+                    search(qi, mi + 1)
                 if dst not in order:
-                    order[dst] = names[len(order)]
+                    order[dst] = rank[len(order)]
                     if dst in moves:
                         queue.append(dst)
-                kept.append((order[src], action, order[dst]))
-                if optional:
-                    search(qi, mi)
-                    leaf = False
-                    break
+                kept.append(base + part + order[dst])
             qi, mi = qi + 1, 0
-        if leaf:
-            seen.setdefault(tuple(sorted(kept)), len(order))
+        seen.setdefault(tuple(sorted(kept)), len(order))
         while len(order) > n_order:
             order.popitem()       # the last state named
         del queue[n_queue:], kept[n_kept:]
 
     search(0, 0)
-    return sorted(((n, trans) for trans, n in seen.items()),
-                  key=lambda row: (row[0], len(row[1]), row[1]))
+    names = [f"s{i}" for i in ranked]
+    triples = {}
+    for code in set().union(*seen):
+        rest, dst = divmod(code, r)
+        src, action = divmod(rest, len(actions))
+        triples[code] = (names[src], actions[action], names[dst])
+    rows = sorted((n, len(trans), trans) for trans, n in seen.items())
+    return [(n, trans) for n, _, trans in rows], triples
 
 
 def derive_products(family: Mts) -> list:
     """``product_rows(family)`` as ``Lts`` values, built unchecked."""
-    rows = product_rows(family)
+    rows, triples = product_rows(family)
     states = {n: frozenset(state_names(n)) for n in {n for n, _ in rows}}
-    return [_trusted_lts(states[n], "s0", frozenset(trans))
+    return [_trusted_lts(states[n], "s0",
+                         frozenset(map(triples.__getitem__, trans)))
             for n, trans in rows]
 
 

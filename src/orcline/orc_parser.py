@@ -681,71 +681,86 @@ def render_feature_model(model: fm.FeatureModel) -> str:
 # Transition-system formats (line oriented)
 
 def _ts_lines(src: str):
+    """``(line number, text before any --, its words)`` of each line
+    that has a word."""
     for lineno, raw in enumerate(src.splitlines(), start=1):
         line = raw.split("--", 1)[0]
-        tokens = [(m.group(), m.start() + 1)
-                  for m in re.finditer(r"\S+", line)]
-        if tokens:
-            yield lineno, tokens
+        words = line.split()
+        if words:
+            yield lineno, line, words
 
 
 def _parse_transition_file(src: str, kind: str):
-    """Shared reader for .mts (must/may lines) and .lts (trans lines)."""
+    """Shared reader for .mts (must/may lines) and .lts (trans lines).
+    A word's column is worked out only for a diagnostic."""
     diags: list = []
-    states: list = []
+    states: set = set()
     init = None
     triples: dict = {"must": set(), "may": set(), "trans": set()}
     allowed = ("must", "may") if kind == "mts" else ("trans",)
     header_seen = False
+    columns = {}        # line number -> the columns of its words
 
-    def err(lineno, col, msg):
-        diags.append(ParseDiagnostic(SourceSpan(lineno, col), msg, "error"))
+    def err(lineno, line, k, msg):
+        """An error at the ``k``-th word of ``line``."""
+        if lineno not in columns:
+            columns[lineno] = [m.start() + 1
+                               for m in re.finditer(r"\S+", line)]
+        diags.append(ParseDiagnostic(SourceSpan(lineno, columns[lineno][k]),
+                                     msg, "error"))
 
-    for lineno, tokens in _ts_lines(src):
-        word, col = tokens[0]
+    for lineno, line, words in _ts_lines(src):
+        word = words[0]
         if not header_seen:
-            if word != kind or len(tokens) != 2:
-                err(lineno, col,
+            if word != kind or len(words) != 2:
+                err(lineno, line, 0,
                     f"expected header '{kind} NAME' on the first line")
             header_seen = True
             if word == kind:
                 continue
-        if word == "states":
-            for (name, c) in tokens[1:]:
+        if word in allowed:
+            if len(words) != 4:
+                err(lineno, line, 0, f"expected '{word} SRC ACTION DST'")
+                continue
+            _, src_s, action, dst_s = words
+            if src_s in states and dst_s in states:
+                triples[word].add((src_s, action, dst_s))
+                continue
+            for k in (1, 3):
+                if words[k] not in states:
+                    err(lineno, line, k,
+                        f"state {words[k]!r} is not declared")
+        elif word == "states":
+            for k, name in enumerate(words[1:], start=1):
                 if name in states:
-                    err(lineno, c, f"state {name!r} declared twice")
+                    err(lineno, line, k, f"state {name!r} declared twice")
                 else:
-                    states.append(name)
+                    states.add(name)
         elif word == "init":
-            if len(tokens) != 2:
-                err(lineno, col, "expected 'init STATE'")
+            if len(words) != 2:
+                err(lineno, line, 0, "expected 'init STATE'")
                 continue
             if init is not None:
-                err(lineno, col, "init state declared twice")
-            init = tokens[1][0]
+                err(lineno, line, 0, "init state declared twice")
+            init = words[1]
             if init not in states:
-                err(lineno, tokens[1][1],
-                    f"init state {init!r} is not declared")
-        elif word in allowed:
-            if len(tokens) != 4:
-                err(lineno, col, f"expected '{word} SRC ACTION DST'")
-                continue
-            (src_s, c1), (action, _), (dst_s, c3) = tokens[1:]
-            ok = True
-            for (s, c) in ((src_s, c1), (dst_s, c3)):
-                if s not in states:
-                    err(lineno, c, f"state {s!r} is not declared")
-                    ok = False
-            if ok:
-                triples[word].add((src_s, action, dst_s))
+                err(lineno, line, 1, f"init state {init!r} is not declared")
         else:
-            err(lineno, col, f"unknown directive {word!r}")
+            err(lineno, line, 0, f"unknown directive {word!r}")
 
     if init is None:
-        err(1, 1, "missing init state")
+        diags.append(ParseDiagnostic(SourceSpan(1, 1), "missing init state",
+                                     "error"))
     if any(d.severity == "error" for d in diags):
         raise ParseError(diags)
     return frozenset(states), init, triples
+
+
+def transition_kind(src: str, default: str) -> str:
+    """The header word of a transition-system source when it is ``lts``
+    or ``mts``, else ``default``."""
+    word = next((words[0] for _, _, words in _ts_lines(src)), None)
+    return word if word in ("lts", "mts") else default
 
 
 def parse_mts(src: str) -> mts_mod.Mts:

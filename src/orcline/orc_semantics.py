@@ -783,8 +783,11 @@ def path_call_site_sets(explored: ExploredLts) -> frozenset:
 
 
 def lts_view(explored: ExploredLts) -> Lts:
-    """The explored graph as an Lts with states s0, s1, ..."""
-    trans = frozenset((f"s{i}", event_label(ev), f"s{j}")
+    """The explored graph as an Lts with states s0, s1, ..., each
+    distinct event labelled once."""
+    names = [f"s{i}" for i in range(len(explored.states))]
+    labels = {ev: event_label(ev)
+              for ev in {ev for _, ev, _ in explored.edges}}
+    trans = frozenset((names[i], labels[ev], names[j])
                       for (i, ev, j) in explored.edges)
-    states = frozenset(f"s{i}" for i in range(len(explored.states)))
-    return Lts(states, frozenset(), "s0", trans)
+    return Lts(frozenset(names), frozenset(), "s0", trans)

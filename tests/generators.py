@@ -148,10 +148,9 @@ def brute_force_products(model: FeatureModel) -> set:
 
 
 def random_mts(rng: random.Random, max_states: int = 6,
-               max_may_only: int = 10) -> Mts:
+               max_may_only: int = 10, actions=("a", "b", "c")) -> Mts:
     n = rng.randrange(1, max_states + 1)
     states = [f"q{i}" for i in range(n)]
-    actions = ["a", "b", "c"]
     triples = [(s, a, d) for s in states for a in actions for d in states]
     rng.shuffle(triples)
     must = frozenset(triples[:rng.randrange(0, 2 * n)])
@@ -162,7 +161,7 @@ def random_mts(rng: random.Random, max_states: int = 6,
 
 
 def nested_mts(rng: random.Random, min_optional: int = 8,
-               max_optional: int = 14) -> Mts:
+               max_optional: int = 14, actions="ab") -> Mts:
     """A family whose optional transitions nest: each new state is the
     target of an optional transition (now and then of a must one out of
     a state that only optional ones reach), and later transitions leave
@@ -171,7 +170,8 @@ def nested_mts(rng: random.Random, min_optional: int = 8,
     states, and the state names are drawn at random, so the visit order
     of a candidate need not follow the order the states were made in.
     Every one of the ``min_optional``..``max_optional`` optional
-    transitions is reachable under may."""
+    transitions is reachable under may.  Labels are drawn from
+    ``actions``."""
     k = rng.randrange(min_optional, max_optional + 1)
     names = [f"q{i}" for i in rng.sample(range(100), 60)]
     states = [names.pop()]
@@ -183,13 +183,67 @@ def nested_mts(rng: random.Random, min_optional: int = 8,
         else:
             dst = names.pop()
             states.append(dst)
-        t = (src, rng.choice("ab"), dst)
+        t = (src, rng.choice(actions), dst)
         if t in must or t in optional:
             continue
         (must if src != states[0] and rng.random() < 0.2
          else optional).add(t)
-    return Mts(frozenset(states), frozenset("ab"), states[0],
+    return Mts(frozenset(states), frozenset(actions), states[0],
                frozenset(must), frozenset(must | optional))
+
+
+# Word separators and line breaks of the transition-system formats:
+# str.split and str.splitlines take every one of them.
+SPACES = (" ", "  ", "\t", " \t ", "\xa0", "\u3000")
+BREAKS = ("\n", "\n", "\n", "\r\n", "\f", "\v", "\x1c", "\u2028")
+
+
+def transition_file(rng: random.Random, kind: str) -> str:
+    """The text of a .mts (``kind`` "mts") or .lts file, with words
+    apart by tabs, runs of spaces and Unicode spaces, lines ended by
+    every kind of line break (form feeds among them), ``--`` comments
+    and blank lines.  Now and then it holds a fault the reader reports:
+    a wrong or missing header, a state declared twice (on one
+    ``states`` line or two), an init that is missing, given twice or
+    undeclared, a transition to an undeclared state, a directive of the
+    other format, or a line with a word too many or too few."""
+    states = [f"q{i}" for i in range(rng.randrange(1, 7))]
+    words = ("must", "may") if kind == "mts" else ("trans",)
+    other = "trans" if kind == "mts" else "must"
+    # Half the files are faultless; the rest take each fault at random.
+    odds = rng.choice((0, 1))
+    lines = []
+    if rng.random() >= 0.1 * odds:
+        lines.append([rng.choice((kind,) * 3 + (other,) * odds), "Name"][
+            :rng.choice((2,) * 4 + (1,) * odds)])
+    cut = rng.randrange(1, len(states) + 1)
+    for part in (states[:cut], states[cut:]):
+        if part:
+            if rng.random() < 0.15 * odds:
+                part = part + [rng.choice(states[:cut])]
+            lines.append(["states"] + part)
+    init = ["init", "zz" if rng.random() < 0.1 * odds
+            else rng.choice(states)]
+    lines += [init] * rng.choice((1,) * 7 + (0, 2) * odds)
+    for _ in range(rng.randrange(0, 9)):
+        dst = "zz" if rng.random() < 0.07 * odds else rng.choice(states)
+        line = [rng.choice(words), rng.choice(states), rng.choice("ab"), dst]
+        if rng.random() < 0.05 * odds:
+            line[0] = other
+        if rng.random() < 0.05 * odds:
+            line = line[:rng.randrange(1, 4)] if rng.random() < 0.5 \
+                else line + ["x"]
+        lines.append(line)
+    text = []
+    for line in lines:
+        if rng.random() < 0.2:
+            text.append(rng.choice(("", "-- a note", " \t")))
+            text.append(rng.choice(BREAKS))
+        text.append(rng.choice(("", "", " ", "\t", "\xa0")))
+        text.append(rng.choice(SPACES).join(line))
+        text.append(rng.choice(("", "", "\t", "-- note --x", " -- y z")))
+        text.append(rng.choice(BREAKS))
+    return "".join(text)
 
 
 def random_lts(rng: random.Random, max_states: int = 5) -> Lts:

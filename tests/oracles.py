@@ -4,6 +4,11 @@
 kept unchanged: the product check deletes failing pairs from the full
 product × family relation until fixpoint (O(n³) on a chain), and the
 derivation toggles every may-only transition, reachable or not.
+``parse_transition_file`` is the .mts/.lts reader that kept the
+declared states in a list (O(states) a membership test) and found
+every word's column with a regular expression; the reader now keeps a
+set, splits with ``str.split`` and finds a column only for a
+diagnostic.
 
 ``canonical_key`` is the explorer's original state key, kept
 unchanged: a private, fully parenthesised syntax that marks site calls
@@ -51,6 +56,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from operator import itemgetter
 
 from orcline.errors import BoundExceeded
@@ -62,6 +68,7 @@ from orcline.orc_ast import (
     STOP, Asymmetric, DefCall, Emit, Expr, Otherwise, Parallel, Pending,
     Program, Sequential, SiteCall, Stop, Var, render_value, substitute,
 )
+from orcline.orc_parser import ParseDiagnostic, ParseError, SourceSpan
 from orcline.orc_semantics import (
     _DEPTH, _PRIO_BIND, _PRIO_CALL, _PRIO_EXPAND, _PRIO_FALLBACK,
     _PRIO_PUBLISH, _PRIO_RETURN, _PRIO_SEQ_SPAWN, _PRIO_TICK, _UNBOUND,
@@ -187,6 +194,74 @@ def derive_products(family, max_optional: int = 20) -> list:
         return (len(lts.states), len(lts.trans), sorted(lts.trans))
 
     return sorted(seen.values(), key=sort_key)
+
+
+def _ts_lines(src: str):
+    for lineno, raw in enumerate(src.splitlines(), start=1):
+        line = raw.split("--", 1)[0]
+        tokens = [(m.group(), m.start() + 1)
+                  for m in re.finditer(r"\S+", line)]
+        if tokens:
+            yield lineno, tokens
+
+
+def parse_transition_file(src: str, kind: str):
+    """Shared reader for .mts (must/may lines) and .lts (trans lines)."""
+    diags: list = []
+    states: list = []
+    init = None
+    triples: dict = {"must": set(), "may": set(), "trans": set()}
+    allowed = ("must", "may") if kind == "mts" else ("trans",)
+    header_seen = False
+
+    def err(lineno, col, msg):
+        diags.append(ParseDiagnostic(SourceSpan(lineno, col), msg, "error"))
+
+    for lineno, tokens in _ts_lines(src):
+        word, col = tokens[0]
+        if not header_seen:
+            if word != kind or len(tokens) != 2:
+                err(lineno, col,
+                    f"expected header '{kind} NAME' on the first line")
+            header_seen = True
+            if word == kind:
+                continue
+        if word == "states":
+            for (name, c) in tokens[1:]:
+                if name in states:
+                    err(lineno, c, f"state {name!r} declared twice")
+                else:
+                    states.append(name)
+        elif word == "init":
+            if len(tokens) != 2:
+                err(lineno, col, "expected 'init STATE'")
+                continue
+            if init is not None:
+                err(lineno, col, "init state declared twice")
+            init = tokens[1][0]
+            if init not in states:
+                err(lineno, tokens[1][1],
+                    f"init state {init!r} is not declared")
+        elif word in allowed:
+            if len(tokens) != 4:
+                err(lineno, col, f"expected '{word} SRC ACTION DST'")
+                continue
+            (src_s, c1), (action, _), (dst_s, c3) = tokens[1:]
+            ok = True
+            for (s, c) in ((src_s, c1), (dst_s, c3)):
+                if s not in states:
+                    err(lineno, c, f"state {s!r} is not declared")
+                    ok = False
+            if ok:
+                triples[word].add((src_s, action, dst_s))
+        else:
+            err(lineno, col, f"unknown directive {word!r}")
+
+    if init is None:
+        err(1, 1, "missing init state")
+    if any(d.severity == "error" for d in diags):
+        raise ParseError(diags)
+    return frozenset(states), init, triples
 
 
 def _canon_value(v) -> str:

@@ -604,8 +604,11 @@ def test_mts_check_json_reports_a_foreign_action_as_the_alphabet_clause(
 def _products_families():
     """The fixture family, seeded random and nested ones, one whose
     actions JSON escapes and whose first product has no transitions,
-    and a chain of 12 states whose products list ``s10`` and ``s11``
-    before ``s2``."""
+    one whose actions sort around the state names and whose largest
+    product has 15 states, and a chain of 12 states whose products list
+    ``s10`` and ``s11`` before ``s2``."""
+    named = nested_mts(random.Random(18), 10, 12,
+                       ("A", "a", "a1", "b_2", "s10", "s2"))
     rng = random.Random(58)
     chain = [(f"q{i}", "a", f"q{i + 1}") for i in range(11)]
     optional = [("q0", "b", "q5"), ("q3", "b", "q0"), ("q7", "c", "q2"),
@@ -616,7 +619,7 @@ def _products_families():
             + [random_mts(rng) for _ in range(20)]
             + [nested_mts(rng, 3, 8) for _ in range(4)]
             + [mts.Mts(frozenset({"p0", "p1"}), frozenset(), "p0",
-                       frozenset(), frozenset(quoted))]
+                       frozenset(), frozenset(quoted)), named]
             + [mts.Mts(frozenset(f"q{i}" for i in range(12)), frozenset(),
                        "q0", frozenset(chain), frozenset(chain + optional))])
 
@@ -664,6 +667,28 @@ def test_mts_dot_styles_may_edges(capsys):
     code, out, err = run_cli(capsys, "mts", "dot", fx("drh_product.lts"))
     assert code == 0
     assert "dashed" not in out
+
+
+def test_mts_dot_reads_the_header_before_the_suffix(capsys, tmp_path):
+    # A header word lts or mts names the format, whatever the suffix;
+    # a file without one is read by its suffix.
+    for name, kind in (("drh_product.lts", "lts"),
+                       ("drh_family.mts", "mts")):
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(corpus.fixture_text(name))
+        result = run_cli(capsys, "mts", "dot", str(path))
+        assert result == run_cli(capsys, "mts", "dot", fx(name))
+        assert result[1].startswith(f"digraph {kind} {{")
+    headless = corpus.fixture_text("drh_product.lts").replace(
+        "lts DRHighSupplyBasic\n", "")
+    for suffix in ("lts", "txt"):
+        path = tmp_path / f"headless.{suffix}"
+        path.write_text(headless)
+        kind = "lts" if suffix == "lts" else "mts"
+        code, out, err = run_cli(capsys, "mts", "dot", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{path}:3:1: error: expected header "
+                              f"'{kind} NAME' on the first line\n")
 
 
 # ---------------------------------------------------------------------------

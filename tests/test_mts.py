@@ -335,6 +335,45 @@ def test_nested_families_match_full_toggling(monkeypatch):
     assert distinct < candidates // 10
 
 
+# Actions that sort around each other and around the product state
+# names: "A" < "a" < "a1" < "b_2" < "s10" < "s2".
+NAMED_ACTIONS = ("A", "a", "a1", "b_2", "s10", "s2")
+
+
+def _named_families(rng, want, make):
+    """The first ``want`` families of ``make(rng)`` with a product of 11
+    or more states, whose names s10, s11, ... sort before s2."""
+    out = []
+    while len(out) < want:
+        family = make(rng)
+        if max(n for n, _ in mts.product_rows(family)[0]) >= 11:
+            out.append(family)
+    return out
+
+
+def test_codes_sort_as_the_triples_they_name():
+    # A code ranks a state by its name's string order, not its visit
+    # index, so sorted codes are sorted triples: the rows decode to the
+    # full toggling's products, in its order.
+    rng = random.Random(30)
+    families = _named_families(
+        rng, 12, lambda rng: nested_mts(rng, 10, 12, NAMED_ACTIONS))
+    families += _named_families(
+        rng, 40, lambda rng: random_mts(rng, 16, 8, NAMED_ACTIONS))
+    large = 0
+    for family in families:
+        expected = oracles.derive_products(family)
+        assert derive_products(family) == expected
+        rows, triples = mts.product_rows(family)
+        assert [(n, len(trans)) for n, trans in rows] == \
+            [(len(p.states), len(p.trans)) for p in expected]
+        for (n, trans), product in zip(rows, expected):
+            decoded = [triples[code] for code in trans]
+            assert decoded == sorted(product.trans)
+        large += sum(n >= 11 for n, _ in rows)
+    assert large >= 500
+
+
 def _chain(n):
     """A family requiring n ``go`` steps (q0 -> ... -> qn) that allows
     ``go`` back to q0 and an ``up`` loop at qn, and three candidates:

@@ -1,4 +1,6 @@
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -13,11 +15,16 @@ from orcline.orc_ast import (
     Sequential, SiteCall, SiteSpec, Var, free_vars, substitute,
 )
 from orcline.orc_parser import (
-    format_diagnostic, parse_program_with_diagnostics,
+    _parse_transition_file, format_diagnostic,
+    parse_program_with_diagnostics,
 )
+from orcline.orc_semantics import explore, lts_view
 
+import oracles
 from diagnostic_cases import CASES
-from generators import random_expr, random_feature_model, random_mts
+from generators import (
+    random_expr, random_feature_model, random_mts, transition_file,
+)
 
 
 def errors_of(src):
@@ -393,3 +400,63 @@ def test_transition_system_round_trips():
                                                m.init, m.must, m.may)
         l = Lts(m.states, frozenset(), m.init, m.may)
         assert parse_lts(render_lts(l)) == l
+
+
+def _read(reader, src, kind):
+    """What ``reader`` makes of ``src``: its result, or the lines of
+    the diagnostics it raises."""
+    try:
+        return reader(src, kind)
+    except ParseError as exc:
+        return [format_diagnostic(d) for d in exc.diagnostics]
+
+
+def test_reader_matches_the_list_reader_on_generated_files():
+    # The set reader splits with str.split and works out a column only
+    # for a diagnostic; the list reader found every word with a regular
+    # expression.  Both must read every file alike, odd whitespace and
+    # faults included.
+    rng = random.Random(30)
+    seen = Counter()
+    for i in range(800):
+        kind = ("mts", "lts")[i % 2]
+        src = transition_file(rng, kind)
+        got = _read(_parse_transition_file, src, kind)
+        assert got == _read(oracles.parse_transition_file, src, kind), src
+        seen["error" if isinstance(got, list) else "read"] += 1
+        seen.update(c for c in ("\t", "\f", "\xa0", "--") if c in src)
+        if isinstance(got, list):
+            seen.update(line.split(": error: ")[1].split(" ")[0]
+                        for line in got)
+    assert seen["read"] >= 200 and seen["error"] >= 200
+    for mark in ("\t", "\f", "\xa0", "--"):
+        assert seen[mark] >= 100
+    # Every diagnostic of the reader: the header, a state declared
+    # twice or not at all ("state"), an init missing ("missing"),
+    # undeclared or twice ("init"), a word too many or too few
+    # ("expected") and a directive of the other format ("unknown").
+    for word in ("expected", "state", "init", "missing", "unknown"):
+        assert seen[word] >= 20
+
+
+def test_a_state_declared_on_two_states_lines():
+    # A form feed ends a line, as str.splitlines has it.
+    src = "mts M\nstates a\tb  -- first\n\fstates\xa0c a\ninit a\n"
+    lines = ["<input>:4:10: error: state 'a' declared twice"]
+    for reader in (_parse_transition_file, oracles.parse_transition_file):
+        assert _read(reader, src, "mts") == lines
+
+
+def test_a_large_lts_reads_in_linear_time():
+    # orc explore --format lts of a 6-let ladder: 4^6 states and
+    # 3·6·4^5 transitions.  The list reader took over a second.
+    program = parse_program(" | ".join(f"let({i})" for i in range(6)))
+    text = render_lts(lts_view(explore(program, reduce=False)),
+                      name="explored")
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        lts = parse_lts(text)
+        times.append(time.perf_counter() - start)
+    assert (len(lts.states), len(lts.trans)) == (4096, 18432)
+    assert min(times) < 0.5

@@ -15,11 +15,17 @@ on let ladders, a timer race, the fixtures and the encoded pipeline,
 seeded ``orc run`` on fan-outs), every ``mts check`` and ``fm
 validate`` again with ``--format json``, ``mts check``/``products``/
 ``dot`` and the ``fm`` commands on the bundled fixtures and on broken
-variants of the fixture product, ``mts dot`` on the fixture product,
+variants of the fixture product, ``mts check`` and ``mts dot`` on the
+fixture product saved as ``.txt``, ``mts dot`` on the fixture product,
+on transition systems written with tabs, no-break spaces, form feeds
+and ``--`` comments and on one that declares a state on two ``states``
+lines, ``mts dot`` on the full graph of a 6-let ladder (4,096 states)
+and ``mts check`` of that graph against itself as an all-must family,
 ``fixtures list`` and ``fixtures show``, ``mts products`` (text and
 json) on a family with optional transitions behind optional ones, on
 one where two choices give the same product, on one over the
-derivation bound and on a 12-state chain, ``fm products`` (text and json), ``fm count`` and
+derivation bound, on a 12-state chain and on a 13-state chain whose
+actions sort around the state names, ``fm products`` (text and json), ``fm count`` and
 ``encode`` on the bundled and on generated feature models (the
 benchmark's 14- and 15-feature families, one of 19 features, an
 alternative group under an optional feature,
@@ -204,12 +210,16 @@ FM_PROBES = [
      + "  mandatory Y {\n    optional Y0\n  }\n  requires X1 Y0\n}\n"),
 ]
 
+# Actions that sort around each other and around the product state
+# names.
+NAMED_ACTIONS = ("A", "a", "a1", "b_2", "s10", "s2")
+
 # (file name, family) of the ``mts products`` probes: optional
 # transitions behind optional ones (and a must behind one), two choices
 # that give one product visited in two orders, 21 reachable optional
-# transitions, one over the derivation bound, and a required chain of
-# 12 states with optional edges, whose products list ``s10`` and
-# ``s11`` before ``s2``.
+# transitions, one over the derivation bound, a required chain of 12
+# states with optional edges, whose products list ``s10`` and ``s11``
+# before ``s2``, and a chain of 13 states labelled by NAMED_ACTIONS.
 MTS_PROBES = [
     ("nested.mts",
      "mts Nested\nstates r a b c d e\ninit r\nmust c go r\n"
@@ -226,6 +236,27 @@ MTS_PROBES = [
      + "\ninit q0\n" + "".join(f"must q{i} a q{i + 1}\n" for i in range(11))
      + "may q0 b q5\nmay q3 b q0\nmay q7 c q2\nmay q10 b q10\n"
        "may q11 a q1\n"),
+    ("named.mts",
+     "mts Named\nstates " + " ".join(f"q{i}" for i in range(13))
+     + "\ninit q0\n"
+     + "".join(f"must q{i} {NAMED_ACTIONS[i % 6]} q{i + 1}\n"
+               for i in range(12))
+     + "may q0 s2 q9\nmay q2 A q11\nmay q4 a1 q0\nmay q9 b_2 q3\n"
+       "may q12 s10 q1\nmay q6 a q6\n"),
+]
+
+# (file name, text) of the transition-system reader probes: words apart
+# by tabs and no-break spaces, lines ended by form feeds, ``--``
+# comments, and a state declared on two ``states`` lines.
+ODD_WHITESPACE = [
+    ("odd.mts",
+     "-- a family\fmts\tOdd  -- named\nstates\ts0 s1\xa0s2\f\n"
+     "\tinit s0\t\nmust s0\ta\ts1 -- --\r\nmay\xa0s1 b s2\fmay s2 a s0\n"),
+    ("odd.lts",
+     "\n\tlts Odd\nstates s0\t\ts1 -- two\finit\xa0s0\ntrans s0 a s1\v"
+     "trans\ts1 b s1\n"),
+    ("twice.mts", "mts Twice\nstates s0 s1\nstates\ts2\fstates s1\n"
+                  "init s0\n"),
 ]
 
 # (file name, JSON or text) of the plans ``encode --plan`` reads for
@@ -298,11 +329,39 @@ def fixture_commands(workdir: str) -> list:
         products.append(os.path.join(workdir, f"{name}.lts"))
         with open(products[-1], "w") as handle:
             handle.write(text)
+    # The fixture product saved as .txt, read by its header.
+    products.append(os.path.join(workdir, "product.txt"))
+    with open(products[-1], "w") as handle:
+        handle.write(chain)
     commands = [["mts", "check", fx("drh_family.mts"), p] for p in products]
     commands += [["mts", "products", fx("drh_family.mts")],
                  ["mts", "dot", fx("drh_family.mts")],
                  ["mts", "dot", fx("drh_product.lts")],
+                 ["mts", "dot", products[-1]],
                  ["fixtures", "list"], ["fixtures", "show", "dr.orc"]]
+    for name, text in ODD_WHITESPACE:
+        path = os.path.join(workdir, name)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        commands.append(["mts", "dot", path])
+    commands += [["mts", "products", os.path.join(workdir, "odd.mts")],
+                 ["mts", "check", os.path.join(workdir, "odd.mts"),
+                  os.path.join(workdir, "odd.lts")]]
+    # The full graph of a 6-let ladder (4,096 states), written once
+    # with this checkout, and the same graph as an all-must family.
+    ladder = os.path.join(workdir, "ladder6.orc")
+    with open(ladder, "w") as handle:
+        handle.write(" | ".join(f"let({i})" for i in range(6)) + "\n")
+    graph = os.path.join(workdir, "ladder6.lts")
+    run(ROOT, ["orc", "explore", ladder, "--format", "lts", "--out", graph],
+        workdir, [])
+    with open(graph) as handle:
+        text = handle.read()
+    with open(os.path.join(workdir, "ladder6.mts"), "w") as handle:
+        handle.write("mts" + text[3:].replace("\ntrans ", "\nmust "))
+    commands += [["mts", "dot", graph],
+                 ["mts", "check", os.path.join(workdir, "ladder6.mts"),
+                  graph]]
     fms = [fx("smartgrid.fm"), fx("no_renewables.fm")]
     commands.append(["fm", "validate", fx("smartgrid.fm"), "--select",
                      "SmartGrid,DemandResponse"])
