@@ -269,37 +269,24 @@ def _cmd_mts_check(args) -> int:
     try:
         check = mts_mod.is_product(product, family)
     except mts_mod.ActionMismatch as exc:
-        if args.format == "json":
-            payload = {"product": False, "witness": None,
-                       "failure": {"clause": "alphabet",
-                                   "message": str(exc)}}
-            _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                  args.out)
-        else:
-            _emit(f"NOT-A-PRODUCT\n  alphabet: {exc}\n", args.out)
-        return EXIT_NEGATIVE
-    witness = sorted(check.witness) if check.holds else None
-    if args.format == "json":
-        failure = None
-        if check.failure is not None:
-            f = check.failure
-            failure = {"clause": f.clause, "product_state": f.product_state,
-                       "family_state": f.family_state, "action": f.action,
-                       "target": f.target, "message": str(f)}
-        payload = {"product": check.holds,
-                   "witness": [list(pair) for pair in witness]
-                   if witness else None,
-                   "failure": failure, "rounds": check.rounds}
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-              args.out)
-    elif check.holds:
-        lines = ["PRODUCT", f"witness ({len(witness)} pairs):"]
-        lines += [f"  ({p}, {q})" for (p, q) in witness]
-        _emit("\n".join(lines) + "\n", args.out)
+        payload = {"product": False, "witness": None,
+                   "failure": {"clause": "alphabet", "message": str(exc)}}
+        lines = ["NOT-A-PRODUCT", f"  alphabet: {exc}"]
     else:
-        _emit(f"NOT-A-PRODUCT\n  {check.failure.clause}: "
-              f"{check.failure}\n", args.out)
-    return EXIT_OK if check.holds else EXIT_NEGATIVE
+        f = check.failure
+        witness = check.witness and sorted(map(list, check.witness))
+        payload = {"product": check.holds, "witness": witness,
+                   "failure": f and {**vars(f), "message": str(f)},
+                   "rounds": check.rounds}
+        if witness:
+            lines = ["PRODUCT", f"witness ({len(witness)} pairs):"]
+            lines += [f"  ({p}, {q})" for (p, q) in witness]
+        else:
+            lines = ["NOT-A-PRODUCT", f"  {f.clause}: {f}"]
+    text = (json.dumps(payload, sort_keys=True, indent=2)
+            if args.format == "json" else "\n".join(lines))
+    _emit(text + "\n", args.out)
+    return EXIT_OK if payload["product"] else EXIT_NEGATIVE
 
 
 def _cmd_mts_products(args) -> int:

@@ -16,9 +16,10 @@ every (s, t) in R:
        targets again related.
 
 ``is_product`` decides this with a worklist over the state pairs
-reachable from the initial pair, keeping a count of live matches per
-clause obligation; ``product_rows`` and ``derive_products`` list, as rows
-and as Lts values, the products of every choice of may-only transitions.
+reachable from the initial pair: each clause obligation counts its live
+matches, and each match holds the counters it keeps alive.
+``product_rows`` and ``derive_products`` list, as rows and as Lts
+values, the products of every choice of may-only transitions.
 """
 
 from __future__ import annotations
@@ -64,21 +65,6 @@ class Lts:
     def __post_init__(self):
         _freeze(self, "trans", frozenset(self.trans))
         _seal(self, self.trans, "lts")
-
-
-def _trusted_lts(states: frozenset, init: str, trans: frozenset) -> Lts:
-    """An Lts built without ``_seal``'s checks, for a caller whose
-    ``trans`` names only ``states``, ``init`` among them; its actions
-    are the labels of ``trans``.  Parsed input goes through ``Lts``,
-    which checks."""
-    lts = object.__new__(Lts)
-    _freeze(lts, "states", states)
-    # Copied from a set, a frozenset is sized to it; grown from an
-    # iterator, its table can take twice the memory.
-    _freeze(lts, "actions", frozenset({a for (_, a, _) in trans}))
-    _freeze(lts, "init", init)
-    _freeze(lts, "trans", trans)
-    return lts
 
 
 @dataclass(frozen=True)
@@ -157,12 +143,14 @@ def is_product(product: Lts, family: Mts) -> ProductCheck:
     may-edge q --a--> q2 leads from (p, q) to (p2, q2).  Both clauses
     only ever ask about such successors, so the greatest relation on
     the reachable pairs is the greatest relation on all of P × Q
-    restricted to them.  Every obligation of a pair (a must-edge of q,
-    an edge of p) counts its moves whose target pair is still alive; a
-    pair dies when one count reaches 0, and its death lowers only the
-    counts of its predecessors (the simulation algorithm of Henzinger,
-    Henzinger and Kopke, FOCS 1995).  A pair that dies at once is not
-    expanded: nothing behind it can save a live pair.
+    restricted to them.  Each obligation of a pair (an edge of p, a
+    must-edge of q) is a counter ``[owner, live]`` of the successors
+    that can still meet it, and each successor holds the counters it
+    meets.  A pair dies when one of its counters reaches 0, and its
+    death lowers only the counters it holds (the simulation algorithm
+    of Henzinger, Henzinger and Kopke, FOCS 1995).  A pair that dies at
+    once is not expanded: nothing behind it can save a live pair.
+    ``rounds`` counts the layers of deaths, plus the final empty one.
 
     Raises ActionMismatch when the product uses an action the family
     has never heard of (that is a modelling error, not a refusal).
@@ -176,58 +164,49 @@ def is_product(product: Lts, family: Mts) -> ProductCheck:
     f_must = _by_action(family.must)
     f_may = _by_action(family.may)
 
-    def moves(p, q):
-        may = f_may.get(q, {})
-        for action, p_targets in p_out.get(p, {}).items():
-            for q2 in may.get(action, ()):
-                for p2 in p_targets:
-                    yield action, (p2, q2)
-
     initial = (product.init, family.init)
-    preds = {initial: []}       # pair -> (p, q, action) of each move into it
-    must_left = {}              # (p, q, action, q2) -> live matching moves
-    move_left = {}              # (p, q, action, p2) -> live matching moves
+    keeps = {initial: []}       # pair -> the counters it meets
+    succ = {}                   # expanded pair -> its successor pairs
     layer = []                  # pairs that die now
     stack = [initial]
     while stack:
-        (p, q) = stack.pop()
-        p_moves = p_out.get(p, {})
-        q_must = f_must.get(q, {})
-        q_may = f_may.get(q, {})
+        pair = stack.pop()
+        p_moves = p_out.get(pair[0], {})
+        q_must = f_must.get(pair[1], {})
+        q_may = f_may.get(pair[1], {})
         if not _actions_match(p_moves, q_must, q_may):
-            layer.append((p, q))
+            layer.append(pair)
             continue
-        for action, targets in q_must.items():
-            n = len(p_moves[action])
-            for q2 in targets:
-                must_left[p, q, action, q2] = n
-        for action, targets in p_moves.items():
-            n = len(q_may[action])
-            for p2 in targets:
-                move_left[p, q, action, p2] = n
-        for action, pair in moves(p, q):
-            if pair not in preds:
-                preds[pair] = []
-                stack.append(pair)
-            preds[pair].append((p, q, action))
+        succ[pair] = nexts = []
+        for action, p_targets in p_moves.items():
+            q_targets = q_may[action]
+            must = {q2: [pair, len(p_targets)]
+                    for q2 in q_must.get(action, ())}
+            for p2 in p_targets:
+                move = [pair, len(q_targets)]
+                for q2 in q_targets:
+                    nxt = (p2, q2)
+                    if nxt not in keeps:
+                        keeps[nxt] = []
+                        stack.append(nxt)
+                    keeps[nxt].append(move)
+                    if q2 in must:
+                        keeps[nxt].append(must[q2])
+                    nexts.append(nxt)
 
     dead = set(layer)
     rounds = 1
     while layer:
         rounds += 1
         next_layer = []
-        for (p2, q2) in layer:
-            for (p, q, action) in preds[p2, q2]:
-                if (p, q) in dead:
-                    continue
-                move_left[p, q, action, p2] -= 1
-                dies = move_left[p, q, action, p2] == 0
-                if (q, action, q2) in family.must:
-                    must_left[p, q, action, q2] -= 1
-                    dies = dies or must_left[p, q, action, q2] == 0
-                if dies:
-                    dead.add((p, q))
-                    next_layer.append((p, q))
+        for pair in layer:
+            for counter in keeps[pair]:
+                owner = counter[0]
+                if owner not in dead:
+                    counter[1] -= 1
+                    if not counter[1]:
+                        dead.add(owner)
+                        next_layer.append(owner)
         layer = next_layer
 
     if initial in dead:
@@ -237,7 +216,7 @@ def is_product(product: Lts, family: Mts) -> ProductCheck:
     seen = {initial}
     frontier = [initial]
     while frontier:
-        for _, pair in moves(*frontier.pop()):
+        for pair in succ[frontier.pop()]:
             if pair not in dead and pair not in seen:
                 seen.add(pair)
                 frontier.append(pair)
@@ -372,11 +351,9 @@ def product_rows(family: Mts) -> tuple:
 
 
 def derive_products(family: Mts) -> list:
-    """``product_rows(family)`` as ``Lts`` values, built unchecked."""
+    """``product_rows(family)`` as ``Lts`` values."""
     rows, triples = product_rows(family)
-    states = {n: frozenset(state_names(n)) for n in {n for n, _ in rows}}
-    return [_trusted_lts(states[n], "s0",
-                         frozenset(map(triples.__getitem__, trans)))
+    return [Lts(state_names(n), (), "s0", map(triples.__getitem__, trans))
             for n, trans in rows]
 
 

@@ -4,6 +4,8 @@
 kept unchanged: the product check deletes failing pairs from the full
 product × family relation until fixpoint (O(n³) on a chain), and the
 derivation toggles every may-only transition, reachable or not.
+``product_rounds`` is the same naive deletion over the pairs that the
+product check reaches, counting its rounds as the check counts them.
 ``parse_transition_file`` is the .mts/.lts reader that kept the
 declared states in a list (O(states) a membership test) and found
 every word's column with a regular expression; the reader now keeps a
@@ -156,6 +158,44 @@ def is_product(product, family) -> ProductCheck:
                     seen.add((p2, q2))
                     frontier.append((p2, q2))
     return ProductCheck(frozenset(seen), None, rounds)
+
+
+def product_rounds(product, family) -> int:
+    """The rounds of a naive layered deletion over the pairs reachable
+    from the initial pair through moves out of the pairs that pass both
+    clauses while every pair is related: one round per deleted layer,
+    plus the final empty one."""
+    p_out = _outgoing(product.trans)
+    f_must = _outgoing(family.must)
+    f_may = _outgoing(family.may)
+
+    def fails(p, q, relation):
+        return (any(not any(a2 == a and (p2, q2) in relation
+                            for (a2, p2) in p_out.get(p, []))
+                    for (a, q2) in f_must.get(q, []))
+                or any(not any(a2 == a and (p2, q2) in relation
+                               for (a2, q2) in f_may.get(q, []))
+                       for (a, p2) in p_out.get(p, [])))
+
+    everything = set(itertools.product(product.states, family.states))
+    initial = (product.init, family.init)
+    relation, frontier = {initial}, [initial]
+    while frontier:
+        (p, q) = frontier.pop()
+        if fails(p, q, everything):
+            continue
+        for (a, p2) in p_out.get(p, []):
+            for (a2, q2) in f_may.get(q, []):
+                if a2 == a and (p2, q2) not in relation:
+                    relation.add((p2, q2))
+                    frontier.append((p2, q2))
+    rounds = 0
+    while True:
+        rounds += 1
+        doomed = {(p, q) for (p, q) in relation if fails(p, q, relation)}
+        if not doomed:
+            return rounds
+        relation -= doomed
 
 
 def _canonical_reachable(init, trans) -> Lts:

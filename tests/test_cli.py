@@ -628,7 +628,7 @@ def _products_output(capsys, monkeypatch, tmp_path, fmt, expected):
     """Run ``mts products --format fmt`` on each family, against
     ``expected(products)`` of the full toggling's products, building no
     ``Lts``; returns the chain's stdout."""
-    monkeypatch.setattr(mts, "_trusted_lts", None)
+    monkeypatch.setattr(mts, "Lts", None)
     for i, family in enumerate(_products_families()):
         path = tmp_path / f"family{i}.mts"
         path.write_text(orc_parser.render_mts(family), encoding="utf-8")

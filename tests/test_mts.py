@@ -210,6 +210,7 @@ def _same_check(product, family):
                                                                family)
     assert (new.holds, new.witness, new.failure) == \
         (old.holds, old.witness, old.failure)
+    assert new.rounds == oracles.product_rounds(product, family)
     return new
 
 
@@ -229,7 +230,7 @@ def test_product_check_matches_the_deletion_fixpoint():
     # Random products mostly fail; derived products and their one-edge
     # variants give holding checks and failures deep inside the graph.
     rng = random.Random(54)
-    verdicts = {}
+    verdicts, rounds = {}, set()
     for i in range(2400):
         family = random_mts(rng, max_states=rng.choice((3, 6, 9)))
         if i % 3:
@@ -241,7 +242,9 @@ def test_product_check_matches_the_deletion_fixpoint():
         check = _same_check(product, family)
         kind = check.failure.clause if check.failure else "product"
         verdicts[kind] = verdicts.get(kind, 0) + 1
+        rounds.add(check.rounds)
     assert min(verdicts.values()) > 400, verdicts
+    assert {1, 2, 3, 4, 5} <= rounds, rounds
 
 
 def test_product_check_matches_the_deletion_fixpoint_on_fixtures():
@@ -254,8 +257,9 @@ def test_product_check_matches_the_deletion_fixpoint_on_fixtures():
         for action in sorted(family.actions):
             candidates.append(Lts(product.states, frozenset(), product.init,
                                   product.trans | {(t[0], action, t[2])}))
-    for candidate in candidates:
-        _same_check(candidate, family)
+    rounds = {_same_check(candidate, family).rounds
+              for candidate in candidates}
+    assert {1, 2, 3} <= rounds, rounds
     alien = Lts(frozenset({"s0"}), frozenset(), "s0",
                 frozenset({("s0", "Dance", "s0")}))
     for check in (is_product, oracles.is_product):
@@ -273,9 +277,8 @@ def test_derived_products_match_full_toggling():
 
 
 def test_derived_products_are_checked_lts_values():
-    # The search builds its products without _seal's checks: each must
-    # equal the Lts the checking constructor builds from its parts,
-    # and the oracle's, with the actions its transitions carry.
+    # Each product must equal the Lts built from its parts, and the
+    # oracle's, with the actions its transitions carry.
     rng = random.Random(57)
     families = [random_mts(rng) for _ in range(150)]
     families += [nested_mts(rng, 3, 8) for _ in range(30)]
@@ -311,13 +314,13 @@ def test_nested_families_match_full_toggling(monkeypatch):
     # decides only those a candidate reaches, and builds one Lts per
     # distinct product.
     built = []
-    trusted_lts = mts._trusted_lts
+    lts = mts.Lts
 
     def counting_lts(*args):
         built.append(args)
-        return trusted_lts(*args)
+        return lts(*args)
 
-    monkeypatch.setattr(mts, "_trusted_lts", counting_lts)
+    monkeypatch.setattr(mts, "Lts", counting_lts)
     rng = random.Random(56)
     candidates = distinct = 0
     for _ in range(12):

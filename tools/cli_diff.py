@@ -21,7 +21,10 @@ on transition systems written with tabs, no-break spaces, form feeds
 and ``--`` comments and on one that declares a state on two ``states``
 lines, ``mts dot`` on the full graph of a 6-let ladder (4,096 states)
 and ``mts check`` of that graph against itself as an all-must family,
-``fixtures list`` and ``fixtures show``, ``mts products`` (text and
+``mts check`` (text and json) on seeded random family and product
+pairs whose checks take 3 or more deletion rounds and on one whose
+product uses an action its family lacks, ``fixtures list`` and
+``fixtures show``, ``mts products`` (text and
 json) on a family with optional transitions behind optional ones, on
 one where two choices give the same product, on one over the
 derivation bound, on a 12-state chain and on a 13-state chain whose
@@ -89,11 +92,15 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(ROOT, "src", "orcline", "fixtures")
+sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 import diagnostic_cases  # noqa: E402
+import generators  # noqa: E402
+import oracles  # noqa: E402
 import workloads  # noqa: E402
+from orcline import Lts, orc_parser  # noqa: E402
 
 # (file name, program, extra flags) of the quiescence, label, nesting
 # and recursion probes, one probe per shape of a publication's
@@ -315,6 +322,41 @@ DIAGNOSTIC_COMMANDS = {"orc": ["orc", "explore"], "fm": ["fm", "count"],
                        "mts": ["mts", "products"], "lts": ["mts", "dot"]}
 
 
+def check_pairs(workdir: str, count: int = 10) -> list:
+    """``mts check`` of ``count`` seeded ``random_mts`` families, each
+    against a ``random_lts`` or one of its own products, whose checks
+    take 3 or more deletion rounds (by the naive deletion in
+    ``tests/oracles.py``), then of the first pair with a transition
+    whose action the family lacks."""
+    rng = random.Random(32)
+    pairs = []
+    while len(pairs) < count:
+        family = generators.random_mts(rng, max_states=rng.choice((6, 9)))
+        product = (generators.random_lts(rng, max_states=8)
+                   if len(pairs) % 2 else
+                   rng.choice(oracles.derive_products(family)))
+        # The files declare only the actions their transitions carry.
+        labels = [{a for (_, a, _) in trans}
+                  for trans in (product.trans, family.may)]
+        if labels[0] <= labels[1] and \
+                oracles.product_rounds(product, family) >= 3:
+            pairs.append((family, product))
+    family, product = pairs[0]
+    pairs.append((family, Lts(
+        product.states, frozenset(), product.init,
+        product.trans | {(product.init, "z", product.init)})))
+    commands = []
+    for i, (family, product) in enumerate(pairs):
+        paths = [os.path.join(workdir, f"pair{i}.{kind}")
+                 for kind in ("mts", "lts")]
+        for path, text in zip(paths, (orc_parser.render_mts(family),
+                                      orc_parser.render_lts(product))):
+            with open(path, "w") as handle:
+                handle.write(text)
+        commands.append(["mts", "check"] + paths)
+    return commands
+
+
 def fixture_commands(workdir: str) -> list:
     def fx(name):
         return os.path.join(FIXTURES, name)
@@ -362,6 +404,7 @@ def fixture_commands(workdir: str) -> list:
     commands += [["mts", "dot", graph],
                  ["mts", "check", os.path.join(workdir, "ladder6.mts"),
                   graph]]
+    commands += check_pairs(workdir)
     fms = [fx("smartgrid.fm"), fx("no_renewables.fm")]
     commands.append(["fm", "validate", fx("smartgrid.fm"), "--select",
                      "SmartGrid,DemandResponse"])
